@@ -39,6 +39,8 @@ from .meander import Component, ComponentSummary, Meander, build_meander, compon
 from .oracle import (
     NotFrobeniusError,
     NotFrobeniusFunctionalError,
+    PrincipalElementError,
+    SpectrumOvercountError,
     SpectrumReport,
     ad_spectrum,
     index_oracle,

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="computation route; 'all' cross-checks every applicable route",
     )
-    p_index.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p_index.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     p_index.add_argument("--seed", type=int, default=0)
     p_index.add_argument("--explain", action="store_true", help="list the meander components")
     p_index.add_argument("--json", action="store_true", dest="as_json")
@@ -83,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="exhaustively cross-validate a family")
     p_sweep.add_argument("--type", required=True, choices=[t.value for t in AlgebraType])
     p_sweep.add_argument("--n-max", type=int, required=True)
-    p_sweep.add_argument("--n-min", type=int, default=1)
-    p_sweep.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p_sweep.add_argument("--n-min", type=_positive_int, default=1)
+    p_sweep.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -98,12 +98,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spectrum = sub.add_parser("spectrum", help="principal-element adjoint spectrum")
     _add_spec_args(p_spectrum)
     p_spectrum.add_argument("--sc-file", help="structure-constant table instead of a seaweed spec")
-    p_spectrum.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p_spectrum.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     p_spectrum.add_argument("--seed", type=int, default=0)
     p_spectrum.add_argument("--json", action="store_true", dest="as_json")
     p_spectrum.set_defaults(handler=cmd_spectrum)
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_spec_args(parser: argparse.ArgumentParser) -> None:
@@ -197,7 +204,12 @@ def cmd_meander(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    budget = int(os.environ.get("SEAWEED_MAX_N", str(DEFAULT_SWEEP_BUDGET)))
+    budget_text = os.environ.get("SEAWEED_MAX_N", str(DEFAULT_SWEEP_BUDGET))
+    try:
+        budget = int(budget_text)
+    except ValueError:
+        print(f"error: SEAWEED_MAX_N must be an integer, got {budget_text!r}", file=sys.stderr)
+        return EXIT_SPEC
     if args.n_max > budget:
         print(
             f"error: n_max {args.n_max} exceeds the SEAWEED_MAX_N budget {budget}",

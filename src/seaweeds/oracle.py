@@ -1,16 +1,18 @@
 """Exact linear-algebra oracle: Kirillov forms, ranks, principal elements.
 
 The index of a Lie algebra is the minimum over linear functionals f of
-the kernel dimension of the skew form f([x, y]).  Sampling integer
-functionals with large coordinates and minimizing gives an upper bound
-that is exact for generic samples; everything here is computed over the
-integers and rationals, so the reported kernel dimensions carry no
-numerical error at all.
+the kernel dimension of the skew form f([x, y]).  Every rank is computed
+by one kernel, exact elimination over F_p with p = 2**61 - 1 and no
+floating point.  The rank mod p never exceeds the rank over the
+rationals, so a sampled kernel dimension is an upper bound on the index,
+exact for generic functionals: a random functional fails with
+probability of order m/p per trial (Schwartz-Zippel).
 
-Principal elements and their adjoint spectra (the obstruction test for
-embedding a Frobenius algebra as a seaweed) are computed the same way:
-integer eigenvalue multiplicities are kernel dimensions of exact shifted
-matrices, never the output of a numerical eigensolver.
+Principal elements are solved exactly over the rationals.  Their
+adjoint spectra (the obstruction test for embedding a Frobenius algebra
+as a seaweed) are integer eigenvalue multiplicities read as kernel
+dimensions of exact shifted matrices, never the output of a numerical
+eigensolver.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Sequence
 
 from .matrices import LieData
 
 FUNCTIONAL_BOUND = 10**6
+# The prime of the rank kernel: 2**61 - 1 (a Mersenne prime).
+P = (1 << 61) - 1
 DEFAULT_TRIALS = 5
 
 
@@ -33,6 +38,18 @@ class NotFrobeniusFunctionalError(ValueError):
 
 class NotFrobeniusError(ValueError):
     """No sampled functional was nondegenerate; the algebra has index > 0."""
+
+
+class PrincipalElementError(ArithmeticError):
+    """The solved principal element does not satisfy f([F, x]) = f(x)."""
+
+
+class SpectrumOvercountError(ArithmeticError):
+    """Eigenvalue multiplicities summed past the dimension.
+
+    Each multiplicity is a kernel dimension mod p, an upper bound; a sum
+    beyond m means at least one of them was not exact.
+    """
 
 
 @dataclass(frozen=True)
@@ -65,53 +82,83 @@ def kirillov_matrix(lie: LieData, f: Sequence[int | Fraction]) -> list[list[int 
 
 
 def rank_exact(matrix: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+    """Rank over F_p, p = 2**61 - 1, by sparse Gaussian elimination.
 
-    Rows are scaled to integers first; every intermediate entry is a
-    minor of the scaled matrix, so the single division per update is
-    exact and the result carries no rounding at all.
+    Rows are kept as ``{column: value}`` dicts.  Each step takes the
+    sparsest remaining row as the pivot row and its first stored column
+    as the pivot column.  Reduction mod p is a ring map from the
+    p-integral rationals, so the result never exceeds the rank r over the
+    rationals, and equals it unless p divides every nonzero r x r minor.
+    There is no floating point and no rounding.
     """
-    rows = [_integer_row(row) for row in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
+    rows = _rows_mod_p(matrix)
     rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        best = None
-        for i in range(r, len(rows)):
-            v = rows[i][c]
-            if v and (best is None or abs(v) < best):
-                pivot, best = i, abs(v)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        p = rows[r][c]
-        top = rows[r]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            v = row[c]
-            if v:
-                for j in range(c + 1, ncols):
-                    row[j] = (p * row[j] - v * top[j]) // prev
-            elif p != prev:
-                for j in range(c + 1, ncols):
-                    row[j] = (p * row[j]) // prev
-            row[c] = 0
-        prev = p
-        r += 1
+    while rows:
+        pivot = min(rows, key=len)
         rank += 1
-        if r == len(rows):
-            break
+        col = next(iter(pivot))
+        factor = None  # -1 / pivot[col], inverted only once a row needs it
+        kept = []
+        for row in rows:
+            if row is pivot:
+                continue
+            v = row.get(col)
+            if v is not None:
+                if factor is None:
+                    factor = P - pow(pivot[col], -1, P)
+                v = v * factor % P
+                get = row.get
+                # Adds v * pivot to the row; the pivot column becomes zero.
+                for c, w in pivot.items():
+                    x = (get(c, 0) + v * w) % P
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                if not row:
+                    continue
+            kept.append(row)
+        rows = kept
     return rank
 
 
+def _rows_mod_p(matrix: Sequence[Sequence[int | Fraction]]) -> list[dict[int, int]]:
+    """The nonzero rows of the matrix mod p, as ``{column: value}`` dicts."""
+    if set(map(type, chain.from_iterable(matrix))) <= {int}:
+        rows = [{c: v % P for c, v in enumerate(r) if v % P} for r in matrix]
+    else:
+        inverses: dict[int, int] = {}
+        rows = [_rational_row_mod_p(r, inverses) for r in matrix]
+    return [row for row in rows if row]
+
+
+def _rational_row_mod_p(row: Sequence[int | Fraction], inverses: dict[int, int]) -> dict[int, int]:
+    """One row mod p; ``inverses`` caches the inverses of denominators.
+
+    A row with a denominator divisible by p is scaled to integers first;
+    scaling a row changes no rank over the rationals.
+    """
+    out = {}
+    for c, v in enumerate(row):
+        if not v:
+            continue
+        if isinstance(v, Fraction):
+            d = v.denominator
+            inv = inverses.get(d)
+            if inv is None:
+                if not d % P:
+                    return _rational_row_mod_p(_integer_row(row), inverses)
+                inv = inverses[d] = pow(d, -1, P)
+            x = v.numerator * inv % P
+        else:
+            x = v % P
+        if x:
+            out[c] = x
+    return out
+
+
 def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
-    if all(isinstance(v, int) for v in row):
-        return list(row)
-    scale = lcm(*(Fraction(v).denominator for v in row)) if row else 1
+    scale = lcm(*(Fraction(v).denominator for v in row))
     return [int(Fraction(v) * scale) for v in row]
 
 
@@ -128,10 +175,11 @@ def random_functional(rng: random.Random, dimension: int) -> list[int]:
 def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> int:
     """Min kernel dimension of the Kirillov form over seeded random functionals.
 
-    This is an upper bound for the index that is sharp for generic
-    samples; with coordinates up to 1e6 and the min over several trials,
-    a non-generic result is vanishingly unlikely.  Deterministic for a
-    given (trials, seed).
+    Each kernel dimension is computed over F_p (see rank_exact), so the
+    result is an upper bound for the index that is exact for generic
+    functionals; with coordinates up to 1e6, p = 2**61 - 1 and the min
+    over several trials, a non-generic result is vanishingly unlikely.
+    Deterministic for a given (trials, seed).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -150,8 +198,9 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
 def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[Fraction]:
     """Solve f([F, x_j]) = f(x_j) for F in coordinates, exactly.
 
-    Requires the Kirillov form of f to be nondegenerate; the residual of
-    the returned solution is checked to vanish identically.
+    Requires the Kirillov form of f to be nondegenerate.  The residual of
+    the returned solution is checked to vanish identically, and
+    PrincipalElementError is raised if it does not.
     """
     m = lie.dimension
     matrix = kirillov_matrix(lie, f)
@@ -162,7 +211,10 @@ def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[Fractio
         raise NotFrobeniusFunctionalError("Kirillov form is degenerate for this functional")
     for j in range(m):
         residual = sum(solution[i] * matrix[i][j] for i in range(m)) - f[j]
-        assert residual == 0
+        if residual != 0:
+            raise PrincipalElementError(
+                f"principal element misses f([F, x_{j}]) = f(x_{j}) by {residual}"
+            )
     return solution
 
 
@@ -217,12 +269,15 @@ def ad_spectrum(
     once the multiplicities account for the whole dimension.  A defect
     is reported, not raised: it signals eigenvalues outside the integers
     (the obstruction to realizing the algebra as a seaweed) or a
-    non-semisimple ad(F).
+    non-semisimple ad(F).  Multiplicities summing past m cannot be exact
+    and raise SpectrumOvercountError.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     m = lie.dimension
     rng = random.Random(seed)
     f = None
-    for _ in range(max(trials, 1)):
+    for _ in range(trials):
         candidate = random_functional(rng, m)
         if kernel_dimension(kirillov_matrix(lie, candidate)) == 0:
             f = candidate
@@ -239,13 +294,17 @@ def ad_spectrum(
     eigenvalues: dict[int, int] = {}
     total = 0
     for k in _spectrum_scan_order(lo, hi):
-        shifted = [
-            [ad[i][j] - (k if i == j else 0) for j in range(m)] for i in range(m)
-        ]
+        shifted = [row[:] for row in ad]
+        for i in range(m):
+            shifted[i][i] -= k
         mult = kernel_dimension(shifted)
         if mult:
             eigenvalues[k] = mult
             total += mult
+            if total > m:
+                raise SpectrumOvercountError(
+                    f"eigenvalue multiplicities {eigenvalues} sum to {total} > dimension {m}"
+                )
             if total == m:
                 break
 

@@ -78,6 +78,9 @@ class InvalidSpecError(ValueError):
 
 
 _TAGS = ("GL", "A", "B", "C", "D")
+# Decimal means ASCII digits: str.isdigit also accepts superscript and
+# fullwidth digits, which int() then rejects or reads as ASCII.
+_DIGITS = "0123456789"
 
 
 def parse_spec(text: str) -> SeaweedSpec:
@@ -106,7 +109,7 @@ def parse_spec(text: str) -> SeaweedSpec:
         raise SpecSyntaxError("expected algebra tag GL, A, B, C or D", offset_at(0))
 
     start = pos
-    while pos < len(stripped) and stripped[pos].isdigit():
+    while pos < len(stripped) and stripped[pos] in _DIGITS:
         pos += 1
     if pos == start:
         raise SpecSyntaxError("expected decimal n after algebra tag", offset_at(pos))
@@ -131,7 +134,7 @@ def _parse_parts(text: str, base_offset: int) -> Composition:
     parts = []
     at = base_offset
     for piece in text.split("|"):
-        if not piece.isdigit() or int(piece) < 1:
+        if not (piece.isascii() and piece.isdigit()) or int(piece) < 1:
             raise SpecSyntaxError(f"composition part {piece!r} is not a positive integer", at)
         parts.append(int(piece))
         at += len(piece) + 1

@@ -5,18 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+from seaweeds import oracle
 from seaweeds.matrices import lie_from_structure_constants, seaweed_basis
 from seaweeds.oracle import (
     NotFrobeniusError,
     NotFrobeniusFunctionalError,
+    PrincipalElementError,
+    SpectrumOvercountError,
     ad_spectrum,
     index_oracle,
     kernel_dimension,
     kirillov_matrix,
     principal_element,
+    random_functional,
     rank_exact,
 )
-from seaweeds.specs import parse_spec
+from seaweeds.specs import AlgebraType, enumerate_specs, parse_spec
 
 SL2 = lie_from_structure_constants({(0, 2): {1: 1}, (1, 0): {0: 2}, (1, 2): {2: -2}})
 
@@ -97,6 +101,44 @@ def test_rank_matches_fraction_elimination_on_fuzz():
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         matrix = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
         assert rank_exact(matrix) == _fraction_rank(matrix)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        matrix = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        # a rational multiple of one row as an extra row keeps the rank
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        matrix.append([scale * v for v in matrix[0]])
+        assert rank_exact(matrix) == _fraction_rank(matrix)
+
+
+def test_rank_is_an_upper_bound_over_f_p():
+    # p = 2**61 - 1 vanishes mod p: the kernel can only grow, never shrink
+    assert rank_exact([[2**61 - 1]]) == 0
+    assert _fraction_rank([[2**61 - 1]]) == 1
+
+
+def test_rank_of_row_with_denominator_divisible_by_p():
+    p = 2**61 - 1
+    matrix = [[Fraction(1, p), Fraction(1, 2)], [0, 1]]
+    assert _fraction_rank(matrix) == 2
+    assert rank_exact(matrix) == 2
+    assert kernel_dimension([[Fraction(3, p), Fraction(6, p)], [1, 2]]) == 1
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max",
+    [(AlgebraType.GL, 4), (AlgebraType.A, 4), (AlgebraType.B, 3), (AlgebraType.C, 3), (AlgebraType.D, 3)],
+)
+def test_kirillov_kernel_matches_fraction_elimination(algebra, n_max):
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            lie = seaweed_basis(spec)
+            for seed in range(3):
+                matrix = kirillov_matrix(lie, random_functional(random.Random(seed), lie.dimension))
+                expected = lie.dimension - _fraction_rank(matrix) if matrix else 0
+                assert kernel_dimension(matrix) == expected, (spec, seed)
 
 
 def test_index_oracle_fixtures():
@@ -118,6 +160,14 @@ def test_principal_element_requires_nondegenerate():
     lie = seaweed_basis(parse_spec("A4:2|2/1|3"))
     with pytest.raises(NotFrobeniusFunctionalError):
         principal_element(lie, [0] * lie.dimension)
+
+
+def test_principal_element_rejects_a_wrong_solution(monkeypatch):
+    lie = seaweed_basis(parse_spec("A4:2|2/1|3"))
+    f = random_functional(random.Random(9), lie.dimension)
+    monkeypatch.setattr(oracle, "_solve", lambda aug, m: [Fraction(0)] * m)
+    with pytest.raises(PrincipalElementError):
+        principal_element(lie, f)
 
 
 def test_principal_element_residual():
@@ -157,6 +207,26 @@ def test_spectrum_epilogue_family():
             assert not report.integral
             assert report.defect == 2
             assert report.eigenvalues == {0: 1, 1: 1}
+
+
+def test_spectrum_rejects_overcounted_multiplicities(monkeypatch):
+    lie = seaweed_basis(parse_spec("A4:2|2/1|3"))
+    exact = oracle.kernel_dimension
+    calls = []
+
+    def overcount(matrix):
+        # the first call tests the functional; every scan then reads m - 1
+        calls.append(matrix)
+        return exact(matrix) if len(calls) == 1 else len(matrix) - 1
+
+    monkeypatch.setattr(oracle, "kernel_dimension", overcount)
+    with pytest.raises(SpectrumOvercountError):
+        ad_spectrum(lie)
+
+
+def test_spectrum_rejects_nonpositive_trials():
+    with pytest.raises(ValueError):
+        ad_spectrum(seaweed_basis(parse_spec("A4:2|2/1|3")), trials=0)
 
 
 def test_spectrum_rejects_non_frobenius():

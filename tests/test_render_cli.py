@@ -163,6 +163,28 @@ def test_cli_sweep_budget(capsys, monkeypatch):
     assert run_cli("sweep", "--type", "A", "--n-max", "5") == 2
 
 
+def test_cli_sweep_budget_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SEAWEED_MAX_N", "x")
+    assert run_cli("sweep", "--type", "A", "--n-max", "3") == 2
+    assert "SEAWEED_MAX_N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("index", "B5:3|2/4", "--trials", "0"),
+        ("spectrum", "A4:2|2/1|3", "--trials", "0"),
+        ("sweep", "--type", "A", "--n-max", "2", "--trials", "0"),
+        ("sweep", "--type", "A", "--n-max", "2", "--n-min", "0"),
+    ],
+)
+def test_cli_rejects_nonpositive_counts(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    assert excinfo.value.code == 2
+    assert f"{argv[-2]}: must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "seaweeds.cli", "index", "B5:3|2/4", "--method", "meander"],

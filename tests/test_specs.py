@@ -40,7 +40,18 @@ def test_parse_is_whitespace_insensitive():
 
 @pytest.mark.parametrize(
     "text",
-    ["X9:1/1", "A:1/1", "A5;1/1", "A5:4|0/5", "A5:4|1", "A5:1/1/1"],
+    [
+        "X9:1/1",
+        "A:1/1",
+        "A5;1/1",
+        "A5:4|0/5",
+        "A5:4|1",
+        "A5:1/1/1",
+        # str.isdigit accepts these; only ASCII digits are decimal here
+        "A\u00b2:1/1",
+        "A\uff13:1|2/3",
+        "A3:\uff11|2/3",
+    ],
 )
 def test_parse_rejects_bad_syntax(text):
     with pytest.raises(SpecSyntaxError):
