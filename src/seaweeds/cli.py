@@ -20,7 +20,7 @@ from .formulas import classify_frobenius, index_closed_form, index_combinatorial
 from .matrices import lie_from_structure_constants, parse_structure_constants, seaweed_basis
 from .meander import build_meander, components
 from .oracle import DEFAULT_TRIALS, NotFrobeniusError, ad_spectrum, index_oracle
-from .render import FORMATS, RenderSpec, render_meander
+from .render import FORMATS, RenderSpec, component_payload, render_meander
 from .specs import (
     AlgebraType,
     InvalidSpecError,
@@ -161,11 +161,7 @@ def cmd_index(args) -> int:
         "justification": verdict.justification,
     }
     if args.explain:
-        _, comps = components(build_meander(spec))
-        payload["components"] = [
-            {"vertices": list(c.vertices), "kind": c.kind, "tail_count": c.tail_count}
-            for c in comps
-        ]
+        payload["components"] = component_payload(components(build_meander(spec))[1])
     if args.as_json:
         print(json.dumps(payload, indent=2))
     else:

@@ -22,6 +22,10 @@ class NotSinglePathError(ValueError):
     pass
 
 
+class TourError(ArithmeticError):
+    """The t∘b tour of an augmented meander is not one n-cycle (construction bug)."""
+
+
 @dataclass(frozen=True)
 class AugmentedMeander:
     base: Meander
@@ -80,8 +84,8 @@ def permutation_cycle(aug: AugmentedMeander) -> DeltaReport:
     for _ in range(n - 1):
         v = top[bottom[v]]
         sigma.append(v)
-    assert top[bottom[v]] == start, "t∘b did not close into an n-cycle"
-    assert len(set(sigma)) == n
+    if top[bottom[v]] != start or len(set(sigma)) != n:
+        raise TourError(f"t∘b from {start} does not close into one {n}-cycle")
 
     diffs = tuple((sigma[(k + 1) % n] - sigma[k]) % n for k in range(n))
     counts = Counter(diffs)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .meander import TAIL_I, TAIL_II, TAIL_III, build_meander, components
+from .meander import TAIL_I, TAIL_II, TAIL_III, Component, ComponentSummary, build_meander, components
 from .meander import tail as meander_tail
 from .specs import AlgebraType, SeaweedSpec, require_valid
 
@@ -77,11 +77,14 @@ def xi(n: int, delta: int) -> Fraction:
 def index_combinatorial(spec: SeaweedSpec) -> IndexReport:
     """Index from meander components: 2C+P for GL, 2C+P-1 for A,
     2C+P-tilde for B/C/D (with the family's tail)."""
-    require_valid(spec)
     summary, _ = components(build_meander(spec))
-    if spec.algebra is AlgebraType.GL:
+    return _index_report(spec.algebra, summary)
+
+
+def _index_report(algebra: AlgebraType, summary: ComponentSummary) -> IndexReport:
+    if algebra is AlgebraType.GL:
         value = 2 * summary.cycles + summary.paths
-    elif spec.algebra is AlgebraType.A:
+    elif algebra is AlgebraType.A:
         value = 2 * summary.cycles + summary.paths - 1
     else:
         value = 2 * summary.cycles + summary.tailed_paths
@@ -243,10 +246,11 @@ def classify_frobenius(spec: SeaweedSpec) -> FrobeniusVerdict:
     closed rule decides the same question its answer is checked against
     the meander and a disagreement raises.
     """
-    require_valid(spec)
-    report = index_combinatorial(spec)
+    meander = build_meander(spec)
+    summary, comps = components(meander)
+    report = _index_report(spec.algebra, summary)
     frobenius = report.index == 0
-    tag, certificate, decided = _justification(spec, report)
+    tag, certificate, decided = _justification(spec, report, meander.tail_config, comps)
     if decided is not None and decided != frobenius:
         raise RuleDisagreement(
             f"{tag} predicts frobenius={decided} but meander index is {report.index} for {spec}"
@@ -254,7 +258,7 @@ def classify_frobenius(spec: SeaweedSpec) -> FrobeniusVerdict:
     return FrobeniusVerdict(frobenius, tag, certificate)
 
 
-def _justification(spec: SeaweedSpec, report: IndexReport):
+def _justification(spec: SeaweedSpec, report: IndexReport, config: str, comps: list[Component]):
     """Return (tag, certificate, decided) where decided is the rule's own
     verdict when its hypotheses fully determine one, else None."""
     algebra = spec.algebra
@@ -265,7 +269,7 @@ def _justification(spec: SeaweedSpec, report: IndexReport):
         return TAG_MEANDER_PATH, {"cycles": report.cycles, "paths": report.paths}, None
     if algebra in (AlgebraType.B, AlgebraType.C):
         return _justify_bc(spec.n, spec.top, spec.bottom)
-    return _justify_d(spec)
+    return _justify_d(spec, config, comps)
 
 
 def _justify_bc(n: int, top: tuple[int, ...], bottom: tuple[int, ...]):
@@ -284,9 +288,8 @@ def _justify_bc(n: int, top: tuple[int, ...], bottom: tuple[int, ...]):
     return TAG_MEANDER_FOREST, {}, None
 
 
-def _justify_d(spec: SeaweedSpec):
+def _justify_d(spec: SeaweedSpec, config: str, comps: list[Component]):
     n, top, bottom = spec.n, spec.top, spec.bottom
-    _, config = meander_tail(spec)
     if config == TAIL_I:
         tag, cert, decided = _justify_bc(n, top, bottom)
         if tag != TAG_MEANDER_FOREST:
@@ -314,7 +317,7 @@ def _justify_d(spec: SeaweedSpec):
             return TAG_SHORT_TAIL_BLOCK, {"b": b, "c": c}, ok
         # b > n - c: tail of size two (c = n-3) or four (c = n-5), else never.
         if c == n - 3:
-            if _same_component(spec, n - 2, n):
+            if _same_component(comps, n - 2, n):
                 return TAG_GCD3_PATH, {"gcd": g}, g == 3
             if g == 1:
                 delta = (a + d) % n
@@ -341,8 +344,7 @@ def _justify_d(spec: SeaweedSpec):
     return TAG_MEANDER_FOREST, {}, None
 
 
-def _same_component(spec: SeaweedSpec, u: int, v: int) -> bool:
-    _, comps = components(build_meander(spec))
+def _same_component(comps: list[Component], u: int, v: int) -> bool:
     for comp in comps:
         if u in comp.vertices:
             return v in comp.vertices

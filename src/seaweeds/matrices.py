@@ -26,13 +26,22 @@ from .specs import AlgebraType, SeaweedSpec, require_valid
 Cell = tuple[int, int]
 
 
+class ZeroEntryError(ValueError):
+    """A SparseIntMatrix was handed an explicit zero entry."""
+
+
+class MaskSymmetryError(RuntimeError):
+    """A B/C/D admissible mask is not antidiagonal-symmetric (construction bug)."""
+
+
 @dataclass(frozen=True)
 class SparseIntMatrix:
     dim: int
     entries: dict[Cell, int]
 
     def __post_init__(self):
-        assert all(v != 0 for v in self.entries.values())
+        if not all(self.entries.values()):
+            raise ZeroEntryError("a SparseIntMatrix stores nonzero entries only; build it with sparse()")
 
     def __eq__(self, other) -> bool:
         return (
@@ -136,7 +145,8 @@ def admissible_mask(spec: SeaweedSpec) -> AdmissibleMask:
                 cells.add((i, j))
     if not spec.algebra.full_compositions_required:
         mirrored = {(dim + 1 - j, dim + 1 - i) for i, j in cells}
-        assert mirrored == cells, "B/C/D masks must be antidiagonal-symmetric"
+        if mirrored != cells:
+            raise MaskSymmetryError(f"the admissible mask of {spec} is not antidiagonal-symmetric")
     return AdmissibleMask(dim, frozenset(cells))
 
 
@@ -180,7 +190,6 @@ def seaweed_basis(spec: SeaweedSpec) -> LieData:
     all pairwise brackets are reduced over the basis; failure to reduce
     exactly is fatal since it would mean the span is not a subalgebra.
     """
-    require_valid(spec)
     mask = admissible_mask(spec)
     algebra = spec.algebra
     if algebra is AlgebraType.GL:

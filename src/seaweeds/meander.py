@@ -26,6 +26,10 @@ TAIL_II = "II"
 TAIL_III = "III"
 
 
+class TailDegreeError(ValueError):
+    """A tail vertex carries both a top and a bottom arc (malformed meander)."""
+
+
 @dataclass(frozen=True)
 class Meander:
     n_vertices: int
@@ -98,94 +102,60 @@ def tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
 
 
 def build_meander(spec: SeaweedSpec) -> Meander:
-    require_valid(spec)
     tail_set, config = tail(spec)
-    meander = Meander(
+    return Meander(
         n_vertices=spec.n,
         top_edges=frozenset(block_edges(spec.top)),
         bottom_edges=frozenset(block_edges(spec.bottom)),
         tail=tail_set,
         tail_config=config,
     )
-    for v in tail_set:
-        # Tail vertices sit past the shorter composition, so they carry at
-        # most one arc; tail_count <= 2 per component relies on this.
-        assert meander.degree(v) <= 1, f"tail vertex {v} has degree > 1 in {spec}"
-    return meander
 
 
 def components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:
-    """Decompose into paths and cycles, deterministically ordered.
+    """Decompose into paths and cycles in one pass, deterministically ordered.
 
-    Paths are traversed from their lower-numbered endpoint, cycles from
-    their minimum vertex; the returned list is sorted by first vertex.
+    Vertices are scanned in increasing order, so every path is first met
+    at its lower-numbered endpoint and walked from there; every vertex
+    left over then lies on a cycle, which is first met at its minimum
+    and walked from it along its top edge.  The returned list is sorted
+    by first vertex.  Tail vertices sit past the shorter composition, so
+    each carries at most one arc: they are path endpoints, which bounds
+    ``tail_count`` by two, and a tail vertex with both arcs raises
+    ``TailDegreeError``.
     """
-    top: dict[int, int] = {}
-    bottom: dict[int, int] = {}
+    n = meander.n_vertices
+    top = [0] * (n + 1)
+    bottom = [0] * (n + 1)
     for a, b in meander.top_edges:
         top[a], top[b] = b, a
     for a, b in meander.bottom_edges:
         bottom[a], bottom[b] = b, a
 
     tail_set = set(meander.tail)
-    visited: set[int] = set()
+    seen = bytearray(n + 1)
     comps: list[Component] = []
-
-    for v in range(1, meander.n_vertices + 1):
-        if v in visited:
-            continue
-        block = _gather(v, top, bottom)
-        visited.update(block)
-        endpoints = sorted(u for u in block if ((u in top) + (u in bottom)) <= 1)
-        if endpoints:
-            order = _walk(endpoints[0], top, bottom)
-            kind = "path"
-        else:
-            order = _walk(min(block), top, bottom, cycle=True)
-            kind = "cycle"
-        assert set(order) == block
-        tail_count = sum(1 for u in order if u in tail_set)
-        if kind == "cycle":
-            assert tail_count == 0
-        assert tail_count <= 2
-        comps.append(Component(tuple(order), kind, tail_count))
+    for kind in ("path", "cycle"):
+        for start in range(1, n + 1):
+            if seen[start] or (kind == "path" and top[start] and bottom[start]):
+                continue
+            # A path endpoint's one arc is forced; a cycle starts on top.
+            arcs = (top, bottom) if top[start] else (bottom, top)
+            order = []
+            tail_count = 0
+            v, side = start, 0
+            while v and not seen[v]:
+                seen[v] = 1
+                order.append(v)
+                if v in tail_set:
+                    if top[v] and bottom[v]:
+                        raise TailDegreeError(f"tail vertex {v} carries a top and a bottom arc")
+                    tail_count += 1
+                v = arcs[side][v]
+                side ^= 1
+            comps.append(Component(tuple(order), kind, tail_count))
 
     comps.sort(key=lambda c: c.vertices[0])
     cycles = sum(1 for c in comps if c.kind == "cycle")
-    paths = len(comps) - cycles
     tailed = sum(1 for c in comps if c.kind == "path" and c.tail_count in (0, 2))
-    return ComponentSummary(cycles, paths, tailed), comps
-
-
-def _gather(v: int, top: dict[int, int], bottom: dict[int, int]) -> set[int]:
-    block = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for partner in (top.get(u), bottom.get(u)):
-            if partner is not None and partner not in block:
-                block.add(partner)
-                frontier.append(partner)
-    return block
-
-
-def _walk(start: int, top: dict[int, int], bottom: dict[int, int], cycle: bool = False) -> list[int]:
-    """Alternating top/bottom traversal from ``start``.
-
-    Path endpoints have at most one edge, so the first step is forced;
-    cycle vertices have both, and the walk starts along the top edge.
-    """
-    order = [start]
-    if not cycle and start not in top and start not in bottom:
-        return order
-    use_top = start in top
-    v = start
-    while True:
-        partner = (top if use_top else bottom)[v]
-        if cycle and partner == start:
-            return order
-        order.append(partner)
-        v = partner
-        use_top = not use_top
-        if not cycle and v not in (top if use_top else bottom):
-            return order
+    return ComponentSummary(cycles, len(comps) - cycles, tailed), comps

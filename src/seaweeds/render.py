@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .meander import Meander, components
+from .meander import Component, Meander, components
 
 FORMATS = ("dot", "tikz", "json", "svg")
 
@@ -41,6 +41,11 @@ def render_meander(meander: Meander, options: RenderSpec, label: str = "") -> st
     return _render_svg(meander, options, label)
 
 
+def component_payload(comps: list[Component]) -> list[dict]:
+    """JSON form of a component list (the meander render and ``index --explain``)."""
+    return [{"vertices": list(c.vertices), "kind": c.kind, "tail_count": c.tail_count} for c in comps]
+
+
 def _component_colors(meander: Meander) -> dict[int, str]:
     _, comps = components(meander)
     colors: dict[int, str] = {}
@@ -60,10 +65,7 @@ def _render_json(meander: Meander, options: RenderSpec, label: str) -> str:
         "bottom_edges": sorted(list(e) for e in meander.bottom_edges),
         "tail": list(meander.tail),
         "tail_config": meander.tail_config,
-        "components": [
-            {"vertices": list(c.vertices), "kind": c.kind, "tail_count": c.tail_count}
-            for c in comps
-        ],
+        "components": component_payload(comps),
         "summary": {
             "cycles": summary.cycles,
             "paths": summary.paths,

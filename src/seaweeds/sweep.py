@@ -15,13 +15,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .delta import delta_of_spec
 from .formulas import classify_frobenius, index_closed_form, index_combinatorial, xi
 from .matrices import seaweed_basis
 from .meander import build_meander, components
 from .oracle import DEFAULT_TRIALS, index_oracle
-from .specs import AlgebraType, SeaweedSpec, compositions, enumerate_specs, format_spec, parse_spec
+from .specs import AlgebraType, SeaweedSpec, compositions, enumerate_specs, format_spec
 
 
 @dataclass
@@ -49,15 +50,14 @@ class SweepReport:
         }
 
 
-def check_spec(spec_text: str, trials: int = DEFAULT_TRIALS, seed: int = 0) -> dict:
+def check_spec(spec: SeaweedSpec, trials: int = DEFAULT_TRIALS, seed: int = 0) -> dict:
     """All-routes record for one spec: meander, closed form, oracle, verdict."""
-    spec = parse_spec(spec_text)
     combinatorial = index_combinatorial(spec).index
     closed = index_closed_form(spec)
     oracle_value = index_oracle(seaweed_basis(spec), trials=trials, seed=seed)
     verdict = classify_frobenius(spec)
     return {
-        "spec": spec_text,
+        "spec": format_spec(spec),
         "combinatorial": combinatorial,
         "closed_form": None if closed is None else closed[0],
         "closed_form_rule": None if closed is None else closed[1],
@@ -90,23 +90,18 @@ def run_sweep(
 ) -> SweepReport:
     """Cross-validate every spec of the family with n_min <= n <= n_max."""
     start = time.monotonic()
-    spec_texts = [
-        format_spec(spec)
-        for n in range(n_min, n_max + 1)
-        for spec in enumerate_specs(algebra, n)
-    ]
+    specs = [spec for n in range(n_min, n_max + 1) for spec in enumerate_specs(algebra, n)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_check_worker, ((s, trials, seed) for s in spec_texts), chunksize=64))
+            records = list(pool.map(check_spec, specs, repeat(trials), repeat(seed), chunksize=64))
     else:
-        records = [check_spec(s, trials, seed) for s in spec_texts]
+        records = [check_spec(s, trials, seed) for s in specs]
 
     mismatches = []
     frobenius_counts: dict[int, int] = {}
-    for text, record in zip(spec_texts, records):
-        n = parse_spec(text).n
+    for spec, record in zip(specs, records):
         if record["frobenius"]:
-            frobenius_counts[n] = frobenius_counts.get(n, 0) + 1
+            frobenius_counts[spec.n] = frobenius_counts.get(spec.n, 0) + 1
         bad = _mismatch_of(record)
         if bad is not None:
             mismatches.append(bad)
@@ -114,15 +109,11 @@ def run_sweep(
     return SweepReport(
         algebra=algebra.value,
         n_range=(n_min, n_max),
-        specs_checked=len(spec_texts),
+        specs_checked=len(specs),
         mismatches=mismatches,
         frobenius_counts=frobenius_counts,
         elapsed=time.monotonic() - start,
     )
-
-
-def _check_worker(args: tuple[str, int, int]) -> dict:
-    return check_spec(*args)
 
 
 # --- specialized sweeps ----------------------------------------------------

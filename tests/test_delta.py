@@ -5,13 +5,15 @@ from collections import Counter
 import pytest
 
 from seaweeds.delta import (
+    AugmentedMeander,
     NotSinglePathError,
+    TourError,
     augment_with_loops,
     canonical_delta_formula,
     delta_of_spec,
     permutation_cycle,
 )
-from seaweeds.meander import build_meander, components
+from seaweeds.meander import Meander, build_meander, components
 from seaweeds.specs import AlgebraType, SeaweedSpec, compositions, parse_spec
 from seaweeds.sweep import delta_cardinality_probe, delta_congruence_sweep
 
@@ -101,3 +103,16 @@ def test_cardinality_probe_reports():
     # this range every cardinality multiset coarsens the top parts.
     assert any(not r["matches"] for r in results)
     assert all(r["coarsens"] for r in results)
+
+
+@pytest.mark.parametrize(
+    "n, top, top_loops, bottom_loops",
+    [
+        (4, {(1, 2), (3, 4)}, (), (1, 2, 3, 4)),  # t∘b closes after two steps, short of n
+        (3, {(1, 2)}, (3,), (1, 2, 3)),  # t∘b never returns to the start
+    ],
+)
+def test_forged_tour_raises(n, top, top_loops, bottom_loops):
+    base = Meander(n, frozenset(top), frozenset(), tail=(), tail_config="NONE")
+    with pytest.raises(TourError):
+        permutation_cycle(AugmentedMeander(base, top_loops, bottom_loops))

@@ -162,6 +162,13 @@ def test_classifier_matches_index_exhaustively():
                 assert verdict.frobenius == (index_combinatorial(spec).index == 0), spec
 
 
+@pytest.mark.parametrize("text", ["C20000:20000/", "B20000:20000/"])
+def test_long_tail_index_equals_two_part_form(text):
+    spec = parse_spec(text)
+    assert index_closed_form(spec) == (10000, "TWO_PART")
+    assert index_combinatorial(spec).index == 10000
+
+
 def test_gl_index_is_a_index_plus_one():
     for n in range(1, 6):
         for spec in enumerate_specs(AlgebraType.A, n):

@@ -4,8 +4,12 @@ import random
 
 import pytest
 
+from seaweeds import matrices
 from seaweeds.matrices import (
     JacobiError,
+    MaskSymmetryError,
+    SparseIntMatrix,
+    ZeroEntryError,
     admissible_mask,
     antitranspose,
     bracket,
@@ -196,3 +200,16 @@ def test_parse_structure_constants_rationals():
     assert table == {(0, 1): {0: Fraction(1, 2), 2: Fraction(-2)}}
     with pytest.raises(ValueError):
         parse_structure_constants("1 2 3:1")
+
+
+def test_explicit_zero_entry_raises():
+    with pytest.raises(ZeroEntryError):
+        SparseIntMatrix(2, {(1, 1): 1, (1, 2): 0})
+
+
+def test_asymmetric_mask_raises(monkeypatch):
+    # Blocks that are not a palindrome around the middle break the
+    # antidiagonal symmetry of a B/C/D mask.
+    monkeypatch.setattr(matrices, "_symmetric_blocks", lambda spec, parts: list(parts) + [3])
+    with pytest.raises(MaskSymmetryError):
+        admissible_mask(parse_spec("C2:1/1"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from seaweeds.meander import build_meander, components, tail
+from seaweeds.meander import Meander, TailDegreeError, build_meander, components, tail
 from seaweeds.specs import AlgebraType, enumerate_specs, parse_spec
 
 
@@ -121,3 +121,16 @@ def test_component_traversal_is_deterministic():
                 assert c.vertices[0] == min(c.vertices[0], c.vertices[-1])
             if c.kind == "cycle":
                 assert c.vertices[0] == min(c.vertices)
+
+
+@pytest.mark.parametrize(
+    "top, bottom",
+    [
+        ({(1, 2)}, {(1, 2)}),  # the tail vertex lies on a cycle
+        ({(1, 3)}, {(1, 2)}),  # the tail vertex is inside a path
+    ],
+)
+def test_tail_vertex_with_two_arcs_raises(top, bottom):
+    m = Meander(3, frozenset(top), frozenset(bottom), tail=(1,), tail_config="NONE")
+    with pytest.raises(TailDegreeError):
+        components(m)

@@ -2,8 +2,13 @@
 
 import pytest
 
+from seaweeds.delta import delta_of_spec
+from seaweeds.formulas import classify_frobenius, index_closed_form, index_combinatorial
+from seaweeds.matrices import admissible_mask, seaweed_basis
+from seaweeds.meander import build_meander, tail
 from seaweeds.specs import (
     AlgebraType,
+    InvalidSpecError,
     SeaweedSpec,
     SpecSyntaxError,
     compositions,
@@ -12,6 +17,7 @@ from seaweeds.specs import (
     parse_spec,
     validate,
 )
+from seaweeds.sweep import check_spec
 
 
 def test_parse_three_part_over_three_part():
@@ -124,3 +130,28 @@ def test_enumerated_specs_validate_and_roundtrip(algebra):
             assert text not in seen, "duplicate spec emitted"
             seen.add(text)
             assert parse_spec(text) == spec
+
+
+SPEC_FUNCTIONS = (
+    tail,
+    build_meander,
+    index_combinatorial,
+    index_closed_form,
+    classify_frobenius,
+    admissible_mask,
+    seaweed_basis,
+    delta_of_spec,
+    check_spec,
+)
+INVALID_SPECS = (
+    SeaweedSpec(AlgebraType.A, 3, (4, -1), (3,)),  # parts-positive
+    SeaweedSpec(AlgebraType.C, 2, (1,), (2,)),  # top-sum-ge-bottom-sum
+    SeaweedSpec(AlgebraType.D, 3, (4,), ()),  # top-sum-le-n
+)
+
+
+@pytest.mark.parametrize("spec", INVALID_SPECS, ids=str)
+@pytest.mark.parametrize("function", SPEC_FUNCTIONS, ids=lambda f: f.__name__)
+def test_public_functions_reject_invalid_specs(function, spec):
+    with pytest.raises(InvalidSpecError):
+        function(spec)
