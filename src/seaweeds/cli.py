@@ -16,7 +16,7 @@ import os
 import sys
 
 from .delta import NotSinglePathError, delta_of_spec
-from .formulas import classify_frobenius, index_closed_form, index_combinatorial
+from .formulas import classify_frobenius, index_closed_form
 from .matrices import lie_from_structure_constants, parse_structure_constants, seaweed_basis
 from .meander import build_meander, components
 from .oracle import DEFAULT_TRIALS, NotFrobeniusError, ad_spectrum, index_oracle
@@ -135,7 +135,8 @@ def _resolve_spec(args) -> SeaweedSpec:
 
 def cmd_index(args) -> int:
     spec = _resolve_spec(args)
-    report = index_combinatorial(spec)
+    verdict = classify_frobenius(spec)
+    report = verdict.report
     closed = index_closed_form(spec)
     results: dict[str, int | None] = {}
     if args.method in ("meander", "all"):
@@ -147,7 +148,6 @@ def cmd_index(args) -> int:
 
     stated = [v for v in results.values() if v is not None]
     agreement = all(v == stated[0] for v in stated)
-    verdict = classify_frobenius(spec)
     payload = {
         "schema": "seaweeds/index/v1",
         "spec": format_spec(spec),

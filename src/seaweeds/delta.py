@@ -77,8 +77,12 @@ def permutation_cycle(aug: AugmentedMeander) -> DeltaReport:
         top[a], top[b] = b, a
     for a, b in aug.base.bottom_edges:
         bottom[a], bottom[b] = b, a
+    loops = aug.top_loops + aug.bottom_loops
+    vertices = set(range(1, n + 1))
+    if not loops or top.keys() != vertices or bottom.keys() != vertices:
+        raise TourError(f"t and b must be total on the {n} vertices, with a loop to start from")
 
-    start = min(aug.top_loops + aug.bottom_loops)
+    start = min(loops)
     sigma = [start]
     v = start
     for _ in range(n - 1):

@@ -42,8 +42,11 @@ class IndexReport:
 
 @dataclass(frozen=True)
 class FrobeniusVerdict:
+    """The verdict, its rule and certificate, and the meander index it rests on."""
+
     frobenius: bool
     justification: str
+    report: IndexReport
     certificate: dict = field(default_factory=dict)
 
 
@@ -244,7 +247,8 @@ def classify_frobenius(spec: SeaweedSpec) -> FrobeniusVerdict:
 
     The verdict itself always comes from the component count; whenever a
     closed rule decides the same question its answer is checked against
-    the meander and a disagreement raises.
+    the meander and a disagreement raises.  The count is returned too,
+    as ``report`` (what ``index_combinatorial`` gives for the spec).
     """
     meander = build_meander(spec)
     summary, comps = components(meander)
@@ -255,7 +259,7 @@ def classify_frobenius(spec: SeaweedSpec) -> FrobeniusVerdict:
         raise RuleDisagreement(
             f"{tag} predicts frobenius={decided} but meander index is {report.index} for {spec}"
         )
-    return FrobeniusVerdict(frobenius, tag, certificate)
+    return FrobeniusVerdict(frobenius, tag, report, certificate)
 
 
 def _justification(spec: SeaweedSpec, report: IndexReport, config: str, comps: list[Component]):

@@ -64,27 +64,23 @@ def antitranspose(m: SparseIntMatrix) -> SparseIntMatrix:
     return sparse(d, {(d + 1 - j, d + 1 - i): v for (i, j), v in m.entries.items()})
 
 
-def mat_mul(x: SparseIntMatrix, y: SparseIntMatrix) -> SparseIntMatrix:
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), v in y.entries.items():
-        by_row.setdefault(i, []).append((j, v))
-    out: dict[Cell, int] = {}
-    for (i, k), v in x.entries.items():
-        for j, w in by_row.get(k, ()):
-            cell = (i, j)
-            out[cell] = out.get(cell, 0) + v * w
-    return sparse(x.dim, out)
-
-
 def bracket(x: SparseIntMatrix, y: SparseIntMatrix) -> SparseIntMatrix:
-    """Matrix commutator xy - yx over exact integers."""
+    """Matrix commutator xy - yx over exact integers.
+
+    One pass over the pairs of entries: x[i,k] y[k,j] adds to (i, j) and
+    y[l,j] x[j,k] subtracts from (l, k).  Basis elements have at most two
+    entries, so the pass is at most four products.
+    """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    out = dict(mat_mul(x, y).entries)
-    for cell, v in mat_mul(y, x).entries.items():
-        out[cell] = out.get(cell, 0) - v
+    out: dict[Cell, int] = {}
+    y_entries = y.entries.items()
+    for (i, k), v in x.entries.items():
+        for (l, j), w in y_entries:
+            if k == l:
+                out[i, j] = out.get((i, j), 0) + v * w
+            if j == i:
+                out[l, k] = out.get((l, k), 0) - w * v
     return sparse(x.dim, out)
 
 
@@ -187,8 +183,10 @@ def seaweed_basis(spec: SeaweedSpec) -> LieData:
 
     The ambient standard basis is filtered by the admissible mask (an
     element is kept only if every cell it touches is admissible), then
-    all pairwise brackets are reduced over the basis; failure to reduce
-    exactly is fatal since it would mean the span is not a subalgebra.
+    the brackets are reduced over the basis; failure to reduce exactly is
+    fatal since it would mean the span is not a subalgebra.  Only pairs
+    that share an index are bracketed (a column of one element's cells is
+    a row of the other's); every other product of matrix units is zero.
     """
     mask = admissible_mask(spec)
     algebra = spec.algebra
@@ -296,14 +294,27 @@ def _lie_data_from_basis(spec, mask, basis) -> LieData:
                 raise ClosureError(f"{spec}: diagonal residue {diag} not spanned")
         return {k: v for k, v in coeffs.items() if v}
 
+    # A product of matrix units e_ab e_cd vanishes unless b == c, so
+    # [x_i, x_j] can be nonzero only when a column of one element's cells
+    # is a row of the other's.  Only those partners are bracketed, in
+    # increasing j, which keeps the (i, j) key order of the full loop.
+    with_row: dict[int, list[int]] = {}
+    with_col: dict[int, list[int]] = {}
+    for idx, elt in enumerate(basis):
+        for r, c in elt.entries:
+            with_row.setdefault(r, []).append(idx)
+            with_col.setdefault(c, []).append(idx)
     brackets: dict[tuple[int, int], dict[int, int]] = {}
-    m = len(basis)
-    for i in range(m):
-        for j in range(i + 1, m):
-            coeffs = decompose(bracket(basis[i], basis[j]))
+    for i, x in enumerate(basis):
+        partners: set[int] = set()
+        for r, c in x.entries:
+            partners.update(with_row.get(c, ()))
+            partners.update(with_col.get(r, ()))
+        for j in sorted(j for j in partners if j > i):
+            coeffs = decompose(bracket(x, basis[j]))
             if coeffs:
                 brackets[(i, j)] = coeffs
-    return LieData(dimension=m, brackets=brackets, basis=basis)
+    return LieData(dimension=len(basis), brackets=brackets, basis=basis)
 
 
 def lie_from_structure_constants(

@@ -52,13 +52,12 @@ class SweepReport:
 
 def check_spec(spec: SeaweedSpec, trials: int = DEFAULT_TRIALS, seed: int = 0) -> dict:
     """All-routes record for one spec: meander, closed form, oracle, verdict."""
-    combinatorial = index_combinatorial(spec).index
+    verdict = classify_frobenius(spec)
     closed = index_closed_form(spec)
     oracle_value = index_oracle(seaweed_basis(spec), trials=trials, seed=seed)
-    verdict = classify_frobenius(spec)
     return {
         "spec": format_spec(spec),
-        "combinatorial": combinatorial,
+        "combinatorial": verdict.report.index,
         "closed_form": None if closed is None else closed[0],
         "closed_form_rule": None if closed is None else closed[1],
         "oracle": oracle_value,

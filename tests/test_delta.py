@@ -110,6 +110,7 @@ def test_cardinality_probe_reports():
     [
         (4, {(1, 2), (3, 4)}, (), (1, 2, 3, 4)),  # t∘b closes after two steps, short of n
         (3, {(1, 2)}, (3,), (1, 2, 3)),  # t∘b never returns to the start
+        (3, {(1, 2)}, (), (1,)),  # t and b are not total: vertex 3 has neither
     ],
 )
 def test_forged_tour_raises(n, top, top_loops, bottom_loops):

@@ -159,7 +159,9 @@ def test_classifier_matches_index_exhaustively():
         for n in range(1, n_max + 1):
             for spec in enumerate_specs(algebra, n):
                 verdict = classify_frobenius(spec)
-                assert verdict.frobenius == (index_combinatorial(spec).index == 0), spec
+                report = index_combinatorial(spec)
+                assert verdict.report == report, spec
+                assert verdict.frobenius == (report.index == 0), spec
 
 
 @pytest.mark.parametrize("text", ["C20000:20000/", "B20000:20000/"])

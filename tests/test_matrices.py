@@ -76,6 +76,63 @@ def test_bracket_jacobi_random():
         assert not any(total.values())
 
 
+def _dense_commutator(x, y):
+    dim = x.dim
+    a = [[x.entries.get((i, j), 0) for j in range(1, dim + 1)] for i in range(1, dim + 1)]
+    b = [[y.entries.get((i, j), 0) for j in range(1, dim + 1)] for i in range(1, dim + 1)]
+    return {
+        (i + 1, j + 1): v
+        for i in range(dim)
+        for j in range(dim)
+        if (v := sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(dim)))
+    }
+
+
+def test_bracket_matches_dense_commutator_on_fuzz():
+    rng = random.Random(23)
+    for _ in range(2000):
+        dim = rng.randint(1, 5)
+
+        def rand():
+            cells = rng.randint(0, dim * dim)
+            return sparse(
+                dim,
+                {
+                    (rng.randint(1, dim), rng.randint(1, dim)): rng.randint(-5, 5)
+                    for _ in range(cells)
+                },
+            )
+
+        x, y = rand(), rand()
+        assert bracket(x, y).entries == _dense_commutator(x, y), (x, y)
+
+
+def _spans(lie, coeffs, target):
+    total = {}
+    for k, c in coeffs.items():
+        for cell, v in lie.basis[k].entries.items():
+            total[cell] = total.get(cell, 0) + c * v
+    return {cell: v for cell, v in total.items() if v} == target.entries
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max",
+    [(AlgebraType.GL, 4), (AlgebraType.A, 4), (AlgebraType.B, 3), (AlgebraType.C, 3), (AlgebraType.D, 3)],
+)
+def test_structure_constants_cover_every_pair(algebra, n_max):
+    # Pairs that share no index are never bracketed; every pair's
+    # commutator must still equal its stored combination (none if absent).
+    specs = [s for n in range(1, n_max + 1) for s in enumerate_specs(algebra, n)]
+    if algebra is AlgebraType.C:
+        specs.append(parse_spec("C14:7|7/11"))
+    for spec in specs:
+        lie = seaweed_basis(spec)
+        for i in range(lie.dimension):
+            for j in range(i + 1, lie.dimension):
+                product = bracket(lie.basis[i], lie.basis[j])
+                assert _spans(lie, lie.brackets.get((i, j), {}), product), (spec, i, j)
+
+
 def test_mask_gl5_figure():
     mask = admissible_mask(parse_spec("GL5:4|1/2|1|2"))
     assert len(mask.cells) == 13

@@ -156,6 +156,27 @@ def test_index_oracle_deterministic():
     assert index_oracle(lie, trials=5, seed=12345) == first
 
 
+@pytest.mark.parametrize(
+    "text, dimension, index, calls",
+    [
+        ("A4:4/2|2", 11, 1, 1),  # odd dimension: kernel 1 is the floor
+        ("A3:3/3", 8, 2, 5),  # even dimension, index 2: every trial runs
+    ],
+)
+def test_index_oracle_stops_at_the_parity_floor(monkeypatch, text, dimension, index, calls):
+    counted = []
+
+    def counting(matrix):
+        counted.append(len(matrix))
+        return kernel_dimension(matrix)
+
+    monkeypatch.setattr(oracle, "kernel_dimension", counting)
+    lie = seaweed_basis(parse_spec(text))
+    assert lie.dimension == dimension
+    assert index_oracle(lie, trials=5, seed=0) == index
+    assert len(counted) == calls
+
+
 def test_principal_element_requires_nondegenerate():
     lie = seaweed_basis(parse_spec("A4:2|2/1|3"))
     with pytest.raises(NotFrobeniusFunctionalError):

@@ -1,7 +1,8 @@
 """The exhaustive sweep: serial and process-pool runs agree."""
 
-from seaweeds.specs import AlgebraType
-from seaweeds.sweep import run_sweep
+from seaweeds import formulas
+from seaweeds.specs import AlgebraType, parse_spec
+from seaweeds.sweep import check_spec, run_sweep
 
 
 def test_worker_pool_matches_serial_sweep():
@@ -9,3 +10,19 @@ def test_worker_pool_matches_serial_sweep():
     pooled = run_sweep(AlgebraType.D, n_max=3, workers=2).to_payload()
     del serial["elapsed_seconds"], pooled["elapsed_seconds"]
     assert pooled == serial
+
+
+def test_check_spec_builds_one_meander(monkeypatch):
+    built = []
+    original = formulas.build_meander
+
+    def counting(spec):
+        built.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(formulas, "build_meander", counting)
+    for text in ("A5:4|1/2|1|2", "C4:2|2/3", "D5:1|4/2", "GL3:1|2/3"):
+        built.clear()
+        record = check_spec(parse_spec(text))
+        assert record["combinatorial"] == record["oracle"]
+        assert len(built) == 1, text
