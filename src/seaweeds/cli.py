@@ -18,7 +18,7 @@ import sys
 from .delta import NotSinglePathError, delta_of_spec
 from .formulas import classify_frobenius, index_closed_form
 from .matrices import lie_from_structure_constants, parse_structure_constants, seaweed_basis
-from .meander import build_meander, components
+from .meander import build_meander
 from .oracle import DEFAULT_TRIALS, NotFrobeniusError, ad_spectrum, index_oracle
 from .render import FORMATS, RenderSpec, component_payload, render_meander
 from .specs import (
@@ -161,7 +161,7 @@ def cmd_index(args) -> int:
         "justification": verdict.justification,
     }
     if args.explain:
-        payload["components"] = component_payload(components(build_meander(spec))[1])
+        payload["components"] = component_payload(verdict.components)
     if args.as_json:
         print(json.dumps(payload, indent=2))
     else:
@@ -269,6 +269,9 @@ def cmd_spectrum(args) -> int:
         except OSError as exc:
             print(f"error: cannot read {args.sc_file}: {exc}", file=sys.stderr)
             return EXIT_IO
+        except UnicodeDecodeError as exc:
+            print(f"error: {args.sc_file} is not UTF-8 text: {exc}", file=sys.stderr)
+            return EXIT_SPEC
         try:
             lie = lie_from_structure_constants(parse_structure_constants(text))
         except ValueError as exc:

@@ -42,12 +42,13 @@ class IndexReport:
 
 @dataclass(frozen=True)
 class FrobeniusVerdict:
-    """The verdict, its rule and certificate, and the meander index it rests on."""
+    """The verdict, its rule and certificate, the meander index it rests on and its components."""
 
     frobenius: bool
     justification: str
     report: IndexReport
     certificate: dict = field(default_factory=dict)
+    components: tuple[Component, ...] = ()
 
 
 def euler_phi(n: int) -> int:
@@ -259,7 +260,7 @@ def classify_frobenius(spec: SeaweedSpec) -> FrobeniusVerdict:
         raise RuleDisagreement(
             f"{tag} predicts frobenius={decided} but meander index is {report.index} for {spec}"
         )
-    return FrobeniusVerdict(frobenius, tag, report, certificate)
+    return FrobeniusVerdict(frobenius, tag, report, certificate, tuple(comps))
 
 
 def _justification(spec: SeaweedSpec, report: IndexReport, config: str, comps: list[Component]):

@@ -196,7 +196,7 @@ def seaweed_basis(spec: SeaweedSpec) -> LieData:
         basis = _sl_basis(mask)
     else:
         basis = _symmetric_basis(algebra, mask)
-    return _lie_data_from_basis(spec, mask, basis)
+    return _lie_data_from_basis(spec, basis)
 
 
 def _sl_basis(mask: AdmissibleMask) -> list[SparseIntMatrix]:
@@ -236,63 +236,28 @@ def _symmetric_basis(algebra: AlgebraType, mask: AdmissibleMask) -> list[SparseI
     return basis
 
 
-def _lie_data_from_basis(spec, mask, basis) -> LieData:
-    owner: dict[Cell, tuple[int, int]] = {}
+def _lie_data_from_basis(spec, basis) -> LieData:
+    # An element's lead cell, the first of its cells, lies in no other
+    # element, so a bracket's coefficient on x_idx is its value there over
+    # the element's unit.  The multiples must account for every cell of the
+    # bracket, or the span is not closed.
+    lead: dict[Cell, tuple[int, int]] = {}
     for idx, elt in enumerate(basis):
-        for cell, value in elt.entries.items():
-            # Diagonal cells are shared between sl diagonal differences and
-            # between B/C/D paired diagonals; off-diagonal cells are unique.
-            if cell[0] != cell[1]:
-                owner[cell] = (idx, value)
-
-    n = mask.dim
-    algebra = spec.algebra
-    diag_index: dict[int, tuple[int, int]] = {}
-    for idx, elt in enumerate(basis):
-        for (i, j), value in elt.entries.items():
-            if i == j:
-                diag_index.setdefault(i, (idx, value))
+        cell = min(elt.entries)
+        lead[cell] = (idx, elt.entries[cell])
 
     def decompose(m: SparseIntMatrix) -> dict[int, int]:
         coeffs: dict[int, int] = {}
         residual = dict(m.entries)
-        for cell in [c for c in residual if c[0] != c[1]]:
-            value = residual.get(cell)
-            if not value:
-                continue
-            if cell not in owner:
-                raise ClosureError(f"{spec}: bracket hits inadmissible cell {cell}")
-            idx, unit = owner[cell]
-            q, r = divmod(value, unit)
-            if r:
-                raise ClosureError(f"{spec}: non-integral coefficient at {cell}")
-            coeffs[idx] = coeffs.get(idx, 0) + q
-            for c2, v2 in basis[idx].entries.items():
-                residual[c2] = residual.get(c2, 0) - q * v2
-        if any(v for c, v in residual.items() if c[0] != c[1]):
-            raise ClosureError(f"{spec}: off-diagonal residue not spanned")
-        diag = {i: v for (i, j), v in residual.items() if i == j and v}
-        if diag:
-            if algebra is AlgebraType.GL:
-                order = sorted(diag)
-            elif algebra is AlgebraType.A:
-                order = [i for i in sorted(diag) if i != n]
-            else:
-                order = [i for i in sorted(diag) if i <= n // 2]
-            for i in order:
-                if i not in diag_index:
-                    raise ClosureError(f"{spec}: diagonal cell ({i},{i}) not spanned")
-                idx, unit = diag_index[i]
-                q, r = divmod(diag.get(i, 0), unit)
-                if r:
-                    raise ClosureError(f"{spec}: non-integral diagonal coefficient")
-                if q:
-                    coeffs[idx] = coeffs.get(idx, 0) + q
-                    for (c1, c2), v2 in basis[idx].entries.items():
-                        diag[c1] = diag.get(c1, 0) - q * v2
-            if any(diag.values()):
-                raise ClosureError(f"{spec}: diagonal residue {diag} not spanned")
-        return {k: v for k, v in coeffs.items() if v}
+        for cell, value in m.entries.items():
+            if cell in lead:
+                idx, unit = lead[cell]
+                q = coeffs[idx] = value // unit
+                for c, v in basis[idx].entries.items():
+                    residual[c] = residual.get(c, 0) - q * v
+        if any(residual.values()):
+            raise ClosureError(f"{spec}: bracket {m.entries} is not in the span of the basis")
+        return coeffs
 
     # A product of matrix units e_ab e_cd vanishes unless b == c, so
     # [x_i, x_j] can be nonzero only when a column of one element's cells
@@ -377,9 +342,17 @@ def parse_structure_constants(text: str) -> dict[tuple[int, int], dict[int, Frac
     """Parse the bracket-table format: one line ``i j -> k:coeff[,k:coeff...]``.
 
     Indices are 1-based in the text (matching written bases e_1, e_2, ...)
-    and 0-based in the returned table; coefficients are integers or p/q.
-    Blank lines and '#' comments are ignored.
+    and 0-based in the returned table; an index below 1 is rejected.
+    Coefficients are integers or p/q.  Blank lines and '#' comments are
+    ignored.
     """
+
+    def index(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise ValueError(f"index {value} is below 1")
+        return value - 1
+
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -391,8 +364,8 @@ def parse_structure_constants(text: str) -> dict[tuple[int, int], dict[int, Frac
             coeffs: dict[int, Fraction] = {}
             for piece in tail.strip().split(","):
                 k_text, coeff_text = piece.split(":")
-                coeffs[int(k_text) - 1] = Fraction(coeff_text.strip())
-            table[(int(i_text) - 1, int(j_text) - 1)] = coeffs
+                coeffs[index(k_text)] = Fraction(coeff_text.strip())
+            table[(index(i_text), index(j_text))] = coeffs
         except (ValueError, IndexError) as exc:
-            raise ValueError(f"bad structure-constant line {lineno}: {raw!r}") from exc
+            raise ValueError(f"bad structure-constant line {lineno}: {raw!r} ({exc})") from exc
     return table

@@ -10,11 +10,11 @@ probability of order m/p per trial (Schwartz-Zippel).  A skew form has
 even rank, over the rationals and over F_p alike, so no kernel is below
 m mod 2; the trials stop as soon as one reaches that floor.
 
-Principal elements are solved exactly over the rationals.  Their
-adjoint spectra (the obstruction test for embedding a Frobenius algebra
-as a seaweed) are integer eigenvalue multiplicities read as kernel
-dimensions of exact shifted matrices, never the output of a numerical
-eigensolver.
+Principal elements are solved over F_p by the same elimination, so they
+are the reductions mod p of the rational ones.  Their adjoint spectra
+(the obstruction test for embedding a Frobenius algebra as a seaweed)
+are integer eigenvalue multiplicities read as kernel dimensions of
+shifted matrices over F_p, never the output of a numerical eigensolver.
 """
 
 from __future__ import annotations
@@ -86,19 +86,27 @@ def kirillov_matrix(lie: LieData, f: Sequence[int | Fraction]) -> list[list[int 
 def rank_exact(matrix: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank over F_p, p = 2**61 - 1, by sparse Gaussian elimination.
 
-    Rows are kept as ``{column: value}`` dicts.  Each step takes the
-    sparsest remaining row as the pivot row and its first stored column
-    as the pivot column.  Reduction mod p is a ring map from the
-    p-integral rationals, so the result never exceeds the rank r over the
-    rationals, and equals it unless p divides every nonzero r x r minor.
-    There is no floating point and no rounding.
+    Reduction mod p is a ring map from the p-integral rationals, so the
+    result never exceeds the rank r over the rationals, and equals it
+    unless p divides every nonzero r x r minor.  There is no floating
+    point and no rounding.
     """
-    rows = _rows_mod_p(matrix)
-    rank = 0
+    return len(_eliminate(_rows_mod_p(matrix)))
+
+
+def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Eliminate ``{column: value}`` rows mod p; the (column, row) pivots in order.
+
+    Each step takes the sparsest remaining row as the pivot row and its
+    first stored column as the pivot column, and clears that column from
+    every other remaining row.  A pivot row is not touched again, so it
+    is zero in the columns of the pivots taken before it.
+    """
+    pivots = []
     while rows:
         pivot = min(rows, key=len)
-        rank += 1
         col = next(iter(pivot))
+        pivots.append((col, pivot))
         factor = None  # -1 / pivot[col], inverted only once a row needs it
         kept = []
         for row in rows:
@@ -121,7 +129,7 @@ def rank_exact(matrix: Sequence[Sequence[int | Fraction]]) -> int:
                     continue
             kept.append(row)
         rows = kept
-    return rank
+    return pivots
 
 
 def _rows_mod_p(matrix: Sequence[Sequence[int | Fraction]]) -> list[dict[int, int]]:
@@ -200,49 +208,44 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     return best
 
 
-def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[Fraction]:
-    """Solve f([F, x_j]) = f(x_j) for F in coordinates, exactly.
+def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
+    """Solve f([F, x_j]) = f(x_j) for F over F_p; its coordinates mod p.
 
-    Requires the Kirillov form of f to be nondegenerate.  The residual of
-    the returned solution is checked to vanish identically, and
-    PrincipalElementError is raised if it does not.
+    F = sum c_i x_i with sum_i c_i B[i][j] = f_j (B the Kirillov matrix),
+    so (c, 1) spans the kernel of [B^T | -f], read back from the pivots
+    of the rank kernel's elimination.  The Kirillov form must be
+    nondegenerate mod p (NotFrobeniusFunctionalError otherwise); then F
+    is the reduction mod p of the rational principal element.  A residual
+    that does not vanish mod p raises PrincipalElementError.
     """
     m = lie.dimension
     matrix = kirillov_matrix(lie, f)
-    # F = sum c_i x_i with sum_i c_i B[i][j] = f_j, i.e. B^T c = f.
-    system = [[Fraction(matrix[i][j]) for i in range(m)] + [Fraction(f[j])] for j in range(m)]
-    solution = _solve(system, m)
-    if solution is None:
+    system = [list(column) + [-fj] for column, fj in zip(zip(*matrix), f)]
+    pivots = _eliminate(_rows_mod_p(system))
+    free = set(range(m + 1)).difference(col for col, _ in pivots)
+    # Free columns are set to 1 and the pivot columns solved back up.
+    x = dict.fromkeys(free, 1)
+    for col, row in reversed(pivots):
+        x[col] = -sum(v * x[c] for c, v in row.items() if c != col) * pow(row[col], -1, P) % P
+    if len(free) > 1 or not x[m]:
         raise NotFrobeniusFunctionalError("Kirillov form is degenerate for this functional")
-    for j in range(m):
-        residual = sum(solution[i] * matrix[i][j] for i in range(m)) - f[j]
-        if residual != 0:
-            raise PrincipalElementError(
-                f"principal element misses f([F, x_{j}]) = f(x_{j}) by {residual}"
-            )
+    scale = pow(x[m], -1, P)
+    solution = [x[i] * scale % P for i in range(m)]
+    residual = [sum(c * matrix[i][j] for i, c in enumerate(solution)) - f[j] for j in range(m)]
+    missed = _rows_mod_p([residual])
+    if missed:
+        j = min(missed[0])
+        raise PrincipalElementError(f"principal element misses f([F, x_{j}]) = f(x_{j}) mod p")
     return solution
 
 
-def _solve(aug: list[list[Fraction]], m: int) -> list[Fraction] | None:
-    """Gauss-Jordan over Fractions on an augmented m x (m+1) system."""
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][m] for r in range(m)]
+def ad_matrix(lie: LieData, element: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
+    """Matrix of x -> [element, x] on the basis (columns indexed by x_j).
 
-
-def ad_matrix(lie: LieData, element: Sequence[int | Fraction]) -> list[list[Fraction]]:
-    """Matrix of x -> [element, x] on the basis (columns indexed by x_j)."""
+    Given F mod p, the entries are ad(F) over F_p up to multiples of p.
+    """
     m = lie.dimension
-    out = [[Fraction(0)] * m for _ in range(m)]
+    out = [[0] * m for _ in range(m)]
     for j in range(m):
         for i, c_i in enumerate(element):
             if not c_i:

@@ -6,6 +6,7 @@ import pytest
 
 from seaweeds import matrices
 from seaweeds.matrices import (
+    ClosureError,
     JacobiError,
     MaskSymmetryError,
     SparseIntMatrix,
@@ -235,6 +236,49 @@ def test_epilogue_family_is_valid():
     for z in (0, -2, 3):
         lie = epilogue_family(z)
         assert lie.dimension == 4
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max",
+    [(AlgebraType.GL, 5), (AlgebraType.A, 5), (AlgebraType.B, 4), (AlgebraType.C, 4), (AlgebraType.D, 4)],
+)
+def test_lead_cells_belong_to_one_element(algebra, n_max):
+    # the decomposition of brackets reads each coefficient off this cell
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            basis = seaweed_basis(spec).basis
+            touched = {}
+            for elt in basis:
+                for cell in elt.entries:
+                    touched[cell] = touched.get(cell, 0) + 1
+            assert all(touched[min(elt.entries)] == 1 for elt in basis), spec
+
+
+@pytest.mark.parametrize(
+    "text, dropped", [("GL2:2/2", 0), ("A3:3/3", 7), ("B2:1/1", 1), ("C2:2/2", 3), ("D3:3/3", 0)]
+)
+def test_bracket_outside_the_span_raises(text, dropped):
+    spec = parse_spec(text)
+    basis = seaweed_basis(spec).basis
+    del basis[dropped]
+    with pytest.raises(ClosureError):
+        matrices._lie_data_from_basis(spec, basis)
+
+
+def test_non_integral_coefficient_raises():
+    # with 2 e_11 in place of e_11, [e_12, e_21] = e_11 - e_22 needs 1/2
+    spec = parse_spec("GL2:2/2")
+    basis = seaweed_basis(spec).basis
+    assert basis[0] == sparse(2, {(1, 1): 1})
+    basis[0] = sparse(2, {(1, 1): 2})
+    with pytest.raises(ClosureError):
+        matrices._lie_data_from_basis(spec, basis)
+
+
+def test_parse_structure_constants_rejects_indices_below_one():
+    for text in ("0 1 -> 1:1", "1 2 -> 0:1", "2 -1 -> 1:1"):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_structure_constants("1 2 -> 2:1\n" + text)
 
 
 def test_heisenberg_table():

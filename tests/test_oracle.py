@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from seaweeds import oracle
-from seaweeds.matrices import lie_from_structure_constants, seaweed_basis
+from seaweeds.matrices import lie_from_structure_constants, parse_structure_constants, seaweed_basis
 from seaweeds.oracle import (
     NotFrobeniusError,
     NotFrobeniusFunctionalError,
@@ -186,7 +186,16 @@ def test_principal_element_requires_nondegenerate():
 def test_principal_element_rejects_a_wrong_solution(monkeypatch):
     lie = seaweed_basis(parse_spec("A4:2|2/1|3"))
     f = random_functional(random.Random(9), lie.dimension)
-    monkeypatch.setattr(oracle, "_solve", lambda aug, m: [Fraction(0)] * m)
+    eliminate = oracle._eliminate
+
+    def perturbed(rows):
+        # doubles the last pivot, so the back-substituted solution is wrong
+        pivots = eliminate(rows)
+        col, row = pivots[-1]
+        row[col] = 2 * row[col] % oracle.P
+        return pivots
+
+    monkeypatch.setattr(oracle, "_eliminate", perturbed)
     with pytest.raises(PrincipalElementError):
         principal_element(lie, f)
 
@@ -228,6 +237,51 @@ def test_spectrum_epilogue_family():
             assert not report.integral
             assert report.defect == 2
             assert report.eigenvalues == {0: 1, 1: 1}
+
+
+def test_spectrum_of_a_rational_table():
+    # [e1, e2] = e2 / 2: the principal element is 2 e1 + c e2, ad of it has
+    # eigenvalue 1 on e2 and 0 on e1
+    lie = lie_from_structure_constants(parse_structure_constants("1 2 -> 2:1/2\n"))
+    report = ad_spectrum(lie)
+    assert report.eigenvalues == {0: 1, 1: 1}
+    assert report.integral
+
+
+def _fraction_solve(matrix, f):
+    """Solve B^T c = f by Gauss-Jordan over the rationals; None if singular."""
+    m = len(f)
+    aug = [[Fraction(matrix[i][j]) for i in range(m)] + [Fraction(f[j])] for j in range(m)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][m] for r in range(m)]
+
+
+def test_principal_element_is_the_rational_solution_mod_p():
+    families = [(AlgebraType.GL, 4), (AlgebraType.A, 4), (AlgebraType.B, 3), (AlgebraType.C, 3), (AlgebraType.D, 3)]
+    cases = 0
+    for algebra, n_max in families:
+        for n in range(1, n_max + 1):
+            for spec in enumerate_specs(algebra, n):
+                lie = seaweed_basis(spec)
+                for seed in range(3):
+                    f = random_functional(random.Random(seed), lie.dimension)
+                    if not lie.dimension or kernel_dimension(kirillov_matrix(lie, f)):
+                        continue
+                    rational = _fraction_solve(kirillov_matrix(lie, f), f)
+                    expected = [v.numerator * pow(v.denominator, -1, oracle.P) % oracle.P for v in rational]
+                    assert principal_element(lie, f) == expected, (spec, seed)
+                    cases += 1
+    assert cases == 135
 
 
 def test_spectrum_rejects_overcounted_multiplicities(monkeypatch):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from seaweeds import cli, formulas
 from seaweeds.cli import main
 from seaweeds.meander import build_meander
 from seaweeds.render import RenderSpec, render_meander
@@ -148,6 +149,38 @@ def test_cli_spectrum_from_structure_constants(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["eigenvalues"] == {"-1": 1, "0": 1, "1": 1, "2": 1}
     assert payload["integral"] is True
+
+
+def test_cli_spectrum_rejects_non_utf8_table(tmp_path, capsys):
+    table = tmp_path / "bad.sc"
+    table.write_bytes(b"\xff\xfe bad")
+    assert run_cli("spectrum", "--sc-file", str(table)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_spectrum_rejects_index_below_one(tmp_path, capsys):
+    table = tmp_path / "zero.sc"
+    table.write_text("0 1 -> 1:1\n")
+    assert run_cli("spectrum", "--sc-file", str(table)) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_index_explain_builds_one_meander(monkeypatch, capsys):
+    built = []
+    original = formulas.build_meander
+
+    def counting(spec):
+        built.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(formulas, "build_meander", counting)
+    monkeypatch.setattr(cli, "build_meander", counting)
+    for text in ("A5:4|1/2|1|2", "C14:7|7/11", "D5:1|4/2", "D9:4|3|2/2|3|1"):
+        built.clear()
+        assert run_cli("index", text, "--method", "meander", "--explain", "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["components"] == json.loads(golden_name(text, "json").read_text())["components"]
+        assert len(built) == 1, text
 
 
 def test_cli_sweep_small(capsys):
