@@ -10,7 +10,6 @@ from .delta import (
     DeltaReport,
     NotSinglePathError,
     augment_with_loops,
-    canonical_delta_formula,
     delta_of_spec,
     permutation_cycle,
 )

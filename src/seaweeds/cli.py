@@ -16,7 +16,7 @@ import os
 import sys
 
 from .delta import NotSinglePathError, delta_of_spec
-from .formulas import classify_frobenius, index_closed_form
+from .formulas import classify_frobenius
 from .matrices import lie_from_structure_constants, parse_structure_constants, seaweed_basis
 from .meander import build_meander
 from .oracle import DEFAULT_TRIALS, NotFrobeniusError, ad_spectrum, index_oracle
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-min", type=_positive_int, default=1)
     p_sweep.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_positive_int, default=1)
     p_sweep.add_argument("--out", help="write the JSON report here instead of stdout")
     p_sweep.set_defaults(handler=cmd_sweep)
 
@@ -122,22 +122,19 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_spec(args) -> SeaweedSpec:
+    """The parsed spec; the library call that consumes it validates it."""
     if args.spec is not None:
-        spec = parse_spec(args.spec)
-    elif args.algebra and args.n is not None:
-        text = f"{args.algebra}{args.n}:{args.top or ''}/{args.bottom or ''}"
-        spec = parse_spec(text)
-    else:
-        raise SpecSyntaxError("missing spec: give a spec string or --type and --n", 0)
-    require_valid(spec)
-    return spec
+        return parse_spec(args.spec)
+    if args.algebra and args.n is not None:
+        return parse_spec(f"{args.algebra}{args.n}:{args.top or ''}/{args.bottom or ''}")
+    raise SpecSyntaxError("missing spec: give a spec string or --type and --n", 0)
 
 
 def cmd_index(args) -> int:
     spec = _resolve_spec(args)
     verdict = classify_frobenius(spec)
     report = verdict.report
-    closed = index_closed_form(spec)
+    closed = verdict.closed_form
     results: dict[str, int | None] = {}
     if args.method in ("meander", "all"):
         results["meander"] = report.index
@@ -200,6 +197,9 @@ def cmd_meander(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.n_max < args.n_min:
+        print(f"error: n_max {args.n_max} is below n_min {args.n_min}", file=sys.stderr)
+        return EXIT_SPEC
     budget_text = os.environ.get("SEAWEED_MAX_N", str(DEFAULT_SWEEP_BUDGET))
     try:
         budget = int(budget_text)
@@ -235,6 +235,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_delta(args) -> int:
     spec = _resolve_spec(args)
+    require_valid(spec)
     if spec.algebra is not AlgebraType.A:
         print("error: the delta construction needs a type-A seaweed", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .meander import Meander, build_meander, components
-from .specs import AlgebraType, SeaweedSpec
+from .specs import SeaweedSpec
 
 
 class NotSinglePathError(ValueError):
@@ -102,20 +102,3 @@ def delta_of_spec(spec: SeaweedSpec) -> DeltaReport:
     """Convenience: meander, augment, iterate, for a type-A spec."""
     return permutation_cycle(augment_with_loops(build_meander(spec)))
 
-
-def canonical_delta_formula(a: int, b: int, c: int, d: int) -> int:
-    """(a+d) mod n for a Frobenius a|b over c|d seaweed (n = a+b = c+d).
-
-    The precondition is checked on the meander; non-Frobenius shapes and
-    mismatched sums are rejected.
-    """
-    n = a + b
-    if c + d != n:
-        raise ValueError("top and bottom sums differ")
-    spec = SeaweedSpec(AlgebraType.A, n, (a, b), (c, d))
-    summary, _ = components(build_meander(spec))
-    if summary.cycles or summary.paths != 1:
-        raise NotSinglePathError(
-            f"{spec} is not Frobenius ({summary.total} components)"
-        )
-    return (a + d) % n

@@ -8,7 +8,8 @@ Three layers live here:
   whose hypotheses they cover, returning None elsewhere;
 * ``classify_frobenius`` returns the meander verdict together with the
   strongest classification rule whose hypotheses hold, carrying gcd,
-  delta and xi certificates.
+  delta and xi certificates, and the closed form evaluated on the
+  meander's own tail configuration.
 
 The xi criterion compares the exact rational
 xi(n, d) = (d**(phi(n)-1) mod n) / n against one half; no floating
@@ -23,32 +24,32 @@ from fractions import Fraction
 
 from .meander import TAIL_I, TAIL_II, TAIL_III, Component, ComponentSummary, build_meander, components
 from .meander import tail as meander_tail
-from .specs import AlgebraType, SeaweedSpec, require_valid
-
-METHOD_MEANDER = "meander"
-METHOD_CLOSED_FORM = "closed_form"
-METHOD_ORACLE = "oracle"
+from .specs import AlgebraType, SeaweedSpec
 
 
 @dataclass(frozen=True)
 class IndexReport:
+    """The meander index and the component counts it is read from."""
+
     index: int
-    method: str
-    cycles: int | None = None
-    paths: int | None = None
-    tailed_paths: int | None = None
-    rule: str | None = None
+    cycles: int
+    paths: int
+    tailed_paths: int
 
 
 @dataclass(frozen=True)
 class FrobeniusVerdict:
-    """The verdict, its rule and certificate, the meander index it rests on and its components."""
+    """One analysis of a spec: the verdict, its rule and certificate, the
+    meander index it rests on (``index_combinatorial``), the meander's
+    components, and the closed form (``index_closed_form``: a (value,
+    rule) pair, or None where no formula applies)."""
 
     frobenius: bool
     justification: str
     report: IndexReport
     certificate: dict = field(default_factory=dict)
     components: tuple[Component, ...] = ()
+    closed_form: tuple[int, str] | None = None
 
 
 def euler_phi(n: int) -> int:
@@ -92,13 +93,7 @@ def _index_report(algebra: AlgebraType, summary: ComponentSummary) -> IndexRepor
         value = 2 * summary.cycles + summary.paths - 1
     else:
         value = 2 * summary.cycles + summary.tailed_paths
-    return IndexReport(
-        index=value,
-        method=METHOD_MEANDER,
-        cycles=summary.cycles,
-        paths=summary.paths,
-        tailed_paths=summary.tailed_paths,
-    )
+    return IndexReport(value, summary.cycles, summary.paths, summary.tailed_paths)
 
 
 # --- closed forms ---------------------------------------------------------
@@ -128,14 +123,19 @@ def index_closed_form(spec: SeaweedSpec) -> tuple[int, str] | None:
     No rule is attempted for type-A tops with four or more parts: counting
     components there is provably not a gcd of polynomials in the parts.
     """
-    require_valid(spec)
+    _, config = meander_tail(spec)
+    return _closed_form(spec, config)
+
+
+def _closed_form(spec: SeaweedSpec, config: str) -> tuple[int, str] | None:
+    """``index_closed_form`` for a valid spec with tail configuration ``config``."""
     algebra = spec.algebra
     if algebra is AlgebraType.A:
         return _closed_form_a(spec)
     if algebra in (AlgebraType.B, AlgebraType.C):
         return _closed_form_bc(spec.n, spec.top, spec.bottom)
     if algebra is AlgebraType.D:
-        return _closed_form_d(spec)
+        return _closed_form_d(spec, config)
     return None
 
 
@@ -178,9 +178,8 @@ def _closed_form_bc(n: int, top: tuple[int, ...], bottom: tuple[int, ...]) -> tu
     return None
 
 
-def _closed_form_d(spec: SeaweedSpec) -> tuple[int, str] | None:
+def _closed_form_d(spec: SeaweedSpec, config: str) -> tuple[int, str] | None:
     n, top, bottom = spec.n, spec.top, spec.bottom
-    _, config = meander_tail(spec)
     if config == TAIL_I:
         # Same tail as type C, hence the same meander count.
         inner = _closed_form_bc(n, top, bottom)
@@ -248,24 +247,26 @@ def classify_frobenius(spec: SeaweedSpec) -> FrobeniusVerdict:
 
     The verdict itself always comes from the component count; whenever a
     closed rule decides the same question its answer is checked against
-    the meander and a disagreement raises.  The count is returned too,
-    as ``report`` (what ``index_combinatorial`` gives for the spec).
+    the meander and a disagreement raises.  The spec is validated and its
+    meander built once; the count and the closed form are read off it.
     """
     meander = build_meander(spec)
     summary, comps = components(meander)
     report = _index_report(spec.algebra, summary)
+    closed = _closed_form(spec, meander.tail_config)
     frobenius = report.index == 0
-    tag, certificate, decided = _justification(spec, report, meander.tail_config, comps)
+    tag, certificate, decided = _justification(spec, report, meander.tail_config, comps, closed)
     if decided is not None and decided != frobenius:
         raise RuleDisagreement(
             f"{tag} predicts frobenius={decided} but meander index is {report.index} for {spec}"
         )
-    return FrobeniusVerdict(frobenius, tag, report, certificate, tuple(comps))
+    return FrobeniusVerdict(frobenius, tag, report, certificate, tuple(comps), closed)
 
 
-def _justification(spec: SeaweedSpec, report: IndexReport, config: str, comps: list[Component]):
+def _justification(spec: SeaweedSpec, report: IndexReport, config: str, comps: list[Component], closed):
     """Return (tag, certificate, decided) where decided is the rule's own
-    verdict when its hypotheses fully determine one, else None."""
+    verdict when its hypotheses fully determine one, else None.  The type-D
+    CONFIG_II and TAIL_GAP_MATCH rules read their index off ``closed``."""
     algebra = spec.algebra
     if algebra is AlgebraType.GL:
         # 2C+P >= 1 on a nonempty vertex set.
@@ -274,7 +275,7 @@ def _justification(spec: SeaweedSpec, report: IndexReport, config: str, comps: l
         return TAG_MEANDER_PATH, {"cycles": report.cycles, "paths": report.paths}, None
     if algebra in (AlgebraType.B, AlgebraType.C):
         return _justify_bc(spec.n, spec.top, spec.bottom)
-    return _justify_d(spec, config, comps)
+    return _justify_d(spec, config, comps, closed)
 
 
 def _justify_bc(n: int, top: tuple[int, ...], bottom: tuple[int, ...]):
@@ -293,7 +294,7 @@ def _justify_bc(n: int, top: tuple[int, ...], bottom: tuple[int, ...]):
     return TAG_MEANDER_FOREST, {}, None
 
 
-def _justify_d(spec: SeaweedSpec, config: str, comps: list[Component]):
+def _justify_d(spec: SeaweedSpec, config: str, comps: list[Component], closed: tuple[int, str] | None):
     n, top, bottom = spec.n, spec.top, spec.bottom
     if config == TAIL_I:
         tag, cert, decided = _justify_bc(n, top, bottom)
@@ -301,11 +302,9 @@ def _justify_d(spec: SeaweedSpec, config: str, comps: list[Component]):
             return f"{RULE_CONFIG_I}+{tag}", cert, decided
         return TAG_MEANDER_FOREST, {}, None
     if config == TAIL_II and len(top) == 2 and len(bottom) == 1:
-        a, b = top
-        inner = SeaweedSpec(AlgebraType.C, a + b, top, bottom)
-        reduced = index_combinatorial(inner).index
-        value = n - (a + b + 1) + reduced
-        return TAG_CONFIG_II, {"isolated": n - (a + b + 1), "inner_index": reduced}, value == 0
+        value = closed[0]
+        isolated = n - (sum(top) + 1)
+        return TAG_CONFIG_II, {"isolated": isolated, "inner_index": value - isolated}, value == 0
     if config != TAIL_III:
         return TAG_MEANDER_FOREST, {}, None
 
@@ -315,8 +314,7 @@ def _justify_d(spec: SeaweedSpec, config: str, comps: list[Component]):
         d = n - c
         g = math.gcd(a + b, b + c)
         if b == d:
-            value = (a + 1) if b == 1 else a + (b - 3) // 2
-            return TAG_TAIL_GAP_MATCH, {"index": value}, value == 0
+            return TAG_TAIL_GAP_MATCH, {"index": closed[0]}, closed[0] == 0
         if b < d:
             ok = (b == 2 and c == n - 3) or (b == 3 and c == n - 5 and n % 2 == 0)
             return TAG_SHORT_TAIL_BLOCK, {"b": b, "c": c}, ok

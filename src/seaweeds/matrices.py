@@ -43,13 +43,6 @@ class SparseIntMatrix:
         if not all(self.entries.values()):
             raise ZeroEntryError("a SparseIntMatrix stores nonzero entries only; build it with sparse()")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseIntMatrix)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
     def __hash__(self):
         return hash((self.dim, frozenset(self.entries.items())))
 
@@ -88,9 +81,6 @@ def bracket(x: SparseIntMatrix, y: SparseIntMatrix) -> SparseIntMatrix:
 class AdmissibleMask:
     dim: int
     cells: frozenset[Cell]
-
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cells
 
 
 def _block_ranges(sizes: list[int]) -> list[tuple[int, int]]:
@@ -343,8 +333,8 @@ def parse_structure_constants(text: str) -> dict[tuple[int, int], dict[int, Frac
 
     Indices are 1-based in the text (matching written bases e_1, e_2, ...)
     and 0-based in the returned table; an index below 1 is rejected.
-    Coefficients are integers or p/q.  Blank lines and '#' comments are
-    ignored.
+    Coefficients are integers or p/q with q nonzero.  Blank lines and '#'
+    comments are ignored.
     """
 
     def index(text: str) -> int:
@@ -366,6 +356,6 @@ def parse_structure_constants(text: str) -> dict[tuple[int, int], dict[int, Frac
                 k_text, coeff_text = piece.split(":")
                 coeffs[index(k_text)] = Fraction(coeff_text.strip())
             table[(index(i_text), index(j_text))] = coeffs
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise ValueError(f"bad structure-constant line {lineno}: {raw!r} ({exc})") from exc
     return table

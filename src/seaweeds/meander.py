@@ -38,11 +38,6 @@ class Meander:
     tail: tuple[int, ...]
     tail_config: str
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.top_edges if v in e) + sum(
-            1 for e in self.bottom_edges if v in e
-        )
-
 
 @dataclass(frozen=True)
 class Component:

@@ -182,6 +182,15 @@ def random_functional(rng: random.Random, dimension: int) -> list[int]:
     return [rng.randint(-FUNCTIONAL_BOUND, FUNCTIONAL_BOUND) for _ in range(dimension)]
 
 
+def _sampled_kernels(lie: LieData, trials: int, seed: int):
+    """Seeded trial functionals with their Kirillov kernel dimensions, drawn lazily."""
+    if trials < 1:  # raised at the call, before any draw
+        raise ValueError("trials must be >= 1")
+    rng = random.Random(seed)
+    functionals = (random_functional(rng, lie.dimension) for _ in range(trials))
+    return ((f, kernel_dimension(kirillov_matrix(lie, f))) for f in functionals)
+
+
 def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> int:
     """Min kernel dimension of the Kirillov form over seeded random functionals.
 
@@ -193,16 +202,13 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     matrix has even rank, so no kernel is smaller.  Deterministic for a
     given (trials, seed), and the same minimum as running every trial.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    samples = _sampled_kernels(lie, trials, seed)
     if lie.dimension == 0:
         return 0
-    rng = random.Random(seed)
     best = lie.dimension
     floor = lie.dimension % 2
-    for _ in range(trials):
-        f = random_functional(rng, lie.dimension)
-        best = min(best, kernel_dimension(kirillov_matrix(lie, f)))
+    for _, kernel in samples:
+        best = min(best, kernel)
         if best == floor:
             break
     return best
@@ -260,48 +266,35 @@ def _spectrum_scan_order(lo: int, hi: int) -> list[int]:
     return sorted(range(lo, hi + 1), key=lambda k: (abs(2 * k - 1), k))
 
 
-def ad_spectrum(
-    lie: LieData,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    window: tuple[int, int] | None = None,
-) -> SpectrumReport:
+def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> SpectrumReport:
     """Integer spectrum of ad(principal element) by exact kernel sweeps.
 
-    The first sampled functional with nondegenerate Kirillov form is
-    used; if none of the ``trials`` samples works the algebra is not
-    Frobenius (for these samples) and NotFrobeniusError is raised.
+    The first functional of ``index_oracle``'s seeded trials with a
+    nondegenerate Kirillov form is used; if none of the ``trials``
+    samples works the algebra is not Frobenius (for these samples) and
+    NotFrobeniusError is raised.
 
-    For each integer k in the window (default [-m, m+1]) the geometric
-    multiplicity is the kernel dimension of ad(F) - k*I; the scan stops
-    once the multiplicities account for the whole dimension.  A defect
+    For each integer k in [-m, m+1] the geometric multiplicity is the
+    kernel dimension of ad(F) - k*I; the scan stops once the
+    multiplicities account for the whole dimension.  A defect
     is reported, not raised: it signals eigenvalues outside the integers
     (the obstruction to realizing the algebra as a seaweed) or a
     non-semisimple ad(F).  Multiplicities summing past m cannot be exact
     and raise SpectrumOvercountError.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    samples = _sampled_kernels(lie, trials, seed)
     m = lie.dimension
-    rng = random.Random(seed)
-    f = None
-    for _ in range(trials):
-        candidate = random_functional(rng, m)
-        if kernel_dimension(kirillov_matrix(lie, candidate)) == 0:
-            f = candidate
-            break
-    if m > 0 and f is None:
-        raise NotFrobeniusError(f"no nondegenerate functional found in {trials} trials")
-
     if m == 0:
         return SpectrumReport({}, True, True, True, 0)
+    f = next((f for f, kernel in samples if kernel == 0), None)
+    if f is None:
+        raise NotFrobeniusError(f"no nondegenerate functional found in {trials} trials")
 
     principal = principal_element(lie, f)
     ad = ad_matrix(lie, principal)
-    lo, hi = window if window is not None else (-m, m + 1)
     eigenvalues: dict[int, int] = {}
     total = 0
-    for k in _spectrum_scan_order(lo, hi):
+    for k in _spectrum_scan_order(-m, m + 1):
         shifted = [row[:] for row in ad]
         for i in range(m):
             shifted[i][i] -= k

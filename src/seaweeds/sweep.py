@@ -3,26 +3,21 @@
 A sweep enumerates every seaweed of a family up to a size bound and
 compares the meander count against the closed forms (where applicable)
 and against the exact rank oracle, and checks that the Frobenius
-classifier agrees with index zero.  Specialized sweeps cover the
-delta congruence for two-part-over-two-part type-A shapes and the xi
-criteria for type-D configuration III tails of sizes two and four.
+classifier agrees with index zero.  Each spec is analysed once: the
+classifier's verdict carries the meander count and the closed form.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 
-from .delta import delta_of_spec
-from .formulas import classify_frobenius, index_closed_form, index_combinatorial, xi
+from .formulas import classify_frobenius
 from .matrices import seaweed_basis
-from .meander import build_meander, components
 from .oracle import DEFAULT_TRIALS, index_oracle
-from .specs import AlgebraType, SeaweedSpec, compositions, enumerate_specs, format_spec
+from .specs import AlgebraType, SeaweedSpec, enumerate_specs, format_spec
 
 
 @dataclass
@@ -53,7 +48,7 @@ class SweepReport:
 def check_spec(spec: SeaweedSpec, trials: int = DEFAULT_TRIALS, seed: int = 0) -> dict:
     """All-routes record for one spec: meander, closed form, oracle, verdict."""
     verdict = classify_frobenius(spec)
-    closed = index_closed_form(spec)
+    closed = verdict.closed_form
     oracle_value = index_oracle(seaweed_basis(spec), trials=trials, seed=seed)
     return {
         "spec": format_spec(spec),
@@ -113,178 +108,3 @@ def run_sweep(
         frobenius_counts=frobenius_counts,
         elapsed=time.monotonic() - start,
     )
-
-
-# --- specialized sweeps ----------------------------------------------------
-
-
-def delta_congruence_sweep(n_max: int = 20) -> list[dict]:
-    """For Frobenius a|b over c|d shapes, every cyclic difference of the
-    permutation tour must equal (a+d) mod n.  Returns failures."""
-    failures = []
-    for n in range(2, n_max + 1):
-        for a in range(1, n):
-            b = n - a
-            for c in range(1, n):
-                d = n - c
-                spec = SeaweedSpec(AlgebraType.A, n, (a, b), (c, d))
-                if index_combinatorial(spec).index != 0:
-                    continue
-                report = delta_of_spec(spec)
-                expected = (a + d) % n
-                if report.canonical_delta != expected:
-                    failures.append(
-                        {
-                            "spec": format_spec(spec),
-                            "expected_delta": expected,
-                            "differences": list(report.differences),
-                        }
-                    )
-    return failures
-
-
-def delta_cardinality_probe(n_max: int = 12) -> list[dict]:
-    """Empirical check of the cardinality pattern for a_1|...|a_m over n.
-
-    For Frobenius shapes with trivial bottom, the multiset of
-    cardinalities of the distinct difference values is compared with the
-    multiset of top parts.  This pattern is conjectural beyond the
-    worked example, so callers report failures instead of asserting.
-    Distinct difference values are not always distinct per part: when
-    two parts produce the same value their cardinalities merge, so the
-    probe also records whether the cardinalities coarsen the parts
-    (every cardinality a sum of a group of parts).
-    """
-    results = []
-    for n in range(1, n_max + 1):
-        for top in compositions(n):
-            spec = SeaweedSpec(AlgebraType.A, n, top, (n,))
-            if index_combinatorial(spec).index != 0:
-                continue
-            report = delta_of_spec(spec)
-            cardinalities = sorted(count for _, count in report.distinct_values)
-            results.append(
-                {
-                    "spec": format_spec(spec),
-                    "cardinalities": cardinalities,
-                    "top_parts": sorted(top),
-                    "matches": cardinalities == sorted(top),
-                    "coarsens": _is_coarsening(sorted(top), cardinalities),
-                }
-            )
-    return results
-
-
-def _is_coarsening(parts: list[int], targets: list[int]) -> bool:
-    """True when `parts` can be split into groups summing to `targets`."""
-    if sum(parts) != sum(targets):
-        return False
-    if not targets:
-        return not parts
-
-    from itertools import combinations
-
-    goal = max(targets)
-    rest_targets = list(targets)
-    rest_targets.remove(goal)
-    indexed = list(enumerate(parts))
-    for r in range(1, len(indexed) + 1):
-        for chosen in combinations(indexed, r):
-            if sum(p for _, p in chosen) == goal:
-                picked = {i for i, _ in chosen}
-                rest = [p for i, p in indexed if i not in picked]
-                if _is_coarsening(rest, rest_targets):
-                    return True
-    return False
-
-
-def xi_tail2_sweep(n_max: int = 40) -> list[dict]:
-    """Type D, configuration III, c = n-3, gcd(a+b, b+c) = 1: the xi
-    criterion must match the meander verdict on every shape.
-
-    The classifier takes delta = (a + (n-c)) mod n from the congruence;
-    here it is independently read off the permutation tour of the
-    completed a|b over c|n-c shape (a single path since the gcd is 1)
-    and the two must agree.
-    """
-    failures = []
-    for n in range(4, n_max + 1):
-        c = n - 3
-        for b in range(1, n):
-            a = n - b
-            if math.gcd(a + b, b + c) != 1:
-                continue
-            spec = SeaweedSpec(AlgebraType.D, n, (a, b), (c,))
-            delta = (a + (n - c)) % n
-            completed = SeaweedSpec(AlgebraType.A, n, (a, b), (c, n - c))
-            from_tour = delta_of_spec(completed).canonical_delta
-            value = xi(n, delta)
-            by_xi = Fraction(0) < value < Fraction(1, 2)
-            by_meander = index_combinatorial(spec).index == 0
-            if by_xi != by_meander or from_tour != delta:
-                failures.append(
-                    {
-                        "spec": format_spec(spec),
-                        "xi": str(value),
-                        "meander": by_meander,
-                        "delta": delta,
-                        "delta_from_tour": from_tour,
-                    }
-                )
-    return failures
-
-
-def xi_tail4_sweep(n_max: int = 44) -> list[dict]:
-    """Type D, configuration III, c = n-5, gcd(a+b, b+c) = 2: the halved
-    xi criterion must match the meander verdict on every shape."""
-    failures = []
-    for n in range(6, n_max + 1):
-        c = n - 5
-        for b in range(1, n):
-            a = n - b
-            if math.gcd(a + b, b + c) != 2:
-                continue
-            delta = (a + (n - c)) % n
-            value = xi(n // 2, delta // 2)
-            by_xi = Fraction(0) < value < Fraction(1, 2)
-            spec = SeaweedSpec(AlgebraType.D, n, (a, b), (c,))
-            by_meander = index_combinatorial(spec).index == 0
-            if by_xi != by_meander:
-                failures.append({"spec": format_spec(spec), "xi": str(value), "meander": by_meander})
-    return failures
-
-
-def split_top_gcd_sweep(n_max: int = 30) -> list[dict]:
-    """Full-top three-block type C: conditions (i)-(iii) hold exactly for
-    the index-zero shapes."""
-    failures = []
-    for n in range(2, n_max + 1):
-        for a in range(1, n):
-            b = n - a
-            for c in range(1, n + 1):
-                g = math.gcd(a + b, b + c)
-                predicted = (
-                    (c == n - 1 and g == 1)
-                    or (c == n - 2 and g == 1)
-                    or (c == n - 3 and g == 2 and a % 2 and b % 2 and c % 2)
-                )
-                spec = SeaweedSpec(AlgebraType.C, n, (a, b), (c,))
-                actual = index_combinatorial(spec).index == 0
-                if predicted != actual:
-                    failures.append({"spec": format_spec(spec), "predicted": predicted})
-    return failures
-
-
-def forest_criterion_sweep(algebra: AlgebraType, n_max: int) -> list[dict]:
-    """Index zero iff no cycles and every path has exactly one tail endpoint."""
-    failures = []
-    for n in range(1, n_max + 1):
-        for spec in enumerate_specs(algebra, n):
-            summary, comps = components(build_meander(spec))
-            rooted_forest = summary.cycles == 0 and all(
-                c.tail_count == 1 for c in comps if c.kind == "path"
-            )
-            frobenius = index_combinatorial(spec).index == 0
-            if rooted_forest != frobenius:
-                failures.append({"spec": format_spec(spec)})
-    return failures

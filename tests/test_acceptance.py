@@ -12,13 +12,10 @@ from seaweeds.formulas import classify_frobenius, index_combinatorial
 from seaweeds.matrices import _check_jacobi, admissible_mask, lie_from_structure_constants, seaweed_basis
 from seaweeds.oracle import ad_spectrum
 from seaweeds.specs import AlgebraType, enumerate_specs, format_spec, parse_spec
-from seaweeds.sweep import (
-    delta_congruence_sweep,
-    run_sweep,
-    xi_tail2_sweep,
-    xi_tail4_sweep,
-)
+from seaweeds.sweep import run_sweep
 from seaweeds.delta import delta_of_spec
+
+from reference_sweeps import delta_congruence_sweep, xi_tail2_sweep, xi_tail4_sweep
 
 FIXTURES = {
     "GL26:5|7|4|10/8|6|6|6": 3,

@@ -9,13 +9,13 @@ from seaweeds.delta import (
     NotSinglePathError,
     TourError,
     augment_with_loops,
-    canonical_delta_formula,
     delta_of_spec,
     permutation_cycle,
 )
 from seaweeds.meander import Meander, build_meander, components
 from seaweeds.specs import AlgebraType, SeaweedSpec, compositions, parse_spec
-from seaweeds.sweep import delta_cardinality_probe, delta_congruence_sweep
+
+from reference_sweeps import canonical_delta_formula, delta_cardinality_probe, delta_congruence_sweep
 
 
 def test_loops_a10():

@@ -12,7 +12,8 @@ from seaweeds.formulas import (
     xi,
 )
 from seaweeds.specs import AlgebraType, SeaweedSpec, enumerate_specs, parse_spec
-from seaweeds.sweep import (
+
+from reference_sweeps import (
     forest_criterion_sweep,
     split_top_gcd_sweep,
     xi_tail2_sweep,
@@ -162,6 +163,7 @@ def test_classifier_matches_index_exhaustively():
                 report = index_combinatorial(spec)
                 assert verdict.report == report, spec
                 assert verdict.frobenius == (report.index == 0), spec
+                assert verdict.closed_form == index_closed_form(spec), spec
 
 
 @pytest.mark.parametrize("text", ["C20000:20000/", "B20000:20000/"])

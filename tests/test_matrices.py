@@ -281,6 +281,11 @@ def test_parse_structure_constants_rejects_indices_below_one():
             parse_structure_constants("1 2 -> 2:1\n" + text)
 
 
+def test_parse_structure_constants_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="line 2"):
+        parse_structure_constants("1 2 -> 2:1\n1 2 -> 2:1/0")
+
+
 def test_heisenberg_table():
     lie = lie_from_structure_constants({(0, 1): {2: 1}})
     assert lie.dimension == 3

@@ -104,6 +104,8 @@ def test_cli_rejects_bad_spec(capsys):
     assert run_cli("index", "X9:1/1") == 2
     assert run_cli("index", "C5:3/1|4") == 2  # top-sum-ge-bottom-sum
     assert run_cli("meander", "A5:4|1/2|1") == 2
+    assert run_cli("delta", "C5:3/1|4") == 2  # invalid before not type A
+    assert run_cli("spectrum", "C5:3/1|4") == 2
 
 
 def test_cli_meander_formats(tmp_path, capsys):
@@ -165,6 +167,13 @@ def test_cli_spectrum_rejects_index_below_one(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_cli_spectrum_rejects_zero_denominator(tmp_path, capsys):
+    table = tmp_path / "zero_denominator.sc"
+    table.write_text("1 2 -> 2:1/0\n")
+    assert run_cli("spectrum", "--sc-file", str(table)) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_cli_index_explain_builds_one_meander(monkeypatch, capsys):
     built = []
     original = formulas.build_meander
@@ -209,6 +218,8 @@ def test_cli_sweep_budget_must_be_an_integer(capsys, monkeypatch):
         ("spectrum", "A4:2|2/1|3", "--trials", "0"),
         ("sweep", "--type", "A", "--n-max", "2", "--trials", "0"),
         ("sweep", "--type", "A", "--n-max", "2", "--n-min", "0"),
+        ("sweep", "--type", "A", "--n-max", "2", "--workers", "0"),
+        ("sweep", "--type", "A", "--n-max", "2", "--workers", "-3"),
     ],
 )
 def test_cli_rejects_nonpositive_counts(argv, capsys):
@@ -216,6 +227,12 @@ def test_cli_rejects_nonpositive_counts(argv, capsys):
         run_cli(*argv)
     assert excinfo.value.code == 2
     assert f"{argv[-2]}: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", [("--n-max", "0"), ("--n-min", "3", "--n-max", "2")])
+def test_cli_sweep_rejects_empty_range(bounds, capsys):
+    assert run_cli("sweep", "--type", "A", *bounds) == 2
+    assert capsys.readouterr().err.startswith("error: n_max")
 
 
 def test_cli_entrypoint_runs():

@@ -1,6 +1,7 @@
 """The exhaustive sweep: serial and process-pool runs agree."""
 
-from seaweeds import formulas
+from seaweeds import formulas, specs
+from seaweeds.formulas import index_closed_form
 from seaweeds.specs import AlgebraType, parse_spec
 from seaweeds.sweep import check_spec, run_sweep
 
@@ -26,3 +27,21 @@ def test_check_spec_builds_one_meander(monkeypatch):
         record = check_spec(parse_spec(text))
         assert record["combinatorial"] == record["oracle"]
         assert len(built) == 1, text
+
+
+def test_check_spec_validates_at_most_twice(monkeypatch):
+    validated = []
+    original = specs.validate
+
+    def counting(spec):
+        validated.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(specs, "validate", counting)
+    for text in ("A5:4|1/2|1|2", "C4:2|2/3", "D5:1|4/2", "GL3:1|2/3"):
+        validated.clear()
+        check_spec(parse_spec(text))
+        assert len(validated) <= 2, text
+    validated.clear()
+    index_closed_form(parse_spec("D5:1|4/2"))
+    assert len(validated) == 1
