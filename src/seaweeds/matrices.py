@@ -163,8 +163,12 @@ class ClosureError(RuntimeError):
 
 
 class JacobiError(ValueError):
+    """The Jacobi identity fails; ``triple`` is 0-based, the message names e_1, e_2, ..."""
+
     def __init__(self, triple, residual):
-        super().__init__(f"Jacobi identity fails on basis triple {triple}: {residual}")
+        names = ", ".join(f"e_{k + 1}" for k in triple)
+        terms = ", ".join(f"e_{k + 1}: {v}" for k, v in residual.items())
+        super().__init__(f"Jacobi identity fails on ({names}): residual {{{terms}}}")
         self.triple = triple
 
 
@@ -280,7 +284,10 @@ def lie_from_structure_constants(
 
     Keys are 0-based pairs; (j, i) entries, when present, must be the
     negations of their (i, j) mates.  The dimension defaults to one more
-    than the largest index seen.
+    than the largest index seen.  Jacobi is checked only on the triples
+    that hold a pair with a nonzero bracket, since it holds trivially on
+    the rest, so its cost follows the table.  Messages name the basis
+    1-based, e_1, e_2, ..., as the text format does.
     """
     seen = [k for pair in table for k in pair]
     seen.extend(k for coeffs in table.values() for k in coeffs)
@@ -289,12 +296,12 @@ def lie_from_structure_constants(
     for (i, j), coeffs in table.items():
         if not coeffs or i == j:
             if i == j and any(coeffs.values()):
-                raise ValueError(f"[x_{i}, x_{i}] must vanish")
+                raise ValueError(f"[e_{i + 1}, e_{i + 1}] must vanish")
             continue
         key, vec = ((i, j), coeffs) if i < j else ((j, i), {k: -v for k, v in coeffs.items()})
         if key in brackets:
             if brackets[key] != {k: v for k, v in vec.items() if v}:
-                raise ValueError(f"bracket table is not antisymmetric at {key}")
+                raise ValueError(f"bracket table is not antisymmetric at [e_{key[0] + 1}, e_{key[1] + 1}]")
         else:
             brackets[key] = {k: v for k, v in vec.items() if v}
     lie = LieData(dimension=dim, brackets=brackets, basis=None)
@@ -303,7 +310,7 @@ def lie_from_structure_constants(
 
 
 def _check_jacobi(lie: LieData) -> None:
-    m = lie.dimension
+    """Raise JacobiError at the first failing triple i < j < k holding a stored bracket."""
 
     def ad(i: int, vec: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
         out: dict[int, int | Fraction] = {}
@@ -312,29 +319,34 @@ def _check_jacobi(lie: LieData) -> None:
                 out[l] = out.get(l, 0) + coeff * c
         return {k: v for k, v in out.items() if v}
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                residual: dict[int, int | Fraction] = {}
-                for term in (
-                    ad(i, lie.bracket_coeffs(j, k)),
-                    ad(k, lie.bracket_coeffs(i, j)),
-                    ad(j, lie.bracket_coeffs(k, i)),
-                ):
-                    for l, v in term.items():
-                        residual[l] = residual.get(l, 0) + v
-                residual = {l: v for l, v in residual.items() if v}
-                if residual:
-                    raise JacobiError((i, j, k), residual)
+    triples = {
+        tuple(sorted((a, b, c)))
+        for a, b in lie.brackets
+        for c in range(lie.dimension)
+        if c != a and c != b
+    }
+    for i, j, k in sorted(triples):
+        residual: dict[int, int | Fraction] = {}
+        for term in (
+            ad(i, lie.bracket_coeffs(j, k)),
+            ad(k, lie.bracket_coeffs(i, j)),
+            ad(j, lie.bracket_coeffs(k, i)),
+        ):
+            for l, v in term.items():
+                residual[l] = residual.get(l, 0) + v
+        residual = {l: v for l, v in residual.items() if v}
+        if residual:
+            raise JacobiError((i, j, k), residual)
 
 
 def parse_structure_constants(text: str) -> dict[tuple[int, int], dict[int, Fraction]]:
     """Parse the bracket-table format: one line ``i j -> k:coeff[,k:coeff...]``.
 
     Indices are 1-based in the text (matching written bases e_1, e_2, ...)
-    and 0-based in the returned table; an index below 1 is rejected.
-    Coefficients are integers or p/q with q nonzero.  Blank lines and '#'
-    comments are ignored.
+    and 0-based in the returned table; an index below 1 is rejected, as
+    is a pair listed twice in the same order or an index repeated within
+    one line.  Coefficients are integers or p/q with q nonzero.  Blank
+    lines and '#' comments are ignored.
     """
 
     def index(text: str) -> int:
@@ -354,8 +366,14 @@ def parse_structure_constants(text: str) -> dict[tuple[int, int], dict[int, Frac
             coeffs: dict[int, Fraction] = {}
             for piece in tail.strip().split(","):
                 k_text, coeff_text = piece.split(":")
-                coeffs[index(k_text)] = Fraction(coeff_text.strip())
-            table[(index(i_text), index(j_text))] = coeffs
+                k = index(k_text)
+                if k in coeffs:
+                    raise ValueError(f"e_{k + 1} appears twice")
+                coeffs[k] = Fraction(coeff_text.strip())
+            pair = (index(i_text), index(j_text))
+            if pair in table:
+                raise ValueError(f"[e_{pair[0] + 1}, e_{pair[1] + 1}] is already given")
+            table[pair] = coeffs
         except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise ValueError(f"bad structure-constant line {lineno}: {raw!r} ({exc})") from exc
     return table

@@ -3,12 +3,14 @@
 The index of a Lie algebra is the minimum over linear functionals f of
 the kernel dimension of the skew form f([x, y]).  Every rank is computed
 by one kernel, exact elimination over F_p with p = 2**61 - 1 and no
-floating point.  The rank mod p never exceeds the rank over the
-rationals, so a sampled kernel dimension is an upper bound on the index,
-exact for generic functionals: a random functional fails with
-probability of order m/p per trial (Schwartz-Zippel).  A skew form has
-even rank, over the rationals and over F_p alike, so no kernel is below
-m mod 2; the trials stop as soon as one reaches that floor.
+floating point.  Rational entries reach F_p by one path: each row of a
+matrix with a ``Fraction`` entry is scaled to integers, then reduced.
+The rank mod p never exceeds the rank over the rationals, so a sampled
+kernel dimension is an upper bound on the index, exact for generic
+functionals: a random functional fails with probability of order m/p
+per trial (Schwartz-Zippel).  A skew form has even rank, over the
+rationals and over F_p alike, so no kernel is below m mod 2; the trials
+stop as soon as one reaches that floor.
 
 Principal elements are solved over F_p by the same elimination, so they
 are the reductions mod p of the rational ones.  Their adjoint spectra
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .matrices import LieData
@@ -133,43 +136,21 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
 
 
 def _rows_mod_p(matrix: Sequence[Sequence[int | Fraction]]) -> list[dict[int, int]]:
-    """The nonzero rows of the matrix mod p, as ``{column: value}`` dicts."""
-    if set(map(type, chain.from_iterable(matrix))) <= {int}:
-        rows = [{c: v % P for c, v in enumerate(r) if v % P} for r in matrix]
-    else:
-        inverses: dict[int, int] = {}
-        rows = [_rational_row_mod_p(r, inverses) for r in matrix]
+    """The nonzero rows of the matrix mod p, as ``{column: value}`` dicts.
+
+    A matrix with any non-``int`` entry has every row scaled to integers
+    first.  Scaling a row by an integer L changes no rank over the
+    rationals, and mod p it multiplies the row by a unit unless p | L.
+    """
+    if not set(map(type, chain.from_iterable(matrix))) <= {int}:
+        matrix = [_integer_row(r) for r in matrix]
+    rows = [{c: v % P for c, v in enumerate(r) if v % P} for r in matrix]
     return [row for row in rows if row]
 
 
-def _rational_row_mod_p(row: Sequence[int | Fraction], inverses: dict[int, int]) -> dict[int, int]:
-    """One row mod p; ``inverses`` caches the inverses of denominators.
-
-    A row with a denominator divisible by p is scaled to integers first;
-    scaling a row changes no rank over the rationals.
-    """
-    out = {}
-    for c, v in enumerate(row):
-        if not v:
-            continue
-        if isinstance(v, Fraction):
-            d = v.denominator
-            inv = inverses.get(d)
-            if inv is None:
-                if not d % P:
-                    return _rational_row_mod_p(_integer_row(row), inverses)
-                inv = inverses[d] = pow(d, -1, P)
-            x = v.numerator * inv % P
-        else:
-            x = v % P
-        if x:
-            out[c] = x
-    return out
-
-
 def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
-    scale = lcm(*(Fraction(v).denominator for v in row))
-    return [int(Fraction(v) * scale) for v in row]
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
 
 
 def kernel_dimension(matrix: Sequence[Sequence[int | Fraction]]) -> int:
@@ -217,17 +198,17 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
 def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
     """Solve f([F, x_j]) = f(x_j) for F over F_p; its coordinates mod p.
 
-    F = sum c_i x_i with sum_i c_i B[i][j] = f_j (B the Kirillov matrix),
-    so (c, 1) spans the kernel of [B^T | -f], read back from the pivots
-    of the rank kernel's elimination.  The Kirillov form must be
-    nondegenerate mod p (NotFrobeniusFunctionalError otherwise); then F
-    is the reduction mod p of the rational principal element.  A residual
-    that does not vanish mod p raises PrincipalElementError.
+    F = sum c_i x_i with sum_i c_i B[i][j] = f_j (B the Kirillov matrix).
+    B is skew, so that is B c + f = 0, and (c, 1) spans the kernel of
+    [B | f], read back from the pivots of the rank kernel's elimination.
+    The Kirillov form must be nondegenerate mod p
+    (NotFrobeniusFunctionalError otherwise); then F is the reduction mod p
+    of the rational principal element.  A residual row B c + f that does
+    not vanish mod p raises PrincipalElementError.
     """
     m = lie.dimension
     matrix = kirillov_matrix(lie, f)
-    system = [list(column) + [-fj] for column, fj in zip(zip(*matrix), f)]
-    pivots = _eliminate(_rows_mod_p(system))
+    pivots = _eliminate(_rows_mod_p([row + [fj] for row, fj in zip(matrix, f)]))
     free = set(range(m + 1)).difference(col for col, _ in pivots)
     # Free columns are set to 1 and the pivot columns solved back up.
     x = dict.fromkeys(free, 1)
@@ -237,7 +218,7 @@ def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
         raise NotFrobeniusFunctionalError("Kirillov form is degenerate for this functional")
     scale = pow(x[m], -1, P)
     solution = [x[i] * scale % P for i in range(m)]
-    residual = [sum(c * matrix[i][j] for i, c in enumerate(solution)) - f[j] for j in range(m)]
+    residual = [sum(map(mul, row, solution)) + fj for row, fj in zip(matrix, f)]
     missed = _rows_mod_p([residual])
     if missed:
         j = min(missed[0])
@@ -252,12 +233,10 @@ def ad_matrix(lie: LieData, element: Sequence[int | Fraction]) -> list[list[int 
     """
     m = lie.dimension
     out = [[0] * m for _ in range(m)]
-    for j in range(m):
-        for i, c_i in enumerate(element):
-            if not c_i:
-                continue
-            for k, c in lie.bracket_coeffs(i, j).items():
-                out[k][j] += c_i * c
+    for (i, j), coeffs in lie.brackets.items():
+        for k, c in coeffs.items():
+            out[k][j] += element[i] * c
+            out[k][i] -= element[j] * c
     return out
 
 

@@ -1,6 +1,8 @@
 """Admissible masks, bases, brackets and structure constants."""
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from seaweeds import matrices
 from seaweeds.matrices import (
     ClosureError,
     JacobiError,
+    LieData,
     MaskSymmetryError,
     SparseIntMatrix,
     ZeroEntryError,
@@ -299,10 +302,46 @@ def test_jacobi_violation_reports_triple():
     assert excinfo.value.triple == (0, 1, 2)
 
 
+def test_jacobi_reports_the_smallest_failing_triple():
+    # the failing table above on (3, 4, 5), listed first; then a failure on
+    # (0, 1, 2) whose brackets leave its first pair (0, 1) commuting
+    later = {(3, 4): {5: 1}, (3, 5): {3: 1}}
+    earlier = {(0, 2): {0: 1}, (1, 2): {2: 1}}
+    for table, triple in ((later, (3, 4, 5)), (earlier, (0, 1, 2)), ({**later, **earlier}, (0, 1, 2))):
+        with pytest.raises(JacobiError) as excinfo:
+            lie_from_structure_constants(table)
+        assert excinfo.value.triple == triple
+
+
+def test_jacobi_examines_only_triples_with_a_bracket(monkeypatch):
+    # each examined triple reads its three brackets from _check_jacobi itself
+    lie = lie_from_structure_constants(parse_structure_constants("1 60 -> 1:1\n"))
+    reads = []
+    original = LieData.bracket_coeffs
+
+    def counting(self, i, j):
+        if sys._getframe(1).f_code.co_name == "_check_jacobi":
+            reads.append((i, j))
+        return original(self, i, j)
+
+    monkeypatch.setattr(LieData, "bracket_coeffs", counting)
+    matrices._check_jacobi(lie)
+    # the 58 triples that hold the pair (0, 59), within dimension x brackets;
+    # all C(60, 3) = 34220 before
+    assert len(reads) == 3 * (lie.dimension - 2)
+
+
+def test_parse_structure_constants_rejects_repeated_entries():
+    for text in ("1 2 -> 3:1\n1 2 -> 3:1", "1 2 -> 3:1\n2 3 -> 1:1, 1:2"):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_structure_constants(text)
+    # a consistent (j, i) mate is the same bracket, not a repeat
+    table = parse_structure_constants("1 2 -> 3:1/2\n2 1 -> 3:-1/2")
+    assert lie_from_structure_constants(table).brackets == {(0, 1): {2: Fraction(1, 2)}}
+
+
 def test_parse_structure_constants_rationals():
     table = parse_structure_constants("1 2 -> 1:1/2, 3:-2\n")
-    from fractions import Fraction
-
     assert table == {(0, 1): {0: Fraction(1, 2), 2: Fraction(-2)}}
     with pytest.raises(ValueError):
         parse_structure_constants("1 2 3:1")

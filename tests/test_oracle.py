@@ -12,6 +12,7 @@ from seaweeds.oracle import (
     NotFrobeniusFunctionalError,
     PrincipalElementError,
     SpectrumOvercountError,
+    ad_matrix,
     ad_spectrum,
     index_oracle,
     kernel_dimension,
@@ -307,6 +308,40 @@ def test_spectrum_rejects_nonpositive_trials():
 def test_spectrum_rejects_non_frobenius():
     with pytest.raises(NotFrobeniusError):
         ad_spectrum(seaweed_basis(parse_spec("A8:4|4/8")))
+
+
+def _ad_reference(lie, element):
+    # [F, x_j] = sum_i F_i [x_i, x_j], one basis pair at a time
+    m = lie.dimension
+    out = [[0] * m for _ in range(m)]
+    for j in range(m):
+        for i in range(m):
+            for k, c in lie.bracket_coeffs(i, j).items():
+                out[k][j] += element[i] * c
+    return out
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max",
+    [(AlgebraType.GL, 4), (AlgebraType.A, 4), (AlgebraType.B, 3), (AlgebraType.C, 3), (AlgebraType.D, 3)],
+)
+def test_ad_matrix_is_the_sum_of_brackets(algebra, n_max):
+    rng = random.Random(31)
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            lie = seaweed_basis(spec)
+            element = [rng.randint(-50, 50) for _ in range(lie.dimension)]
+            assert ad_matrix(lie, element) == _ad_reference(lie, element), spec
+
+
+def test_ad_matrix_of_a_rational_table():
+    # sl2 on the basis e/2, 3h, 2f/5
+    lie = lie_from_structure_constants(
+        {(0, 2): {1: Fraction(1, 15)}, (1, 0): {0: Fraction(6)}, (1, 2): {2: Fraction(-6)}}
+    )
+    element = [Fraction(1, 3), -2, Fraction(5, 7)]
+    assert ad_matrix(lie, element) == _ad_reference(lie, element)
+    assert rank_exact(ad_matrix(lie, element)) == 2
 
 
 def test_kernel_dimension_even_rank_defect():

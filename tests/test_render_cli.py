@@ -174,6 +174,38 @@ def test_cli_spectrum_rejects_zero_denominator(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2 -> 3:1\n1 2 -> 3:1\n", "line 2: '1 2 -> 3:1' ([e_1, e_2] is already given)"),
+        ("1 2 -> 3:1, 3:2\n", "line 1: '1 2 -> 3:1, 3:2' (e_3 appears twice)"),
+        ("1 1 -> 1:1\n", "error: [e_1, e_1] must vanish"),
+        ("1 2 -> 3:1\n2 1 -> 3:2\n", "error: bracket table is not antisymmetric at [e_1, e_2]"),
+        ("1 2 -> 3:1\n1 3 -> 1:1\n2 3 -> 2:1\n", "Jacobi identity fails on (e_1, e_2, e_3): residual {e_3: 2}"),
+        ("1 2 -> 3:1\n1 3 -> 1:1\n2 3 -> 2:1/2\n", "residual {e_3: 3/2}"),
+    ],
+)
+def test_cli_spectrum_table_errors_name_the_file_indices(tmp_path, capsys, text, message):
+    table = tmp_path / "bad.sc"
+    table.write_text(text)
+    assert run_cli("spectrum", "--sc-file", str(table)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_spectrum_accepts_a_consistent_mate(tmp_path, capsys):
+    table = tmp_path / "mate.sc"
+    table.write_text("1 2 -> 2:1/2\n2 1 -> 2:-1/2\n")
+    assert run_cli("spectrum", "--sc-file", str(table)) == 0
+    assert capsys.readouterr().out.strip() == "0:1 1:1 integral unbroken symmetric"
+
+
+def test_cli_spectrum_jacobi_cost_follows_the_table(tmp_path, capsys):
+    # one bracket on index 300: the Jacobi check reads 298 triples, not C(300, 3)
+    table = tmp_path / "wide.sc"
+    table.write_text("1 300 -> 1:1\n")
+    assert run_cli("spectrum", "--sc-file", str(table)) == 4
+
+
 def test_cli_index_explain_builds_one_meander(monkeypatch, capsys):
     built = []
     original = formulas.build_meander
