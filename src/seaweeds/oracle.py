@@ -1,23 +1,28 @@
 """Exact linear-algebra oracle: Kirillov forms, ranks, principal elements.
 
 The index of a Lie algebra is the minimum over linear functionals f of
-the kernel dimension of the skew form f([x, y]).  Every rank is computed
-by one kernel, exact elimination over F_p with p = 2**61 - 1 and no
-floating point.  Rational entries reach F_p by one path: each row of a
-matrix with a ``Fraction`` entry is scaled to integers, then reduced.
-The rank mod p never exceeds the rank over the rationals, so a sampled
-kernel dimension is an upper bound on the index, exact for generic
-functionals: a random functional fails with probability of order m/p
-per trial (Schwartz-Zippel).  A skew form has even rank, over the
-rationals and over F_p alike, so no kernel is below m mod 2; the trials
-stop as soon as one reaches that floor.
+the kernel dimension of the skew form f([x, y]).  One kernel computes
+every such dimension: the form is built sparse from the pairs the
+bracket table lists, scaled by one integer (the lcm of its
+denominators, 1 for a seaweed) so that it stays skew, reduced mod
+p = 2**61 - 1 and ranked by symplectic elimination, two ranks per pivot
+pair.  There is no floating point.  The rank mod p never exceeds the
+rank over the rationals, so a sampled kernel dimension is an upper
+bound on the index, exact for generic functionals: a random functional
+fails with probability of order m/p per trial (Schwartz-Zippel), and a
+form whose scale p divides gives only the bound.  A skew form has even
+rank, over the rationals and over F_p alike, so no kernel is below
+m mod 2; the trials stop as soon as one reaches that floor.
 
-Principal elements are solved over F_p by the same elimination, so they
-are the reductions mod p of the rational ones.  Their adjoint spectra
-(the obstruction test for embedding a Frobenius algebra as a seaweed)
-are integer eigenvalue multiplicities read as kernel dimensions of
-shifted matrices over F_p, never the output of a numerical eigensolver.
-"""
+Principal elements are solved over F_p by sparse Gaussian elimination
+on the same rows, so they are the reductions mod p of the rational
+ones.  Their adjoint spectra (the obstruction test for embedding a
+Frobenius algebra as a seaweed) are integer eigenvalue multiplicities
+read as kernel dimensions over F_p of ad(F) - k, with ad(F) built
+sparse and reduced once; never the output of a numerical eigensolver.
+The dense ``kirillov_matrix`` and ``ad_matrix`` are views of the same
+builders, and ``rank_exact`` ranks any matrix, each row scaled to
+integers first."""
 
 from __future__ import annotations
 
@@ -76,14 +81,103 @@ class SpectrumReport:
 def kirillov_matrix(lie: LieData, f: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
     """Matrix of the form (x, y) -> f([x, y]) on the basis; skew by construction."""
     m = lie.dimension
-    if len(f) != m:
-        raise ValueError(f"functional has length {len(f)}, expected {m}")
     matrix = [[0] * m for _ in range(m)]
-    for (i, j), coeffs in lie.brackets.items():
-        value = sum(f[k] * c for k, c in coeffs.items())
+    for (i, j), value in _kirillov_entries(lie, f).items():
         matrix[i][j] = value
         matrix[j][i] = -value
     return matrix
+
+
+def _kirillov_entries(lie: LieData, f: Sequence[int | Fraction]) -> dict[tuple[int, int], int | Fraction]:
+    """The nonzero f([x_i, x_j]), i < j, read only off the pairs ``lie.brackets`` lists."""
+    if len(f) != lie.dimension:
+        raise ValueError(f"functional has length {len(f)}, expected {lie.dimension}")
+    entries = {}
+    coordinate = f.__getitem__
+    for pair, coeffs in lie.brackets.items():
+        value = sum(map(mul, map(coordinate, coeffs), coeffs.values()))
+        if value:
+            entries[pair] = value
+    return entries
+
+
+def _skew_rows(entries: dict[tuple[int, int], int | Fraction], scale: int) -> dict[int, dict[int, int]]:
+    """The skew matrix of the upper entries, times ``scale``, mod p as ``{row: {col: value}}``.
+
+    One scale for every entry keeps the reduction skew; rows that vanish
+    mod p are left out.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), value in entries.items():
+        v = _scaled_mod_p(value, scale)
+        if v:
+            rows.setdefault(i, {})[j] = v
+            rows.setdefault(j, {})[i] = P - v
+    return rows
+
+
+def _denominator_lcm(values) -> int:
+    return lcm(*(v.denominator for v in values))
+
+
+def _scaled_mod_p(value: int | Fraction, scale: int) -> int:
+    """scale * value mod p, for a scale that the value's denominator divides."""
+    return value.numerator * (scale // value.denominator) % P
+
+
+def _kirillov_kernel(lie: LieData, f: Sequence[int | Fraction]) -> int:
+    """Kernel dimension mod p of the Kirillov form of f, built sparse and ranked skew.
+
+    The form is scaled by the lcm of its denominators (1 for a seaweed)
+    before the reduction; the kernel equals
+    ``kernel_dimension(kirillov_matrix(lie, f))`` unless p divides that
+    lcm, and is an upper bound on the rational kernel in every case.
+    """
+    entries = _kirillov_entries(lie, f)
+    return lie.dimension - _skew_rank(_skew_rows(entries, _denominator_lcm(entries.values())))
+
+
+def _skew_rank(rows: dict[int, dict[int, int]]) -> int:
+    """Rank over F_p of a skew matrix given by its nonzero rows; consumes ``rows``.
+
+    Symplectic elimination: the sparsest row i is the pivot row and its
+    partner j is the sparsest row among i's columns, b = B[i][j].  By
+    skewness the rows to update are exactly the columns of rows i and j;
+    each becomes row_r - (B[r][j] / b) row_i + (B[r][i] / b) row_j, which
+    clears columns i and j and keeps the rest skew.  Rows i and j then
+    drop out with rank 2, for one modular inverse.
+    """
+    rank = 0
+    while rows:
+        i = min(rows, key=lambda r: len(rows[r]))
+        row_i = rows.pop(i)
+        j = min(row_i, key=lambda c: len(rows[c]))
+        row_j = rows.pop(j)
+        inverse = pow(row_i.pop(j), -1, P)
+        del row_j[i]
+        rank += 2
+        for r in row_i.keys() | row_j.keys():
+            row = rows[r]
+            entry = row.pop(j, 0)
+            if entry:
+                _add_multiple(row, row_i, -entry * inverse % P)
+            entry = row.pop(i, 0)
+            if entry:
+                _add_multiple(row, row_j, entry * inverse % P)
+            if not row:
+                del rows[r]
+    return rank
+
+
+def _add_multiple(row: dict[int, int], pivot: dict[int, int], factor: int) -> None:
+    """row += factor * pivot mod p, in place; entries that cancel are deleted."""
+    get = row.get
+    for c, w in pivot.items():
+        x = (get(c, 0) + factor * w) % P
+        if x:
+            row[c] = x
+        else:
+            del row[c]  # a sum can only cancel where the row had an entry
 
 
 def rank_exact(matrix: Sequence[Sequence[int | Fraction]]) -> int:
@@ -119,15 +213,8 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
             if v is not None:
                 if factor is None:
                     factor = P - pow(pivot[col], -1, P)
-                v = v * factor % P
-                get = row.get
-                # Adds v * pivot to the row; the pivot column becomes zero.
-                for c, w in pivot.items():
-                    x = (get(c, 0) + v * w) % P
-                    if x:
-                        row[c] = x
-                    else:
-                        del row[c]
+                # The pivot column of the row becomes zero.
+                _add_multiple(row, pivot, v * factor % P)
                 if not row:
                     continue
             kept.append(row)
@@ -169,19 +256,20 @@ def _sampled_kernels(lie: LieData, trials: int, seed: int):
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     functionals = (random_functional(rng, lie.dimension) for _ in range(trials))
-    return ((f, kernel_dimension(kirillov_matrix(lie, f))) for f in functionals)
+    return ((f, _kirillov_kernel(lie, f)) for f in functionals)
 
 
 def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> int:
     """Min kernel dimension of the Kirillov form over seeded random functionals.
 
-    Each kernel dimension is computed over F_p (see rank_exact), so the
-    result is an upper bound for the index that is exact for generic
-    functionals; with coordinates up to 1e6, p = 2**61 - 1 and the min
-    over several trials, a non-generic result is vanishingly unlikely.
-    The trials stop once the kernel reaches m mod 2: a skew-symmetric
-    matrix has even rank, so no kernel is smaller.  Deterministic for a
-    given (trials, seed), and the same minimum as running every trial.
+    Each kernel dimension is computed over F_p by the skew elimination of
+    the sparse form (see _kirillov_kernel), so the result is an upper
+    bound for the index that is exact for generic functionals; with
+    coordinates up to 1e6, p = 2**61 - 1 and the min over several
+    trials, a non-generic result is vanishingly unlikely.  The trials
+    stop once the kernel reaches m mod 2: a skew-symmetric matrix has
+    even rank, so no kernel is smaller.  Deterministic for a given
+    (trials, seed), and the same minimum as running every trial.
     """
     samples = _sampled_kernels(lie, trials, seed)
     if lie.dimension == 0:
@@ -200,15 +288,27 @@ def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
 
     F = sum c_i x_i with sum_i c_i B[i][j] = f_j (B the Kirillov matrix).
     B is skew, so that is B c + f = 0, and (c, 1) spans the kernel of
-    [B | f], read back from the pivots of the rank kernel's elimination.
-    The Kirillov form must be nondegenerate mod p
-    (NotFrobeniusFunctionalError otherwise); then F is the reduction mod p
-    of the rational principal element.  A residual row B c + f that does
-    not vanish mod p raises PrincipalElementError.
+    [B | f], read back from the pivots of the rank kernel's elimination
+    on the sparse rows of the form, with f as column m.  Both are scaled
+    by one lcm of their denominators before the reduction.  The Kirillov
+    form must be nondegenerate mod p (NotFrobeniusFunctionalError
+    otherwise); then F is the reduction mod p of the rational principal
+    element.  A residual row B c + f that does not vanish mod p raises
+    PrincipalElementError.
     """
     m = lie.dimension
-    matrix = kirillov_matrix(lie, f)
-    pivots = _eliminate(_rows_mod_p([row + [fj] for row, fj in zip(matrix, f)]))
+    entries = _kirillov_entries(lie, f)
+    scale = _denominator_lcm(chain(entries.values(), f))
+    rows = _skew_rows(entries, scale)
+    column = [_scaled_mod_p(fj, scale) for fj in f]
+    augmented = []
+    for r in range(m):
+        row = dict(rows.get(r, {}))
+        if column[r]:
+            row[m] = column[r]
+        if row:
+            augmented.append(row)
+    pivots = _eliminate(augmented)
     free = set(range(m + 1)).difference(col for col, _ in pivots)
     # Free columns are set to 1 and the pivot columns solved back up.
     x = dict.fromkeys(free, 1)
@@ -216,13 +316,11 @@ def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
         x[col] = -sum(v * x[c] for c, v in row.items() if c != col) * pow(row[col], -1, P) % P
     if len(free) > 1 or not x[m]:
         raise NotFrobeniusFunctionalError("Kirillov form is degenerate for this functional")
-    scale = pow(x[m], -1, P)
-    solution = [x[i] * scale % P for i in range(m)]
-    residual = [sum(map(mul, row, solution)) + fj for row, fj in zip(matrix, f)]
-    missed = _rows_mod_p([residual])
-    if missed:
-        j = min(missed[0])
-        raise PrincipalElementError(f"principal element misses f([F, x_{j}]) = f(x_{j}) mod p")
+    unit = pow(x[m], -1, P)
+    solution = [x[i] * unit % P for i in range(m)]
+    for j in range(m):
+        if (sum(v * solution[c] for c, v in rows.get(j, {}).items()) + column[j]) % P:
+            raise PrincipalElementError(f"principal element misses f([F, x_{j}]) = f(x_{j}) mod p")
     return solution
 
 
@@ -233,11 +331,43 @@ def ad_matrix(lie: LieData, element: Sequence[int | Fraction]) -> list[list[int 
     """
     m = lie.dimension
     out = [[0] * m for _ in range(m)]
+    for k, row in _ad_rows(lie, element).items():
+        for c, v in row.items():
+            out[k][c] = v
+    return out
+
+
+def _ad_rows(lie: LieData, element: Sequence[int | Fraction]) -> dict[int, dict[int, int | Fraction]]:
+    """The rows of ad(element) as ``{row: {col: value}}``, read off ``lie.brackets``.
+
+    Each (i, j) -> {k: c} adds element_i c at (k, j) and subtracts
+    element_j c at (k, i).  Entries that cancel are kept as zeros.
+    """
+    rows: dict[int, dict[int, int | Fraction]] = {}
     for (i, j), coeffs in lie.brackets.items():
         for k, c in coeffs.items():
-            out[k][j] += element[i] * c
-            out[k][i] -= element[j] * c
-    return out
+            row = rows.setdefault(k, {})
+            row[j] = row.get(j, 0) + element[i] * c
+            row[i] = row.get(i, 0) - element[j] * c
+    return rows
+
+
+def _shifted_kernel(rows: dict[int, dict[int, int]], m: int, shift: int) -> int:
+    """Kernel dimension over F_p of the m x m matrix ``rows`` minus shift * I.
+
+    ``rows`` holds the nonzero entries mod p and is not modified.
+    """
+    shifted = []
+    for r in range(m):
+        row = dict(rows.get(r, {}))
+        x = (row.get(r, 0) - shift) % P
+        if x:
+            row[r] = x
+        else:
+            row.pop(r, None)
+        if row:
+            shifted.append(row)
+    return m - len(_eliminate(shifted))
 
 
 def _spectrum_scan_order(lo: int, hi: int) -> list[int]:
@@ -270,14 +400,13 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
         raise NotFrobeniusError(f"no nondegenerate functional found in {trials} trials")
 
     principal = principal_element(lie, f)
-    ad = ad_matrix(lie, principal)
+    ad = _ad_rows(lie, principal)
+    scale = _denominator_lcm(v for row in ad.values() for v in row.values())
+    rows = {k: {c: x for c, v in row.items() if (x := _scaled_mod_p(v, scale))} for k, row in ad.items()}
     eigenvalues: dict[int, int] = {}
     total = 0
     for k in _spectrum_scan_order(-m, m + 1):
-        shifted = [row[:] for row in ad]
-        for i in range(m):
-            shifted[i][i] -= k
-        mult = kernel_dimension(shifted)
+        mult = _shifted_kernel(rows, m, scale * k % P)
         if mult:
             eigenvalues[k] = mult
             total += mult

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from seaweeds import oracle
-from seaweeds.matrices import lie_from_structure_constants, parse_structure_constants, seaweed_basis
+from seaweeds.matrices import LieData, lie_from_structure_constants, parse_structure_constants, seaweed_basis
 from seaweeds.oracle import (
     NotFrobeniusError,
     NotFrobeniusFunctionalError,
@@ -142,6 +142,48 @@ def test_kirillov_kernel_matches_fraction_elimination(algebra, n_max):
                 assert kernel_dimension(matrix) == expected, (spec, seed)
 
 
+def _rescaled(lie, rng):
+    # x_i -> s_i x_i: [s_i x_i, s_j x_j] = sum_k (s_i s_j c_k / s_k) (s_k x_k)
+    s = [Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(lie.dimension)]
+    brackets = {
+        (i, j): {k: s[i] * s[j] * c / s[k] for k, c in coeffs.items()} for (i, j), coeffs in lie.brackets.items()
+    }
+    return LieData(lie.dimension, brackets)
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max",
+    [(AlgebraType.GL, 4), (AlgebraType.A, 4), (AlgebraType.B, 3), (AlgebraType.C, 3), (AlgebraType.D, 3)],
+)
+def test_sparse_kirillov_kernel_equals_the_dense_matrix(algebra, n_max):
+    rng = random.Random(41)
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            lie = seaweed_basis(spec)
+            rescaled = _rescaled(lie, rng)
+            for seed in range(3):
+                f = random_functional(random.Random(seed), lie.dimension)
+                for table in (lie, rescaled):
+                    dense = kernel_dimension(kirillov_matrix(table, f))
+                    assert oracle._kirillov_kernel(table, f) == dense, (spec, seed, table is rescaled)
+
+
+def test_kirillov_kernel_with_a_denominator_divisible_by_p_is_an_upper_bound():
+    # the form's one scale is p: the entry 1/p at (1, 2) becomes 1 and the
+    # entry 1 at (3, 4) becomes p = 0, so the kernel 3 only bounds the rational 1
+    lie = LieData(5, {(0, 1): {4: Fraction(1, oracle.P)}, (2, 3): {4: 1}})
+    f = [0, 0, 0, 0, 1]
+    assert _fraction_rank(kirillov_matrix(lie, f)) == 4
+    assert oracle._kirillov_kernel(lie, f) == 3
+
+
+def test_kirillov_matrix_rejects_a_functional_of_the_wrong_length():
+    lie = seaweed_basis(parse_spec("A3:2|1/3"))
+    for call in (kirillov_matrix, oracle._kirillov_kernel, principal_element):
+        with pytest.raises(ValueError, match="expected"):
+            call(lie, [1] * (lie.dimension + 1))
+
+
 def test_index_oracle_fixtures():
     assert index_oracle(seaweed_basis(parse_spec("A5:4|1/2|1|2"))) == 0
     assert index_oracle(seaweed_basis(parse_spec("D5:1|4/2"))) == 2
@@ -166,12 +208,13 @@ def test_index_oracle_deterministic():
 )
 def test_index_oracle_stops_at_the_parity_floor(monkeypatch, text, dimension, index, calls):
     counted = []
+    kernel = oracle._kirillov_kernel
 
-    def counting(matrix):
-        counted.append(len(matrix))
-        return kernel_dimension(matrix)
+    def counting(lie, f):
+        counted.append(len(f))
+        return kernel(lie, f)
 
-    monkeypatch.setattr(oracle, "kernel_dimension", counting)
+    monkeypatch.setattr(oracle, "_kirillov_kernel", counting)
     lie = seaweed_basis(parse_spec(text))
     assert lie.dimension == dimension
     assert index_oracle(lie, trials=5, seed=0) == index
@@ -285,17 +328,25 @@ def test_principal_element_is_the_rational_solution_mod_p():
     assert cases == 135
 
 
+def test_principal_element_of_a_rational_functional():
+    # f / 7 defines the same equations f([F, x]) = f(x), so the same F
+    lie = seaweed_basis(parse_spec("A4:2|2/1|3"))
+    f = random_functional(random.Random(9), lie.dimension)
+    assert principal_element(lie, [Fraction(v, 7) for v in f]) == principal_element(lie, f)
+    # [e1, e2] = e2 / 2: the form is f_2 / 2, an integer here, while f_1 is not
+    lie = lie_from_structure_constants(parse_structure_constants("1 2 -> 2:1/2\n"))
+    third = pow(3, -1, oracle.P)
+    assert principal_element(lie, [Fraction(1, 3), 2]) == principal_element(lie, [1, 6]) == [2, oracle.P - third]
+
+
 def test_spectrum_rejects_overcounted_multiplicities(monkeypatch):
     lie = seaweed_basis(parse_spec("A4:2|2/1|3"))
-    exact = oracle.kernel_dimension
-    calls = []
 
-    def overcount(matrix):
-        # the first call tests the functional; every scan then reads m - 1
-        calls.append(matrix)
-        return exact(matrix) if len(calls) == 1 else len(matrix) - 1
+    def overcount(rows, m, shift):
+        # every eigenvalue scan reads m - 1
+        return m - 1
 
-    monkeypatch.setattr(oracle, "kernel_dimension", overcount)
+    monkeypatch.setattr(oracle, "_shifted_kernel", overcount)
     with pytest.raises(SpectrumOvercountError):
         ad_spectrum(lie)
 

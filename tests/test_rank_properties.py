@@ -1,9 +1,10 @@
-"""Property checks of the exact rank on random int and Fraction matrices."""
+"""Property checks of the exact ranks on random int and Fraction matrices."""
 
 from fractions import Fraction
 
 import pytest
 
+from seaweeds import oracle
 from seaweeds.oracle import P, rank_exact
 
 from test_oracle import _fraction_rank
@@ -16,6 +17,15 @@ MATRICES = st.integers(1, 6).flatmap(
     lambda cols: st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=6)
 )
 SCALES = st.builds(Fraction, st.integers(1, 9), st.integers(-9, 9).filter(bool))
+# Upper triangles of skew matrices up to 8 x 8, about half of the entries zero,
+# and a set of indices whose rows and columns are zero.
+SKEW = st.integers(1, 8).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.one_of(st.just(0), ENTRIES), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2),
+        st.sets(st.integers(0, m - 1)),
+    )
+)
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -27,3 +37,16 @@ def test_rank_equals_fraction_elimination(matrix, scale, pick):
     # a rational multiple of a row appended keeps the rank
     row = matrix[pick % len(matrix)]
     assert rank_exact(matrix + [[scale * v for v in row]]) == rank
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@hypothesis.given(SKEW)
+def test_skew_rank_equals_fraction_elimination(case):
+    m, values, zero = case
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    entries = {(i, j): v for (i, j), v in zip(pairs, values) if i not in zero and j not in zero}
+    dense = [[0] * m for _ in range(m)]
+    for (i, j), v in entries.items():
+        dense[i][j], dense[j][i] = v, -v
+    scale = oracle._denominator_lcm(entries.values())
+    assert oracle._skew_rank(oracle._skew_rows(entries, scale)) == _fraction_rank(dense)

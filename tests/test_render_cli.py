@@ -206,6 +206,14 @@ def test_cli_spectrum_jacobi_cost_follows_the_table(tmp_path, capsys):
     assert run_cli("spectrum", "--sc-file", str(table)) == 4
 
 
+def test_cli_spectrum_kirillov_cost_follows_the_table(tmp_path, capsys):
+    # one bracket on index 2000: the sparse Kirillov form has one pair, not 2000^2 entries
+    table = tmp_path / "wider.sc"
+    table.write_text("1 2000 -> 1:1\n")
+    assert run_cli("spectrum", "--sc-file", str(table)) == 4
+    assert "no nondegenerate functional" in capsys.readouterr().err
+
+
 def test_cli_index_explain_builds_one_meander(monkeypatch, capsys):
     built = []
     original = formulas.build_meander
