@@ -16,7 +16,7 @@ import os
 import sys
 
 from .delta import NotSinglePathError, delta_of_spec
-from .formulas import classify_frobenius
+from .formulas import RuleDisagreement, classify_frobenius
 from .matrices import lie_from_structure_constants, parse_structure_constants, seaweed_basis
 from .meander import build_meander
 from .oracle import DEFAULT_TRIALS, NotFrobeniusError, ad_spectrum, index_oracle
@@ -49,6 +49,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecSyntaxError, InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
+    except RuleDisagreement as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -210,7 +210,7 @@ def _symmetric_basis(algebra: AlgebraType, mask: AdmissibleMask) -> list[SparseI
     basis = []
     for cell in sorted(mask.cells):
         i, j = cell
-        partner = (dim + 1 - j, dim + 1 - i)
+        partner = (dim + 1 - j, dim + 1 - i)  # in the mask: admissible_mask checks the mirror
         if cell == partner:
             # Cell on the antidiagonal: free for C off blocks, forced zero
             # under X = -antitranspose(X) for B and D.
@@ -219,8 +219,6 @@ def _symmetric_basis(algebra: AlgebraType, mask: AdmissibleMask) -> list[SparseI
             continue
         if cell > partner:
             continue  # handled from the partner's side
-        if partner not in mask.cells:
-            continue
         if algebra is AlgebraType.C:
             diagonal_block = (i <= half) == (j <= half)
             sign = -1 if diagonal_block else 1

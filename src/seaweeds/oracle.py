@@ -2,34 +2,34 @@
 
 The index of a Lie algebra is the minimum over linear functionals f of
 the kernel dimension of the skew form f([x, y]).  One kernel computes
-every such dimension: the form is built sparse from the pairs the
-bracket table lists, scaled by one integer (the lcm of its
-denominators, 1 for a seaweed) so that it stays skew, reduced mod
-p = 2**61 - 1 and ranked by symplectic elimination, two ranks per pivot
-pair.  There is no floating point.  The rank mod p never exceeds the
-rank over the rationals, so a sampled kernel dimension is an upper
-bound on the index, exact for generic functionals: a random functional
-fails with probability of order m/p per trial (Schwartz-Zippel), and a
-form whose scale p divides gives only the bound.  A skew form has even
-rank, over the rationals and over F_p alike, so no kernel is below
-m mod 2; the trials stop as soon as one reaches that floor.
+every such dimension: the form is built as sparse skew rows from the
+pairs the bracket table lists, reduced mod p = 2**61 - 1 and ranked by
+symplectic elimination, two ranks per pivot pair.  There is no floating
+point.  The rank mod p never exceeds the rank over the rationals, so a
+sampled kernel dimension is an upper bound on the index, exact for
+generic functionals: a random functional fails with probability of
+order m/p per trial (Schwartz-Zippel), and a form whose scale p divides
+gives only the bound.  A skew form has even rank, over the rationals
+and over F_p alike, so no kernel is below m mod 2; the trials stop as
+soon as one reaches that floor.
 
-Principal elements are solved over F_p by sparse Gaussian elimination
-on the same rows, so they are the reductions mod p of the rational
-ones.  Their adjoint spectra (the obstruction test for embedding a
-Frobenius algebra as a seaweed) are integer eigenvalue multiplicities
-read as kernel dimensions over F_p of ad(F) - k, with ad(F) built
-sparse and reduced once; never the output of a numerical eigensolver.
-The dense ``kirillov_matrix`` and ``ad_matrix`` are views of the same
-builders, and ``rank_exact`` ranks any matrix, each row scaled to
-integers first."""
+Every matrix reaches F_p through one reduction, ``_mod_p``: sparse rows
+scaled by the lcm of their denominators, then reduced mod p.  The form
+has one scale (1 for a seaweed), so it stays skew; the principal
+element's system [B | f] has one, with f as column m; so has ad(F); and
+``rank_exact`` scales each row of any matrix on its own.  Principal
+elements are solved by sparse Gaussian elimination, so they are the
+reductions mod p of the rational ones.  Their adjoint spectra (the
+obstruction test for embedding a Frobenius algebra as a seaweed) are
+integer eigenvalue multiplicities read as kernel dimensions over F_p of
+ad(F) - k; never the output of a numerical eigensolver.  The dense
+``kirillov_matrix`` and ``ad_matrix`` are views of the same rows."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -80,61 +80,63 @@ class SpectrumReport:
 
 def kirillov_matrix(lie: LieData, f: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
     """Matrix of the form (x, y) -> f([x, y]) on the basis; skew by construction."""
-    m = lie.dimension
-    matrix = [[0] * m for _ in range(m)]
-    for (i, j), value in _kirillov_entries(lie, f).items():
-        matrix[i][j] = value
-        matrix[j][i] = -value
-    return matrix
+    return _dense(_kirillov_rows(lie, f), lie.dimension)
 
 
-def _kirillov_entries(lie: LieData, f: Sequence[int | Fraction]) -> dict[tuple[int, int], int | Fraction]:
-    """The nonzero f([x_i, x_j]), i < j, read only off the pairs ``lie.brackets`` lists."""
+def _kirillov_rows(lie: LieData, f: Sequence[int | Fraction]) -> dict[int, dict[int, int | Fraction]]:
+    """The nonzero f([x_i, x_j]) as skew rows ``{i: {j: value}}``, read only off ``lie.brackets``."""
     if len(f) != lie.dimension:
         raise ValueError(f"functional has length {len(f)}, expected {lie.dimension}")
-    entries = {}
+    rows: dict[int, dict[int, int | Fraction]] = {}
     coordinate = f.__getitem__
-    for pair, coeffs in lie.brackets.items():
+    for (i, j), coeffs in lie.brackets.items():
         value = sum(map(mul, map(coordinate, coeffs), coeffs.values()))
         if value:
-            entries[pair] = value
-    return entries
-
-
-def _skew_rows(entries: dict[tuple[int, int], int | Fraction], scale: int) -> dict[int, dict[int, int]]:
-    """The skew matrix of the upper entries, times ``scale``, mod p as ``{row: {col: value}}``.
-
-    One scale for every entry keeps the reduction skew; rows that vanish
-    mod p are left out.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), value in entries.items():
-        v = _scaled_mod_p(value, scale)
-        if v:
-            rows.setdefault(i, {})[j] = v
-            rows.setdefault(j, {})[i] = P - v
+            rows.setdefault(i, {})[j] = value
+            rows.setdefault(j, {})[i] = -value
     return rows
 
 
-def _denominator_lcm(values) -> int:
-    return lcm(*(v.denominator for v in values))
+def _dense(rows: dict[int, dict[int, int | Fraction]], m: int) -> list[list[int | Fraction]]:
+    out = [[0] * m for _ in range(m)]
+    for r, row in rows.items():
+        for c, v in row.items():
+            out[r][c] = v
+    return out
 
 
-def _scaled_mod_p(value: int | Fraction, scale: int) -> int:
-    """scale * value mod p, for a scale that the value's denominator divides."""
-    return value.numerator * (scale // value.denominator) % P
+def _mod_p(rows: dict[int, dict[int, int | Fraction]]) -> int:
+    """Scale ``rows`` by the lcm of their denominators and reduce them mod p, in place; the scale.
+
+    One scale keeps a skew matrix skew and a system's solutions; mod p
+    it is a unit unless p divides it.  Entries and rows that vanish mod
+    p are deleted.
+    """
+    scale = 1
+    for row in rows.values():
+        for v in row.values():
+            if type(v) is not int:
+                scale = lcm(scale, v.denominator)
+    for r, row in list(rows.items()):
+        for c, v in row.items():
+            row[c] = (v * scale).numerator % P  # no key is added or removed while iterating
+        if not all(row.values()):
+            for c in [c for c, v in row.items() if not v]:
+                del row[c]
+        if not row:
+            del rows[r]
+    return scale
 
 
 def _kirillov_kernel(lie: LieData, f: Sequence[int | Fraction]) -> int:
     """Kernel dimension mod p of the Kirillov form of f, built sparse and ranked skew.
 
-    The form is scaled by the lcm of its denominators (1 for a seaweed)
-    before the reduction; the kernel equals
-    ``kernel_dimension(kirillov_matrix(lie, f))`` unless p divides that
-    lcm, and is an upper bound on the rational kernel in every case.
+    It equals ``kernel_dimension(kirillov_matrix(lie, f))`` unless p
+    divides the form's scale, and bounds the rational kernel in any case.
     """
-    entries = _kirillov_entries(lie, f)
-    return lie.dimension - _skew_rank(_skew_rows(entries, _denominator_lcm(entries.values())))
+    rows = _kirillov_rows(lie, f)
+    _mod_p(rows)
+    return lie.dimension - _skew_rank(rows)
 
 
 def _skew_rank(rows: dict[int, dict[int, int]]) -> int:
@@ -185,10 +187,14 @@ def rank_exact(matrix: Sequence[Sequence[int | Fraction]]) -> int:
 
     Reduction mod p is a ring map from the p-integral rationals, so the
     result never exceeds the rank r over the rationals, and equals it
-    unless p divides every nonzero r x r minor.  There is no floating
-    point and no rounding.
+    unless p divides every nonzero r x r minor.  Each row is scaled to
+    integers on its own first.  There is no floating point and no
+    rounding.
     """
-    return len(_eliminate(_rows_mod_p(matrix)))
+    singles = [{0: dict(enumerate(row))} for row in matrix]
+    for single in singles:
+        _mod_p(single)  # each row at its own scale
+    return len(_eliminate([row for single in singles for row in single.values()]))
 
 
 def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
@@ -220,24 +226,6 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
             kept.append(row)
         rows = kept
     return pivots
-
-
-def _rows_mod_p(matrix: Sequence[Sequence[int | Fraction]]) -> list[dict[int, int]]:
-    """The nonzero rows of the matrix mod p, as ``{column: value}`` dicts.
-
-    A matrix with any non-``int`` entry has every row scaled to integers
-    first.  Scaling a row by an integer L changes no rank over the
-    rationals, and mod p it multiplies the row by a unit unless p | L.
-    """
-    if not set(map(type, chain.from_iterable(matrix))) <= {int}:
-        matrix = [_integer_row(r) for r in matrix]
-    rows = [{c: v % P for c, v in enumerate(r) if v % P} for r in matrix]
-    return [row for row in rows if row]
-
-
-def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
-    scale = lcm(*(v.denominator for v in row))
-    return [v.numerator * (scale // v.denominator) for v in row]
 
 
 def kernel_dimension(matrix: Sequence[Sequence[int | Fraction]]) -> int:
@@ -289,26 +277,20 @@ def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
     F = sum c_i x_i with sum_i c_i B[i][j] = f_j (B the Kirillov matrix).
     B is skew, so that is B c + f = 0, and (c, 1) spans the kernel of
     [B | f], read back from the pivots of the rank kernel's elimination
-    on the sparse rows of the form, with f as column m.  Both are scaled
-    by one lcm of their denominators before the reduction.  The Kirillov
+    on the sparse rows of the form, with f as column m, so that one scale
+    covers the denominators of both.  The Kirillov
     form must be nondegenerate mod p (NotFrobeniusFunctionalError
     otherwise); then F is the reduction mod p of the rational principal
     element.  A residual row B c + f that does not vanish mod p raises
     PrincipalElementError.
     """
     m = lie.dimension
-    entries = _kirillov_entries(lie, f)
-    scale = _denominator_lcm(chain(entries.values(), f))
-    rows = _skew_rows(entries, scale)
-    column = [_scaled_mod_p(fj, scale) for fj in f]
-    augmented = []
-    for r in range(m):
-        row = dict(rows.get(r, {}))
-        if column[r]:
-            row[m] = column[r]
-        if row:
-            augmented.append(row)
-    pivots = _eliminate(augmented)
+    rows = _kirillov_rows(lie, f)
+    for r, fr in enumerate(f):
+        if fr:
+            rows.setdefault(r, {})[m] = fr
+    _mod_p(rows)
+    pivots = _eliminate([dict(row) for row in rows.values()])  # copies: the residual reads rows
     free = set(range(m + 1)).difference(col for col, _ in pivots)
     # Free columns are set to 1 and the pivot columns solved back up.
     x = dict.fromkeys(free, 1)
@@ -317,11 +299,12 @@ def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
     if len(free) > 1 or not x[m]:
         raise NotFrobeniusFunctionalError("Kirillov form is degenerate for this functional")
     unit = pow(x[m], -1, P)
-    solution = [x[i] * unit % P for i in range(m)]
-    for j in range(m):
-        if (sum(v * solution[c] for c, v in rows.get(j, {}).items()) + column[j]) % P:
+    solution = [x[i] * unit % P for i in range(m)] + [1]
+    # Row j of [B | f] at (F, 1) is the residual f(x_j) - f([F, x_j]).
+    for j, row in rows.items():
+        if sum(v * solution[c] for c, v in row.items()) % P:
             raise PrincipalElementError(f"principal element misses f([F, x_{j}]) = f(x_{j}) mod p")
-    return solution
+    return solution[:m]
 
 
 def ad_matrix(lie: LieData, element: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
@@ -329,12 +312,7 @@ def ad_matrix(lie: LieData, element: Sequence[int | Fraction]) -> list[list[int 
 
     Given F mod p, the entries are ad(F) over F_p up to multiples of p.
     """
-    m = lie.dimension
-    out = [[0] * m for _ in range(m)]
-    for k, row in _ad_rows(lie, element).items():
-        for c, v in row.items():
-            out[k][c] = v
-    return out
+    return _dense(_ad_rows(lie, element), lie.dimension)
 
 
 def _ad_rows(lie: LieData, element: Sequence[int | Fraction]) -> dict[int, dict[int, int | Fraction]]:
@@ -400,9 +378,8 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
         raise NotFrobeniusError(f"no nondegenerate functional found in {trials} trials")
 
     principal = principal_element(lie, f)
-    ad = _ad_rows(lie, principal)
-    scale = _denominator_lcm(v for row in ad.values() for v in row.values())
-    rows = {k: {c: x for c, v in row.items() if (x := _scaled_mod_p(v, scale))} for k, row in ad.items()}
+    rows = _ad_rows(lie, principal)
+    scale = _mod_p(rows)
     eigenvalues: dict[int, int] = {}
     total = 0
     for k in _spectrum_scan_order(-m, m + 1):

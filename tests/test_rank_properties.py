@@ -48,5 +48,6 @@ def test_skew_rank_equals_fraction_elimination(case):
     dense = [[0] * m for _ in range(m)]
     for (i, j), v in entries.items():
         dense[i][j], dense[j][i] = v, -v
-    scale = oracle._denominator_lcm(entries.values())
-    assert oracle._skew_rank(oracle._skew_rows(entries, scale)) == _fraction_rank(dense)
+    rows = {i: dict(enumerate(row)) for i, row in enumerate(dense)}
+    oracle._mod_p(rows)
+    assert oracle._skew_rank(rows) == _fraction_rank(dense)

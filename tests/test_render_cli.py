@@ -4,12 +4,13 @@ import json
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from seaweeds import cli, formulas
+from seaweeds import cli, formulas, render, sweep
 from seaweeds.cli import main
-from seaweeds.meander import build_meander
+from seaweeds.meander import build_meander, components
 from seaweeds.render import RenderSpec, render_meander
 from seaweeds.specs import format_spec, parse_spec
 
@@ -122,6 +123,25 @@ def test_cli_meander_unwritable_path(capsys):
     assert run_cli("meander", "A5:4|1/2|1|2", "--out", "/nonexistent-dir/x.json") == 3
 
 
+@pytest.mark.parametrize("text", ["D9:4|3|2/2|3|1", "A8:4|4/8", "GL9:1|1|1|1|1|1|1|1|1/9"])
+def test_cli_meander_dot_colors_each_component(text, capsys):
+    assert run_cli("meander", text, "--format", "dot", "--color-components") == 0
+    lines = capsys.readouterr().out.splitlines()
+    meander = build_meander(parse_spec(text))
+    _, comps = components(meander)
+    palette = render._PALETTE
+    color = {v: palette[k % len(palette)] for k, comp in enumerate(comps) for v in comp.vertices}
+    for v in range(1, meander.n_vertices + 1):
+        (line,) = [line for line in lines if line.startswith(f"  v{v} [") or line == f"  v{v};"]
+        assert line.endswith(f"color={color[v]}];"), line
+    arcs = [line for line in lines if " -- " in line]
+    assert len(arcs) == len(meander.top_edges) + len(meander.bottom_edges)
+    for line in arcs:
+        a, b = (int(end.strip().lstrip("v")) for end in line.split(" [")[0].split(" -- "))
+        assert color[a] == color[b]
+        assert line.endswith(f", color={color[a]}];"), line
+
+
 def test_cli_delta(capsys):
     assert run_cli("delta", "A10:6|4/7|3") == 0
     out = capsys.readouterr().out
@@ -151,6 +171,16 @@ def test_cli_spectrum_from_structure_constants(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["eigenvalues"] == {"-1": 1, "0": 1, "1": 1, "2": 1}
     assert payload["integral"] is True
+
+
+def test_cli_spectrum_missing_table(tmp_path, capsys):
+    assert run_cli("spectrum", "--sc-file", str(tmp_path / "absent.sc")) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_cli_spectrum_without_input(capsys):
+    assert run_cli("spectrum") == 2
+    assert "give a spec or --sc-file" in capsys.readouterr().err
 
 
 def test_cli_spectrum_rejects_non_utf8_table(tmp_path, capsys):
@@ -238,6 +268,68 @@ def test_cli_sweep_small(capsys):
     assert payload["schema"] == "seaweeds/sweep/v1"
     assert payload["specs_checked"] == 1 + 4 + 16
     assert payload["mismatches"] == []
+
+
+def test_cli_sweep_out_writes_the_stdout_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "time", SimpleNamespace(monotonic=lambda: 0.0))  # a fixed elapsed_seconds
+    assert run_cli("sweep", "--type", "C", "--n-max", "2") == 0
+    printed = capsys.readouterr().out
+    out_file = tmp_path / "sweep.json"
+    assert run_cli("sweep", "--type", "C", "--n-max", "2", "--out", str(out_file)) == 0
+    assert capsys.readouterr().out == ""
+    assert out_file.read_bytes() == printed.encode()
+
+
+def test_cli_sweep_unwritable_out(capsys):
+    assert run_cli("sweep", "--type", "A", "--n-max", "2", "--out", "/nonexistent-dir/s.json") == 3
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+def test_cli_sweep_exits_1_on_a_mismatch(capsys, monkeypatch):
+    oracle = sweep.index_oracle
+    monkeypatch.setattr(sweep, "index_oracle", lambda lie, **kw: oracle(lie, **kw) + 1)
+    assert run_cli("sweep", "--type", "A", "--n-max", "2") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["mismatches"]) == payload["specs_checked"] == 5
+
+
+def _contradicting_rule(monkeypatch):
+    """Every rule that decides a verdict decides the wrong one."""
+    justification = formulas._justification
+
+    def wrong(*args):
+        tag, certificate, decided = justification(*args)
+        return tag, certificate, None if decided is None else not decided
+
+    monkeypatch.setattr(formulas, "_justification", wrong)
+
+
+def test_cli_index_exits_1_on_a_rule_disagreement(capsys, monkeypatch):
+    _contradicting_rule(monkeypatch)
+    assert run_cli("index", "B5:3|2/4") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "predicts frobenius=False but meander index is 0" in err
+
+
+def test_cli_sweep_exits_1_on_a_rule_disagreement(capsys, monkeypatch):
+    _contradicting_rule(monkeypatch)
+    assert run_cli("sweep", "--type", "GL", "--n-max", "2") == 1
+    assert "predicts frobenius=True but meander index is 1" in capsys.readouterr().err
+
+
+def test_cli_index_exits_1_when_methods_disagree(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "index_oracle", lambda lie, **kw: 1)
+    assert run_cli("index", "B5:3|2/4", "--json") == 1
+    captured = capsys.readouterr()
+    assert "methods disagree" in captured.err
+    payload = json.loads(captured.out)
+    assert payload["methods"] == {"meander": 0, "formula": 0, "oracle": 1}
+    assert payload["index"] is None
+
+
+def test_cli_index_without_a_spec(capsys):
+    assert run_cli("index") == 2
+    assert "missing spec" in capsys.readouterr().err
 
 
 def test_cli_sweep_budget(capsys, monkeypatch):

@@ -1,8 +1,8 @@
 """The exhaustive sweep: serial and process-pool runs agree."""
 
-from seaweeds import formulas, specs
+from seaweeds import formulas, specs, sweep
 from seaweeds.formulas import index_closed_form
-from seaweeds.specs import AlgebraType, parse_spec
+from seaweeds.specs import AlgebraType, enumerate_specs, format_spec, parse_spec
 from seaweeds.sweep import check_spec, run_sweep
 
 
@@ -45,3 +45,15 @@ def test_check_spec_validates_at_most_twice(monkeypatch):
     validated.clear()
     index_closed_form(parse_spec("D5:1|4/2"))
     assert len(validated) == 1
+
+
+def test_an_oracle_off_by_one_is_reported_for_every_spec(monkeypatch):
+    oracle = sweep.index_oracle
+    monkeypatch.setattr(sweep, "index_oracle", lambda lie, **kw: oracle(lie, **kw) + 1)
+    report = run_sweep(AlgebraType.C, n_max=3)
+    assert not report.ok
+    expected = sorted(format_spec(s) for n in (1, 2, 3) for s in enumerate_specs(AlgebraType.C, n))
+    assert [m["spec"] for m in report.mismatches] == expected
+    for mismatch in report.mismatches:
+        assert mismatch["disagreeing"] == ["oracle"]
+        assert mismatch["oracle"] == mismatch["combinatorial"] + 1
