@@ -11,6 +11,7 @@ budget (default 8) so an exhaustive run cannot be started by accident.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -54,6 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MISMATCH
 
 
+@functools.cache  # built once per process; each parse_args call returns a new namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seaweed",

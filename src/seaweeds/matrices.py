@@ -142,13 +142,14 @@ class LieData:
 
     ``brackets`` maps (i, j) with i < j to the coefficient vector of
     [x_i, x_j] over the basis; the (j, i) entry is implied by
-    antisymmetry.  ``basis`` is None for abstract (structure-constant)
-    input.
+    antisymmetry.  ``basis`` and ``spec`` are None for abstract
+    (structure-constant) input; ``seaweed_basis`` sets both.
     """
 
     dimension: int
     brackets: dict[tuple[int, int], dict[int, int | Fraction]]
     basis: list[SparseIntMatrix] | None = None
+    spec: SeaweedSpec | None = None
 
     def bracket_coeffs(self, i: int, j: int) -> dict[int, int | Fraction]:
         if i == j:
@@ -271,7 +272,7 @@ def _lie_data_from_basis(spec, basis) -> LieData:
             coeffs = decompose(bracket(x, basis[j]))
             if coeffs:
                 brackets[(i, j)] = coeffs
-    return LieData(dimension=len(basis), brackets=brackets, basis=basis)
+    return LieData(dimension=len(basis), brackets=brackets, basis=basis, spec=spec)
 
 
 def lie_from_structure_constants(

@@ -23,11 +23,22 @@ reductions mod p of the rational ones.  Their adjoint spectra (the
 obstruction test for embedding a Frobenius algebra as a seaweed) are
 integer eigenvalue multiplicities read as kernel dimensions over F_p of
 ad(F) - k; never the output of a numerical eigensolver.  The dense
-``kirillov_matrix`` and ``ad_matrix`` are views of the same rows."""
+``kirillov_matrix`` and ``ad_matrix`` are views of the same rows.
+
+Type-A and type-C seaweeds skip the scans when their meander allows:
+the meander functional (ones on the arc cells, plus (v, 2n+1-v) on the
+type-C tail) has a diagonal principal element, found by one walk along
+the meander, and each basis element is an eigenvector of its ad.  The
+walk's spectrum is returned only under a certificate: every eigenvalue
+an integer, eigenvalue 1 on the support of f (so the diagonal is a
+principal element of f), and a zero Kirillov kernel of f mod p (so f
+is Frobenius over the rationals and the principal element is unique).
+Otherwise, and for B, D and abstract tables, the scans run."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -35,6 +46,8 @@ from operator import mul
 from typing import Sequence
 
 from .matrices import LieData
+from .meander import build_meander
+from .specs import AlgebraType, SeaweedSpec
 
 FUNCTIONAL_BOUND = 10**6
 # The prime of the rank kernel: 2**61 - 1 (a Mersenne prime).
@@ -354,12 +367,25 @@ def _spectrum_scan_order(lo: int, hi: int) -> list[int]:
 
 
 def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> SpectrumReport:
-    """Integer spectrum of ad(principal element) by exact kernel sweeps.
+    """Integer spectrum of ad(principal element), read off the meander or by kernel scans.
 
-    The first functional of ``index_oracle``'s seeded trials with a
-    nondegenerate Kirillov form is used; if none of the ``trials``
-    samples works the algebra is not Frobenius (for these samples) and
-    NotFrobeniusError is raised.
+    A type-A or type-C seaweed (``lie.spec`` set by ``seaweed_basis``)
+    first tries the meander functional f: ones on the arc cells, plus
+    (v, 2n+1-v) on the type-C tail.  One walk along the meander gives a
+    diagonal F, and each basis element's eigenvalue is H_a - H_b at its
+    cells (a, b).  That spectrum is returned only when all of these hold:
+    every eigenvalue is an integer; every element of the support of f
+    has eigenvalue 1, so f([F, x]) = f(x) for all x; and the Kirillov
+    kernel of f is 0 mod p, so f is Frobenius over the rationals and F
+    its only principal element (``_meander_spectrum``).  The spectrum of
+    a Frobenius algebra's principal element does not depend on the
+    Frobenius functional, so the scans below would report the same.
+
+    Otherwise (types B and D, structure-constant tables, or a failed
+    certificate) the first functional of ``index_oracle``'s seeded
+    trials with a nondegenerate Kirillov form is used; if none of the
+    ``trials`` samples works the algebra is not Frobenius (for these
+    samples) and NotFrobeniusError is raised.
 
     For each integer k in [-m, m+1] the geometric multiplicity is the
     kernel dimension of ad(F) - k*I; the scan stops once the
@@ -373,10 +399,98 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
     m = lie.dimension
     if m == 0:
         return SpectrumReport({}, True, True, True, 0)
-    f = next((f for f, kernel in samples if kernel == 0), None)
-    if f is None:
-        raise NotFrobeniusError(f"no nondegenerate functional found in {trials} trials")
+    eigenvalues = _meander_spectrum(lie)
+    if eigenvalues is None:
+        f = next((f for f, kernel in samples if kernel == 0), None)
+        if f is None:
+            raise NotFrobeniusError(f"no nondegenerate functional found in {trials} trials")
+        eigenvalues = _scanned_spectrum(lie, f)
+    return _spectrum_report(eigenvalues, m)
 
+
+def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
+    """Eigenvalue multiplicities of a type-A or type-C seaweed off its meander; None unless certified.
+
+    ``_meander_walk`` gives the support of the meander functional f and
+    the diagonal H of F.  A basis element all of whose cells (a, b) read
+    one H_a - H_b is an eigenvector of ad(F) with that eigenvalue; every
+    element must be one, with an integer eigenvalue, and eigenvalue 1 on
+    the support, before the Kirillov kernel of f is computed (the
+    certificate of ``ad_spectrum``).  The result never rests on the walk
+    being right.
+    """
+    spec = lie.spec
+    if spec is None or lie.basis is None or spec.algebra not in (AlgebraType.A, AlgebraType.C):
+        return None
+    support, diagonal = _meander_walk(spec)
+    doubled = []
+    lead = {}
+    for k, x in enumerate(lie.basis):
+        values = {diagonal[a] - diagonal[b] for a, b in x.entries}
+        if len(values) != 1:
+            return None
+        value = values.pop()
+        if value % 2:
+            return None
+        doubled.append(value)
+        lead[min(x.entries)] = k
+    f = [0] * lie.dimension
+    for cell in support:
+        k = lead.get(cell)
+        if k is None or doubled[k] != 2:
+            return None
+        f[k] = 1
+    if _kirillov_kernel(lie, f):
+        return None
+    return Counter(value // 2 for value in doubled)
+
+
+def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]]:
+    """The support cells of the meander functional and the doubled diagonal 2H, 1-based.
+
+    f is 1 on the element whose lead cell is an arc cell, (j, i) for a
+    top arc i < j and (i, j) for a bottom arc, and on (v, 2n+1-v) for
+    each type-C tail vertex v.  Walking each component of the meander
+    from its tail vertex (2h_v = 1) or else its least vertex (h = 0)
+    gives 2h, with 2h_j - 2h_i = 2 on a top arc and 2h_i - 2h_j = 2 on a
+    bottom arc; type C mirrors it, H_{2n+1-v} = -h_v.  diag(H) lies in
+    the Cartan subalgebra, up to a scalar in type A that ad ignores.
+    """
+    meander = build_meander(spec)
+    n = spec.n
+    # steps[v]: the (w, d) with 2h_w = 2h_v + d, one per arc at v.
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    support = [(v, 2 * n + 1 - v) for v in meander.tail]
+    for i, j in meander.top_edges:
+        steps[i].append((j, 2))
+        steps[j].append((i, -2))
+        support.append((j, i))
+    for i, j in meander.bottom_edges:
+        steps[j].append((i, 2))
+        steps[i].append((j, -2))
+        support.append((i, j))
+    twice: list[int | None] = [None] * (n + 1)
+    roots = [(v, 1) for v in meander.tail] + [(v, 0) for v in range(1, n + 1)]
+    for root, value in roots:
+        if twice[root] is not None:
+            continue
+        twice[root] = value
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, d in steps[v]:
+                if twice[w] is None:
+                    twice[w] = twice[v] + d
+                    stack.append(w)
+    diagonal = twice[1:]
+    if spec.algebra is AlgebraType.C:
+        diagonal += [-h for h in reversed(diagonal)]
+    return support, [0] + diagonal
+
+
+def _scanned_spectrum(lie: LieData, f: Sequence[int]) -> dict[int, int]:
+    """Multiplicities as kernel dimensions of ad(F) - k, F the principal element of f."""
+    m = lie.dimension
     principal = principal_element(lie, f)
     rows = _ad_rows(lie, principal)
     scale = _mod_p(rows)
@@ -393,18 +507,17 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
                 )
             if total == m:
                 break
+    return eigenvalues
 
+
+def _spectrum_report(eigenvalues: dict[int, int], m: int) -> SpectrumReport:
+    """The multiplicities, sorted, with the integral, unbroken and symmetric flags and the defect."""
     support = sorted(eigenvalues)
-    integral = total == m
-    unbroken = bool(support) and support == list(range(support[0], support[-1] + 1))
-    symmetric = all(
-        eigenvalues.get(k, 0) == eigenvalues.get(1 - k, 0)
-        for k in set(support) | {1 - k for k in support}
-    )
+    total = sum(eigenvalues.values())
     return SpectrumReport(
-        eigenvalues=dict(sorted(eigenvalues.items())),
-        integral=integral,
-        unbroken=unbroken,
-        symmetric_about_half=symmetric,
+        eigenvalues={k: eigenvalues[k] for k in support},
+        integral=total == m,
+        unbroken=bool(support) and support == list(range(support[0], support[-1] + 1)),
+        symmetric_about_half=all(eigenvalues.get(k, 0) == eigenvalues.get(1 - k, 0) for k in support),
         defect=m - total,
     )

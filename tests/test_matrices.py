@@ -180,6 +180,12 @@ def test_seaweed_dimensions(text, dim):
     assert seaweed_basis(parse_spec(text)).dimension == dim
 
 
+def test_lie_data_carries_the_spec_of_a_seaweed_only():
+    spec = parse_spec("C5:1|4/3")
+    assert seaweed_basis(spec).spec == spec
+    assert lie_from_structure_constants({(0, 1): {1: 1}}).spec is None
+
+
 def test_gl_dimension_formula_matches_mask():
     for n in range(1, 6):
         for spec in enumerate_specs(AlgebraType.GL, n):

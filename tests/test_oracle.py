@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from seaweeds import oracle
+from seaweeds.formulas import index_combinatorial
 from seaweeds.matrices import LieData, lie_from_structure_constants, parse_structure_constants, seaweed_basis
 from seaweeds.oracle import (
     NotFrobeniusError,
@@ -341,6 +342,7 @@ def test_principal_element_of_a_rational_functional():
 
 def test_spectrum_rejects_overcounted_multiplicities(monkeypatch):
     lie = seaweed_basis(parse_spec("A4:2|2/1|3"))
+    lie = LieData(lie.dimension, lie.brackets, lie.basis)  # no spec: the scans, not the meander walk
 
     def overcount(rows, m, shift):
         # every eigenvalue scan reads m - 1
@@ -359,6 +361,98 @@ def test_spectrum_rejects_nonpositive_trials():
 def test_spectrum_rejects_non_frobenius():
     with pytest.raises(NotFrobeniusError):
         ad_spectrum(seaweed_basis(parse_spec("A8:4|4/8")))
+
+
+def _scanned(lie):
+    # without a spec, ad_spectrum takes the sampled functional and the kernel scans
+    return ad_spectrum(LieData(lie.dimension, lie.brackets, lie.basis))
+
+
+@pytest.mark.parametrize("algebra, n_max, count", [(AlgebraType.A, 6, 124), (AlgebraType.C, 5, 45)])
+def test_meander_spectrum_equals_the_scans(algebra, n_max, count):
+    cases = 0
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            if index_combinatorial(spec).index:
+                continue
+            lie = seaweed_basis(spec)
+            if not lie.dimension:
+                continue
+            assert oracle._meander_spectrum(lie) is not None, spec
+            assert ad_spectrum(lie) == _scanned(lie), spec
+            cases += 1
+    assert cases == count
+
+
+def _shifted_walk(shifts):
+    # the walk's doubled diagonal 2H with the given entries moved (index -1 is the last)
+    walk = oracle._meander_walk
+
+    def tampered(spec):
+        support, diagonal = walk(spec)
+        for index, by in shifts.items():
+            diagonal[index] += by
+        return support, diagonal
+
+    return tampered
+
+
+@pytest.mark.parametrize(
+    "text, shifts",
+    [
+        ("A4:2|2/1|3", {1: 2}),  # h_1 + 1: an arc at vertex 1 reads 0 or 2, not 1
+        ("A4:2|2/1|3", {1: 1}),  # h_1 + 1/2: odd doubled eigenvalues
+        ("C5:1|4/3", {1: 2, -1: -2}),  # h_1 + 1, mirrored: the arc at vertex 1 misses 1
+        ("C5:1|4/3", {-1: -2}),  # H_10 alone: lead cells agree, partner cells do not
+    ],
+)
+def test_a_tampered_walk_falls_back_to_the_scans(monkeypatch, text, shifts):
+    lie = seaweed_basis(parse_spec(text))
+    expected = _scanned(lie)
+    monkeypatch.setattr(oracle, "_meander_walk", _shifted_walk(shifts))
+    assert oracle._meander_spectrum(lie) is None
+    assert ad_spectrum(lie) == expected
+
+
+def test_the_kernel_check_rejects_a_walk_that_fits_a_degenerate_functional(monkeypatch):
+    # A2:1|1/1|1 has no arcs: f = 0 passes the eigenvalue checks vacuously,
+    # and only its Kirillov kernel (the whole algebra) rejects it
+    lie = seaweed_basis(parse_spec("A2:1|1/1|1"))
+    kernels = []
+    kernel = oracle._kirillov_kernel
+    monkeypatch.setattr(oracle, "_kirillov_kernel", lambda lie, f: kernels.append(kernel(lie, f)) or kernels[-1])
+    assert oracle._meander_spectrum(lie) is None
+    assert kernels == [1]
+
+
+def test_the_integrality_check_rejects_half_integer_eigenvalues(monkeypatch):
+    # C2:1/ leaves vertex 2 off the tail: h_1 = 1/2 and h_2 = 0, so the
+    # support reads 1 and the element at (1, 2) reads 1/2; with the kernel
+    # check passed by force, integrality alone must reject the walk
+    monkeypatch.setattr(oracle, "_kirillov_kernel", lambda lie, f: 0)
+    assert oracle._meander_spectrum(seaweed_basis(parse_spec("C2:1/"))) is None
+
+
+@pytest.mark.parametrize("algebra", [AlgebraType.A, AlgebraType.C])
+def test_meander_spectrum_is_none_off_frobenius(algebra):
+    for n in range(1, 5):
+        for spec in enumerate_specs(algebra, n):
+            if index_combinatorial(spec).index:
+                assert oracle._meander_spectrum(seaweed_basis(spec)) is None, spec
+
+
+def test_spectrum_scans_tables_and_types_b_and_d(monkeypatch):
+    scans = []
+    scanned = oracle._scanned_spectrum
+    monkeypatch.setattr(oracle, "_scanned_spectrum", lambda *args: scans.append(args[0]) or scanned(*args))
+    ad_spectrum(seaweed_basis(parse_spec("A4:2|2/1|3")))
+    ad_spectrum(seaweed_basis(parse_spec("C5:1|4/3")))
+    assert scans == []
+    for z in (0, -2, 1):
+        ad_spectrum(epilogue_family(z))
+    ad_spectrum(seaweed_basis(parse_spec("B2:2/1")))
+    ad_spectrum(seaweed_basis(parse_spec("D4:1|3/2")))
+    assert len(scans) == 5
 
 
 def _ad_reference(lie, element):

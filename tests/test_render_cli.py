@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from seaweeds import cli, formulas, render, sweep
+from seaweeds import cli, formulas, oracle, render, sweep
 from seaweeds.cli import main
 from seaweeds.meander import build_meander, components
 from seaweeds.render import RenderSpec, render_meander
@@ -162,6 +162,35 @@ def test_cli_spectrum(capsys):
 
 def test_cli_spectrum_rejects_non_frobenius(capsys):
     assert run_cli("spectrum", "A8:4|4/8") == 4
+
+
+def test_cli_spectrum_a3_cycle_exits_4(capsys):
+    # the meander walk rejects the non-Frobenius A3:3/3 and the scans raise
+    assert run_cli("spectrum", "A3:3/3") == 4
+    assert "no nondegenerate functional" in capsys.readouterr().err
+
+
+def test_cli_spectrum_of_a_table_takes_the_scans(tmp_path, capsys, monkeypatch):
+    scans = []
+    scanned = oracle._scanned_spectrum
+    monkeypatch.setattr(oracle, "_scanned_spectrum", lambda *args: scans.append(args[0]) or scanned(*args))
+    table = tmp_path / "family.txt"
+    table.write_text("1 4 -> 1:-1\n2 3 -> 1:-1\n2 4 -> 3:-1\n3 4 -> 3:-1,2:-2\n")
+    assert run_cli("spectrum", "--sc-file", str(table)) == 0
+    assert len(scans) == 1 and scans[0].spec is None
+    assert run_cli("spectrum", "A4:2|2/1|3") == 0
+    assert len(scans) == 1
+
+
+def test_cli_main_calls_in_one_process_are_independent(capsys):
+    # the parser is built once; each call parses its own arguments
+    assert run_cli("spectrum", "A4:2|2/1|3", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["eigenvalues"] == {"-1": 1, "0": 3, "1": 3, "2": 1}
+    assert run_cli("spectrum", "A4:2|2/1|3") == 0
+    assert capsys.readouterr().out == "-1:1 0:3 1:3 2:1 integral unbroken symmetric\n"
+    assert run_cli("index", "A4:2|2/1|3", "--method", "meander") == 0
+    assert "index[meander]: 0" in capsys.readouterr().out
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_spectrum_from_structure_constants(tmp_path, capsys):

@@ -1,0 +1,54 @@
+"""Property checks of the meander spectrum on random Frobenius type-A and type-C seaweeds."""
+
+import pytest
+
+from seaweeds import oracle
+from seaweeds.formulas import index_combinatorial
+from seaweeds.matrices import seaweed_basis
+from seaweeds.oracle import ad_spectrum
+from seaweeds.specs import AlgebraType, SeaweedSpec
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@st.composite
+def frobenius_specs(draw, algebra, n_max):
+    """A Frobenius seaweed wound up from a one-vertex meander (A) or a Borel (C).
+
+    Each move undoes one of the index-preserving winding-down moves on
+    the first blocks of the signature (top | bottom): block elimination
+    (a1 = 2 b1), rotation contraction (b1 < a1 < 2 b1), pure contraction
+    (a1 > 2 b1) and the flip of top and bottom.  Every move adds the same
+    number of vertices to both sides, so the type-C tail is kept.
+    """
+    if algebra is AlgebraType.A:
+        top, bottom = [1], [1]
+    else:
+        top, bottom = [1] * draw(st.integers(1, n_max)), []
+    for move in draw(st.lists(st.sampled_from("CRPF"), min_size=6, max_size=24)):
+        n = max(sum(top), sum(bottom))
+        if move == "F":
+            top, bottom = bottom, top
+        elif move == "C" and top and n + top[0] <= n_max:
+            top, bottom = [2 * top[0], *top[1:]], [top[0], *bottom]
+        elif move == "R" and top and bottom and bottom[0] < top[0] and n + top[0] - bottom[0] <= n_max:
+            top, bottom = [2 * top[0] - bottom[0], *top[1:]], [top[0], *bottom[1:]]
+        elif move == "P" and len(top) > 1 and n + top[1] <= n_max:
+            top, bottom = [top[0] + 2 * top[1], *top[2:]], [top[1], *bottom]
+    if sum(top) < sum(bottom):
+        top, bottom = bottom, top
+    return SeaweedSpec(algebra, sum(top), tuple(top), tuple(bottom))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@hypothesis.given(st.one_of(frobenius_specs(AlgebraType.A, 12), frobenius_specs(AlgebraType.C, 9)))
+def test_meander_spectrum_is_integral_unbroken_and_symmetric(spec):
+    assert index_combinatorial(spec).index == 0
+    lie = seaweed_basis(spec)
+    eigenvalues = oracle._meander_spectrum(lie)
+    assert eigenvalues is not None
+    report = ad_spectrum(lie)
+    assert report.eigenvalues == {k: eigenvalues[k] for k in sorted(eigenvalues)}
+    assert report.integral and report.unbroken and report.symmetric_about_half
+    assert report.defect == 0
