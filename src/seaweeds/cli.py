@@ -135,6 +135,20 @@ def _resolve_spec(args) -> SeaweedSpec:
     raise SpecSyntaxError("missing spec: give a spec string or --type and --n", 0)
 
 
+def _write_out(path: str | None, text: str) -> int:
+    """Write ``text`` to the ``--out`` path, or to stdout without one; EXIT_IO if that fails."""
+    if not path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
+
+
 def cmd_index(args) -> int:
     spec = _resolve_spec(args)
     verdict = classify_frobenius(spec)
@@ -188,17 +202,7 @@ def cmd_meander(args) -> int:
         highlight_tail=args.highlight_tail,
         color_components=args.color_components,
     )
-    text = render_meander(build_meander(spec), options, label=format_spec(spec))
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_out(args.out, render_meander(build_meander(spec), options, label=format_spec(spec)))
 
 
 def cmd_sweep(args) -> int:
@@ -225,17 +229,10 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    text = json.dumps(report.to_payload(), indent=2)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        print(text)
-    return EXIT_OK if report.ok else EXIT_MISMATCH
+    status = _write_out(args.out, json.dumps(report.to_payload(), indent=2) + "\n")
+    if status == EXIT_OK and not report.ok:
+        return EXIT_MISMATCH
+    return status
 
 
 def cmd_delta(args) -> int:
@@ -268,6 +265,11 @@ def cmd_delta(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    has_spec = args.spec is not None or bool(args.algebra and args.n is not None)
+    if has_spec == bool(args.sc_file):
+        both = ", not both" if has_spec else ""
+        print(f"error: give a spec or --sc-file{both}", file=sys.stderr)
+        return EXIT_SPEC
     if args.sc_file:
         try:
             with open(args.sc_file, encoding="utf-8") as handle:
@@ -284,13 +286,10 @@ def cmd_spectrum(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SPEC
         label = args.sc_file
-    elif args.spec is not None or (args.algebra and args.n is not None):
+    else:
         spec = _resolve_spec(args)
         lie = seaweed_basis(spec)
         label = format_spec(spec)
-    else:
-        print("error: give a spec or --sc-file", file=sys.stderr)
-        return EXIT_SPEC
 
     try:
         report = ad_spectrum(lie, trials=args.trials, seed=args.seed)

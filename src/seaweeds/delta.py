@@ -57,10 +57,8 @@ def augment_with_loops(meander: Meander) -> AugmentedMeander:
         )
     path = comps[0].vertices
     endpoints = (path[0], path[-1]) if len(path) > 1 else (path[0], path[0])
-    in_top = {v for e in meander.top_edges for v in e}
-    top_loops = tuple(sorted({v for v in endpoints if v not in in_top}))
-    in_bottom = {v for e in meander.bottom_edges for v in e}
-    bottom_loops = tuple(sorted({v for v in endpoints if v not in in_bottom}))
+    top_loops = tuple(sorted({v for v in endpoints if not meander.top[v]}))
+    bottom_loops = tuple(sorted({v for v in endpoints if not meander.bottom[v]}))
     return AugmentedMeander(meander, top_loops, bottom_loops)
 
 
@@ -71,15 +69,15 @@ def permutation_cycle(aug: AugmentedMeander) -> DeltaReport:
     the multiset is invariant under rotation of the starting point.
     """
     n = aug.base.n_vertices
-    top = {v: v for v in aug.top_loops}
-    bottom = {v: v for v in aug.bottom_loops}
-    for a, b in aug.base.top_edges:
-        top[a], top[b] = b, a
-    for a, b in aug.base.bottom_edges:
-        bottom[a], bottom[b] = b, a
+    top, bottom = list(aug.base.top), list(aug.base.bottom)
     loops = aug.top_loops + aug.bottom_loops
-    vertices = set(range(1, n + 1))
-    if not loops or top.keys() != vertices or bottom.keys() != vertices:
+    in_range = all(0 < v <= n for v in loops)
+    if in_range:
+        # A loop fills the missing side of its vertex.
+        for partners, ends in ((top, aug.top_loops), (bottom, aug.bottom_loops)):
+            for v in ends:
+                partners[v] = partners[v] or v
+    if not loops or not in_range or 0 in top[1:] or 0 in bottom[1:]:
         raise TourError(f"t and b must be total on the {n} vertices, with a loop to start from")
 
     start = min(loops)

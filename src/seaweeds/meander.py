@@ -6,6 +6,9 @@ pair, then the next pair inward, and so on.  Every vertex therefore has
 at most one top and one bottom edge, so connected components are simple
 paths (isolated vertices count as degenerate paths) and simple cycles.
 
+A meander is stored as its top and bottom partner tuples (``Meander``);
+only this module builds them, and every other module reads them as is.
+
 For B/C/D the compositions are partial: no edge reaches past the end of
 its composition, and the vertices strictly between the two composition
 ends form the *tail*.  Type D adjusts the tail by the parity rules of
@@ -32,11 +35,25 @@ class TailDegreeError(ValueError):
 
 @dataclass(frozen=True)
 class Meander:
+    """``top[v]`` (``bottom[v]``) is v's partner by a top (bottom) arc, or 0.
+
+    Both tuples have length n_vertices + 1 and hold 0 at index 0.
+    ``top_edges`` and ``bottom_edges`` list the arcs (lo, hi) ascending.
+    """
+
     n_vertices: int
-    top_edges: frozenset[Edge]
-    bottom_edges: frozenset[Edge]
+    top: tuple[int, ...]
+    bottom: tuple[int, ...]
     tail: tuple[int, ...]
     tail_config: str
+
+    @property
+    def top_edges(self) -> list[Edge]:
+        return [(v, w) for v, w in enumerate(self.top) if v < w]
+
+    @property
+    def bottom_edges(self) -> list[Edge]:
+        return [(v, w) for v, w in enumerate(self.bottom) if v < w]
 
 
 @dataclass(frozen=True)
@@ -64,19 +81,18 @@ class ComponentSummary:
         return self.cycles + self.paths
 
 
-def block_edges(parts: tuple[int, ...]) -> set[Edge]:
-    """Nested arcs inside each block: a size-k block contributes k//2 edges."""
-    edges: set[Edge] = set()
+def block_partners(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Partners on 1..n of the nested arcs: block [lo, hi] of size k pairs lo+i with hi-i, i < k//2."""
+    partners = [0] * (n + 1)
     start = 1
     for part in parts:
-        end = start + part - 1
-        lo, hi = start, end
+        lo, hi = start, start + part - 1
         while lo < hi:
-            edges.add((lo, hi))
+            partners[lo], partners[hi] = hi, lo
             lo += 1
             hi -= 1
-        start = end + 1
-    return edges
+        start += part
+    return tuple(partners)
 
 
 def tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
@@ -100,8 +116,8 @@ def build_meander(spec: SeaweedSpec) -> Meander:
     tail_set, config = tail(spec)
     return Meander(
         n_vertices=spec.n,
-        top_edges=frozenset(block_edges(spec.top)),
-        bottom_edges=frozenset(block_edges(spec.bottom)),
+        top=block_partners(spec.top, spec.n),
+        bottom=block_partners(spec.bottom, spec.n),
         tail=tail_set,
         tail_config=config,
     )
@@ -119,14 +135,7 @@ def components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:
     ``tail_count`` by two, and a tail vertex with both arcs raises
     ``TailDegreeError``.
     """
-    n = meander.n_vertices
-    top = [0] * (n + 1)
-    bottom = [0] * (n + 1)
-    for a, b in meander.top_edges:
-        top[a], top[b] = b, a
-    for a, b in meander.bottom_edges:
-        bottom[a], bottom[b] = b, a
-
+    n, top, bottom = meander.n_vertices, meander.top, meander.bottom
     tail_set = set(meander.tail)
     seen = bytearray(n + 1)
     comps: list[Component] = []

@@ -46,7 +46,7 @@ from operator import mul
 from typing import Sequence
 
 from .matrices import LieData
-from .meander import build_meander
+from .meander import build_meander, components
 from .specs import AlgebraType, SeaweedSpec
 
 FUNCTIONAL_BOUND = 10**6
@@ -450,38 +450,30 @@ def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]]:
 
     f is 1 on the element whose lead cell is an arc cell, (j, i) for a
     top arc i < j and (i, j) for a bottom arc, and on (v, 2n+1-v) for
-    each type-C tail vertex v.  Walking each component of the meander
-    from its tail vertex (2h_v = 1) or else its least vertex (h = 0)
-    gives 2h, with 2h_j - 2h_i = 2 on a top arc and 2h_i - 2h_j = 2 on a
-    bottom arc; type C mirrors it, H_{2n+1-v} = -h_v.  diag(H) lies in
-    the Cartan subalgebra, up to a scalar in type A that ad ignores.
+    each type-C tail vertex v.  Along the vertex order of each component
+    one arc joins each consecutive pair, and 2h rises by 2 up a top arc
+    or down a bottom arc (2h_j - 2h_i = 2 on a top arc, 2h_i - 2h_j = 2 on
+    a bottom arc).  Each component is then shifted so that its least tail
+    vertex reads 2h = 1, or, with no tail vertex, its least vertex reads
+    0; type C mirrors it, H_{2n+1-v} = -h_v.  diag(H) lies in the Cartan
+    subalgebra, up to a scalar in type A that ad ignores.
     """
     meander = build_meander(spec)
-    n = spec.n
-    # steps[v]: the (w, d) with 2h_w = 2h_v + d, one per arc at v.
-    steps: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    n, top, bottom = spec.n, meander.top, meander.bottom
     support = [(v, 2 * n + 1 - v) for v in meander.tail]
-    for i, j in meander.top_edges:
-        steps[i].append((j, 2))
-        steps[j].append((i, -2))
-        support.append((j, i))
-    for i, j in meander.bottom_edges:
-        steps[j].append((i, 2))
-        steps[i].append((j, -2))
-        support.append((i, j))
-    twice: list[int | None] = [None] * (n + 1)
-    roots = [(v, 1) for v in meander.tail] + [(v, 0) for v in range(1, n + 1)]
-    for root, value in roots:
-        if twice[root] is not None:
-            continue
-        twice[root] = value
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, d in steps[v]:
-                if twice[w] is None:
-                    twice[w] = twice[v] + d
-                    stack.append(w)
+    support += [(top[v], v) for v in range(1, n + 1) if v < top[v]]
+    support += [(v, bottom[v]) for v in range(1, n + 1) if v < bottom[v]]
+    tail = set(meander.tail)
+    twice = [0] * (n + 1)
+    for comp in components(meander)[1]:
+        order = comp.vertices
+        for v, w in zip(order, order[1:]):
+            twice[w] = twice[v] + (2 if (top[v] == w) == (v < w) else -2)
+        tails = [v for v in order if v in tail]
+        root, value = (min(tails), 1) if tails else (min(order), 0)
+        shift = value - twice[root]
+        for v in order:
+            twice[v] += shift
     diagonal = twice[1:]
     if spec.algebra is AlgebraType.C:
         diagonal += [-h for h in reversed(diagonal)]

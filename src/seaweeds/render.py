@@ -1,7 +1,7 @@
 """Meander renderers: dot, tikz, json and svg emitters.
 
 All outputs are byte-deterministic for a given spec and options: edges
-are emitted in sorted order, component colors are assigned in component
+are emitted in ascending order, component colors are assigned in component
 order, and numeric formatting is fixed.  Vertices sit on a horizontal
 line; top arcs are drawn concave down and bottom arcs concave up, with
 tail vertices highlighted.
@@ -61,8 +61,8 @@ def _render_json(meander: Meander, options: RenderSpec, label: str) -> str:
         "schema": "seaweeds/meander/v1",
         "spec": label,
         "n_vertices": meander.n_vertices,
-        "top_edges": sorted(list(e) for e in meander.top_edges),
-        "bottom_edges": sorted(list(e) for e in meander.bottom_edges),
+        "top_edges": [list(e) for e in meander.top_edges],
+        "bottom_edges": [list(e) for e in meander.bottom_edges],
         "tail": list(meander.tail),
         "tail_config": meander.tail_config,
         "components": component_payload(comps),
@@ -89,10 +89,10 @@ def _render_dot(meander: Meander, options: RenderSpec, label: str) -> str:
             attrs.append(f'color={colors[v]}')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  v{v}{suffix};")
-    for a, b in sorted(meander.top_edges):
+    for a, b in meander.top_edges:
         color = f", color={colors[a]}" if a in colors else ""
         lines.append(f'  v{a} -- v{b} [class="top"{color}];')
-    for a, b in sorted(meander.bottom_edges):
+    for a, b in meander.bottom_edges:
         color = f", color={colors[a]}" if a in colors else ""
         lines.append(f'  v{a} -- v{b} [class="bottom", style=dashed{color}];')
     lines.append("}")
@@ -106,10 +106,10 @@ def _render_tikz(meander: Meander, options: RenderSpec, label: str) -> str:
     for v in range(1, meander.n_vertices + 1):
         fill = "[fill=yellow]" if v in tail_set else ""
         lines.append(f"\\node[vertex]{fill} ({v}) at ({v},0) {{{v}}};")
-    for a, b in sorted(meander.top_edges):
+    for a, b in meander.top_edges:
         color = f"[color={colors[a]}] " if a in colors else ""
         lines.append(f"\\draw {color}({a}) to [bend left=50] ({b});")
-    for a, b in sorted(meander.bottom_edges):
+    for a, b in meander.bottom_edges:
         color = f"[color={colors[a]}] " if a in colors else ""
         lines.append(f"\\draw {color}({a}) to [bend right=50] ({b});")
     lines.append("\\end{tikzpicture}")
@@ -139,9 +139,9 @@ def _render_svg(meander: Meander, options: RenderSpec, label: str) -> str:
             f'fill="none" stroke="{color}"/>'
         )
 
-    for a, b in sorted(meander.top_edges):
+    for a, b in meander.top_edges:
         lines.append(arc(a, b, True, colors.get(a, "black")))
-    for a, b in sorted(meander.bottom_edges):
+    for a, b in meander.bottom_edges:
         lines.append(arc(a, b, False, colors.get(a, "black")))
     for v in range(1, meander.n_vertices + 1):
         fill = "yellow" if v in tail_set else "white"

@@ -108,12 +108,13 @@ def test_cardinality_probe_reports():
 @pytest.mark.parametrize(
     "n, top, top_loops, bottom_loops",
     [
-        (4, {(1, 2), (3, 4)}, (), (1, 2, 3, 4)),  # t∘b closes after two steps, short of n
-        (3, {(1, 2)}, (3,), (1, 2, 3)),  # t∘b never returns to the start
-        (3, {(1, 2)}, (), (1,)),  # t and b are not total: vertex 3 has neither
+        (4, (0, 2, 1, 4, 3), (), (1, 2, 3, 4)),  # t∘b closes after two steps, short of n
+        (3, (0, 2, 1, 0), (3,), (1, 2, 3)),  # t∘b never returns to the start
+        (3, (0, 2, 1, 0), (), (1,)),  # t and b are not total: vertex 3 has neither
+        (3, (0, 2, 1, 0), (4,), (1, 2, 3)),  # a loop on a vertex past n
     ],
 )
 def test_forged_tour_raises(n, top, top_loops, bottom_loops):
-    base = Meander(n, frozenset(top), frozenset(), tail=(), tail_config="NONE")
+    base = Meander(n, top, (0,) * (n + 1), tail=(), tail_config="NONE")
     with pytest.raises(TourError):
         permutation_cycle(AugmentedMeander(base, top_loops, bottom_loops))

@@ -100,6 +100,12 @@ def test_structural_invariants_exhaustive():
         assert len(m.bottom_edges) == sum(p // 2 for p in spec.bottom)
         assert all(a >= 1 and b <= r for a, b in m.top_edges)
         assert all(a >= 1 and b <= s for a, b in m.bottom_edges)
+        # partner tuples: index 0 unused, each arc read from both ends
+        for partners in (m.top, m.bottom):
+            assert len(partners) == spec.n + 1 and partners[0] == 0
+            assert all(partners[w] == v for v, w in enumerate(partners) if w)
+        assert m.top_edges == sorted(m.top_edges)
+        assert m.bottom_edges == sorted(m.bottom_edges)
         for v in m.tail:
             assert degree(m, v) <= 1
         summary, comps = components(m)
@@ -128,11 +134,11 @@ def test_component_traversal_is_deterministic():
 @pytest.mark.parametrize(
     "top, bottom",
     [
-        ({(1, 2)}, {(1, 2)}),  # the tail vertex lies on a cycle
-        ({(1, 3)}, {(1, 2)}),  # the tail vertex is inside a path
+        ((0, 2, 1, 0), (0, 2, 1, 0)),  # the tail vertex lies on a cycle
+        ((0, 3, 0, 1), (0, 2, 1, 0)),  # the tail vertex is inside a path
     ],
 )
 def test_tail_vertex_with_two_arcs_raises(top, bottom):
-    m = Meander(3, frozenset(top), frozenset(bottom), tail=(1,), tail_config="NONE")
+    m = Meander(3, top, bottom, tail=(1,), tail_config="NONE")
     with pytest.raises(TailDegreeError):
         components(m)

@@ -212,6 +212,18 @@ def test_cli_spectrum_without_input(capsys):
     assert "give a spec or --sc-file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec_args", [("A2:1|1/2",), ("--type", "A", "--n", "2", "--top", "1|1", "--bottom", "2")]
+)
+def test_cli_spectrum_with_spec_and_table(tmp_path, capsys, spec_args):
+    table = tmp_path / "t.sc"
+    table.write_text("1 2 -> 2:1\n")
+    assert run_cli("spectrum", *spec_args, "--sc-file", str(table)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: give a spec or --sc-file, not both\n"
+    assert captured.out == ""
+
+
 def test_cli_spectrum_rejects_non_utf8_table(tmp_path, capsys):
     table = tmp_path / "bad.sc"
     table.write_bytes(b"\xff\xfe bad")
