@@ -126,9 +126,18 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bottom", help="pipe-separated bottom parts, empty string for none")
 
 
+def _spec_flags(args) -> list[str]:
+    """The spec flags given on the command line."""
+    given = (("--type", args.algebra), ("--n", args.n), ("--top", args.top), ("--bottom", args.bottom))
+    return [flag for flag, value in given if value is not None]
+
+
 def _resolve_spec(args) -> SeaweedSpec:
     """The parsed spec; the library call that consumes it validates it."""
     if args.spec is not None:
+        flags = _spec_flags(args)
+        if flags:
+            raise SpecSyntaxError(f"give a spec string or {', '.join(flags)}, not both", 0)
         return parse_spec(args.spec)
     if args.algebra and args.n is not None:
         return parse_spec(f"{args.algebra}{args.n}:{args.top or ''}/{args.bottom or ''}")
@@ -265,7 +274,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    has_spec = args.spec is not None or bool(args.algebra and args.n is not None)
+    has_spec = args.spec is not None or bool(_spec_flags(args))
     if has_spec == bool(args.sc_file):
         both = ", not both" if has_spec else ""
         print(f"error: give a spec or --sc-file{both}", file=sys.stderr)

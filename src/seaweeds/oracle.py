@@ -7,11 +7,14 @@ pairs the bracket table lists, reduced mod p = 2**61 - 1 and ranked by
 symplectic elimination, two ranks per pivot pair.  There is no floating
 point.  The rank mod p never exceeds the rank over the rationals, so a
 sampled kernel dimension is an upper bound on the index, exact for
-generic functionals: a random functional fails with probability of
-order m/p per trial (Schwartz-Zippel), and a form whose scale p divides
-gives only the bound.  A skew form has even rank, over the rationals
-and over F_p alike, so no kernel is below m mod 2; the trials stop as
-soon as one reaches that floor.
+generic functionals.  Trial functionals are drawn uniformly from F_p,
+so one is degenerate with probability at most (m/2)/p (Schwartz-Zippel
+on a nonzero Pfaffian of degree at most m/2), and a form whose scale p
+divides gives only the bound.  A skew form has even rank, over the
+rationals and over F_p alike, so no kernel is below m mod 2; the trials
+stop as soon as one reaches that floor, or once two trials have read
+the current minimum.  So, with two trials or more, a result above the
+index needs two degenerate draws: probability at most ((m/2)/p)**2.
 
 Every matrix reaches F_p through one reduction, ``_mod_p``: sparse rows
 scaled by the lcm of their denominators, then reduced mod p.  The form
@@ -49,7 +52,6 @@ from .matrices import LieData
 from .meander import build_meander, components
 from .specs import AlgebraType, SeaweedSpec
 
-FUNCTIONAL_BOUND = 10**6
 # The prime of the rank kernel: 2**61 - 1 (a Mersenne prime).
 P = (1 << 61) - 1
 DEFAULT_TRIALS = 5
@@ -248,16 +250,20 @@ def kernel_dimension(matrix: Sequence[Sequence[int | Fraction]]) -> int:
 
 
 def random_functional(rng: random.Random, dimension: int) -> list[int]:
-    return [rng.randint(-FUNCTIONAL_BOUND, FUNCTIONAL_BOUND) for _ in range(dimension)]
+    """A functional with coordinates drawn uniformly from F_p, as integers in [0, p).
+
+    A degenerate draw is a zero of a nonzero Pfaffian of degree at most
+    m/2, so by Schwartz-Zippel it has probability at most (m/2)/p.
+    """
+    return [rng.randrange(P) for _ in range(dimension)]
 
 
-def _sampled_kernels(lie: LieData, trials: int, seed: int):
-    """Seeded trial functionals with their Kirillov kernel dimensions, drawn lazily."""
+def _trial_functionals(lie: LieData, trials: int, seed: int):
+    """At most ``trials`` seeded random functionals, drawn lazily."""
     if trials < 1:  # raised at the call, before any draw
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    functionals = (random_functional(rng, lie.dimension) for _ in range(trials))
-    return ((f, _kirillov_kernel(lie, f)) for f in functionals)
+    return (random_functional(rng, lie.dimension) for _ in range(trials))
 
 
 def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> int:
@@ -265,22 +271,25 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
 
     Each kernel dimension is computed over F_p by the skew elimination of
     the sparse form (see _kirillov_kernel), so the result is an upper
-    bound for the index that is exact for generic functionals; with
-    coordinates up to 1e6, p = 2**61 - 1 and the min over several
-    trials, a non-generic result is vanishingly unlikely.  The trials
-    stop once the kernel reaches m mod 2: a skew-symmetric matrix has
-    even rank, so no kernel is smaller.  Deterministic for a given
-    (trials, seed), and the same minimum as running every trial.
+    bound for the index that is exact for generic functionals.  At most
+    ``trials`` functionals are drawn, uniformly from F_p.  The trials
+    stop once the kernel reaches m mod 2, a proof (a skew-symmetric
+    matrix has even rank, so no kernel is smaller), or once two trials
+    have read the current minimum.  The result exceeds the index only if
+    every trial run is degenerate, and unless the floor stops them at
+    least two run, so with trials >= 2 that has probability at most
+    ((m/2)/p)**2.  Deterministic for a given (trials, seed).
     """
-    samples = _sampled_kernels(lie, trials, seed)
+    functionals = _trial_functionals(lie, trials, seed)
     if lie.dimension == 0:
         return 0
-    best = lie.dimension
+    best = lie.dimension + 1  # above every kernel, so the first trial agrees with nothing
     floor = lie.dimension % 2
-    for _, kernel in samples:
+    for f in functionals:
+        kernel = _kirillov_kernel(lie, f)
+        if kernel == best or kernel == floor:
+            return kernel
         best = min(best, kernel)
-        if best == floor:
-            break
     return best
 
 
@@ -382,10 +391,13 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
     Frobenius functional, so the scans below would report the same.
 
     Otherwise (types B and D, structure-constant tables, or a failed
-    certificate) the first functional of ``index_oracle``'s seeded
-    trials with a nondegenerate Kirillov form is used; if none of the
-    ``trials`` samples works the algebra is not Frobenius (for these
-    samples) and NotFrobeniusError is raised.
+    certificate) ``principal_element`` is tried on ``index_oracle``'s
+    seeded trial functionals in order, and the first that solves is
+    used: it raises exactly when the Kirillov kernel mod p is nonzero,
+    so no kernel is ranked beforehand.  If none of the ``trials`` samples
+    solves, the algebra is not Frobenius (for these samples) and
+    NotFrobeniusError is raised; a Frobenius algebra gives that error
+    with probability at most ((m/2)/p)**trials.
 
     For each integer k in [-m, m+1] the geometric multiplicity is the
     kernel dimension of ad(F) - k*I; the scan stops once the
@@ -395,16 +407,21 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
     non-semisimple ad(F).  Multiplicities summing past m cannot be exact
     and raise SpectrumOvercountError.
     """
-    samples = _sampled_kernels(lie, trials, seed)
+    functionals = _trial_functionals(lie, trials, seed)
     m = lie.dimension
     if m == 0:
         return SpectrumReport({}, True, True, True, 0)
     eigenvalues = _meander_spectrum(lie)
     if eigenvalues is None:
-        f = next((f for f, kernel in samples if kernel == 0), None)
-        if f is None:
+        for f in functionals:
+            try:
+                principal = principal_element(lie, f)
+            except NotFrobeniusFunctionalError:
+                continue
+            break
+        else:
             raise NotFrobeniusError(f"no nondegenerate functional found in {trials} trials")
-        eigenvalues = _scanned_spectrum(lie, f)
+        eigenvalues = _scanned_spectrum(lie, principal)
     return _spectrum_report(eigenvalues, m)
 
 
@@ -480,10 +497,9 @@ def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]]:
     return support, [0] + diagonal
 
 
-def _scanned_spectrum(lie: LieData, f: Sequence[int]) -> dict[int, int]:
-    """Multiplicities as kernel dimensions of ad(F) - k, F the principal element of f."""
+def _scanned_spectrum(lie: LieData, principal: Sequence[int]) -> dict[int, int]:
+    """Multiplicities as kernel dimensions of ad(F) - k, F a principal element mod p."""
     m = lie.dimension
-    principal = principal_element(lie, f)
     rows = _ad_rows(lie, principal)
     scale = _mod_p(rows)
     eigenvalues: dict[int, int] = {}

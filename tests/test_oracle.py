@@ -204,22 +204,77 @@ def test_index_oracle_deterministic():
     "text, dimension, index, calls",
     [
         ("A4:4/2|2", 11, 1, 1),  # odd dimension: kernel 1 is the floor
-        ("A3:3/3", 8, 2, 5),  # even dimension, index 2: every trial runs
+        ("A3:3/3", 8, 2, 2),  # even dimension, index 2: two trials agree on 2
     ],
 )
 def test_index_oracle_stops_at_the_parity_floor(monkeypatch, text, dimension, index, calls):
-    counted = []
-    kernel = oracle._kirillov_kernel
-
-    def counting(lie, f):
-        counted.append(len(f))
-        return kernel(lie, f)
-
-    monkeypatch.setattr(oracle, "_kirillov_kernel", counting)
+    counted = _count_kernels(monkeypatch)
     lie = seaweed_basis(parse_spec(text))
     assert lie.dimension == dimension
     assert index_oracle(lie, trials=5, seed=0) == index
     assert len(counted) == calls
+
+
+def _count_kernels(monkeypatch):
+    # the kernel dimensions of the oracle's Kirillov kernels, in call order
+    counted = []
+    kernel = oracle._kirillov_kernel
+    monkeypatch.setattr(oracle, "_kirillov_kernel", lambda lie, f: counted.append(kernel(lie, f)) or counted[-1])
+    return counted
+
+
+def test_index_oracle_runs_on_past_a_degenerate_first_trial(monkeypatch):
+    # the zero functional reads the whole dimension; the next two trials
+    # both read the index, and the second of them stops the oracle
+    draw = oracle.random_functional
+    draws = []
+
+    def zero_first(rng, dimension):
+        draws.append(dimension)
+        return [0] * dimension if len(draws) == 1 else draw(rng, dimension)
+
+    monkeypatch.setattr(oracle, "random_functional", zero_first)
+    counted = _count_kernels(monkeypatch)
+    lie = seaweed_basis(parse_spec("A3:3/3"))
+    assert index_oracle(lie, trials=5, seed=0) == 2
+    assert counted == [8, 2, 2]
+
+
+def test_index_oracle_with_one_trial_runs_one_kernel(monkeypatch):
+    counted = _count_kernels(monkeypatch)
+    assert index_oracle(seaweed_basis(parse_spec("A3:3/3")), trials=1, seed=0) == 2
+    assert len(counted) == 1
+
+
+def test_random_functional_draws_from_f_p():
+    rng = random.Random(7)
+    values = [v for _ in range(20) for v in random_functional(rng, 50)]
+    assert all(0 <= v < oracle.P for v in values)
+    assert max(values) > oracle.P // 2  # uniform over F_p, not a small range
+
+
+@pytest.mark.parametrize("algebra", list(AlgebraType))
+def test_principal_element_raises_exactly_when_the_kernel_is_nonzero(algebra):
+    degenerate = solved = 0
+    for n in range(1, 5):
+        for spec in enumerate_specs(algebra, n):
+            lie = seaweed_basis(spec)
+            if not lie.dimension:
+                continue
+            functionals = [random_functional(random.Random(seed), lie.dimension) for seed in range(2)]
+            functionals += [[0] * lie.dimension, [1] * lie.dimension]
+            for f in functionals:
+                kernel = oracle._kirillov_kernel(lie, f)
+                try:
+                    principal_element(lie, f)
+                except NotFrobeniusFunctionalError:
+                    assert kernel, (spec, f)
+                    degenerate += 1
+                else:
+                    assert not kernel, (spec, f)
+                    solved += 1
+    assert degenerate
+    assert solved or algebra is AlgebraType.GL  # the identity is central in every GL seaweed
 
 
 def test_principal_element_requires_nondegenerate():

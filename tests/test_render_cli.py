@@ -213,7 +213,8 @@ def test_cli_spectrum_without_input(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec_args", [("A2:1|1/2",), ("--type", "A", "--n", "2", "--top", "1|1", "--bottom", "2")]
+    "spec_args",
+    [("A2:1|1/2",), ("--type", "A", "--n", "2", "--top", "1|1", "--bottom", "2"), ("--type", "A"), ("--bottom", "")],
 )
 def test_cli_spectrum_with_spec_and_table(tmp_path, capsys, spec_args):
     table = tmp_path / "t.sc"
@@ -366,6 +367,22 @@ def test_cli_index_exits_1_when_methods_disagree(capsys, monkeypatch):
     payload = json.loads(captured.out)
     assert payload["methods"] == {"meander": 0, "formula": 0, "oracle": 1}
     assert payload["index"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("index", "A2:1|1/2", "--n", "5", "--type", "C", "--method", "meander"), "--type, --n"),
+        (("meander", "A2:1|1/2", "--top", "1|1"), "--top"),
+        (("delta", "A2:1|1/2", "--bottom", ""), "--bottom"),
+        (("spectrum", "A2:1|1/2", "--type", "A"), "--type"),
+    ],
+)
+def test_cli_spec_string_with_spec_flags(capsys, argv, flags):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: give a spec string or {flags}, not both (at offset 0)\n"
+    assert captured.out == ""
 
 
 def test_cli_index_without_a_spec(capsys):

@@ -1,7 +1,10 @@
-"""Property checks of the spec text form on random valid specs."""
+"""Property checks on random valid specs: the text form, and the three index routes past the sweeps."""
 
 import pytest
 
+from seaweeds.formulas import index_closed_form, index_combinatorial
+from seaweeds.matrices import seaweed_basis
+from seaweeds.oracle import index_oracle
 from seaweeds.specs import AlgebraType, SeaweedSpec, format_spec, parse_spec, validate
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -18,9 +21,9 @@ def _composition(total):
 
 
 @st.composite
-def valid_specs(draw):
-    algebra = draw(st.sampled_from(AlgebraType))
-    n = draw(st.integers(1, 40))
+def valid_specs(draw, algebras=tuple(AlgebraType), n_min=1, n_max=40):
+    algebra = draw(st.sampled_from(algebras))
+    n = draw(st.integers(n_min, n_max))
     if algebra.full_compositions_required:
         top_sum = bottom_sum = n
     else:
@@ -34,3 +37,20 @@ def valid_specs(draw):
 def test_parse_inverts_format_on_valid_specs(spec):
     assert validate(spec).ok
     assert parse_spec(format_spec(spec)) == spec
+
+
+# Just past the exhaustive ranges of acceptance criterion 2 (GL/A n <= 6, B/C/D n <= 5).
+PAST_THE_SWEEPS = st.one_of(
+    valid_specs((AlgebraType.GL, AlgebraType.A), 7, 12),
+    valid_specs((AlgebraType.B, AlgebraType.C, AlgebraType.D), 6, 8),
+)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@hypothesis.given(PAST_THE_SWEEPS)
+def test_three_routes_agree_past_the_exhaustive_ranges(spec):
+    index = index_combinatorial(spec).index
+    assert index_oracle(seaweed_basis(spec), trials=5, seed=0) == index
+    closed = index_closed_form(spec)
+    if closed is not None:
+        assert closed[0] == index
