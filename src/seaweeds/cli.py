@@ -42,12 +42,16 @@ EXIT_PRECONDITION = 4
 DEFAULT_SWEEP_BUDGET = 8
 
 
+class SpecInputError(ValueError):
+    """The spec inputs on the command line are missing or mixed (exit 2)."""
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SpecSyntaxError, InvalidSpecError) as exc:
+    except (SpecSyntaxError, InvalidSpecError, SpecInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except RuleDisagreement as exc:
@@ -137,11 +141,11 @@ def _resolve_spec(args) -> SeaweedSpec:
     if args.spec is not None:
         flags = _spec_flags(args)
         if flags:
-            raise SpecSyntaxError(f"give a spec string or {', '.join(flags)}, not both", 0)
+            raise SpecInputError(f"give a spec string or {', '.join(flags)}, not both")
         return parse_spec(args.spec)
     if args.algebra and args.n is not None:
         return parse_spec(f"{args.algebra}{args.n}:{args.top or ''}/{args.bottom or ''}")
-    raise SpecSyntaxError("missing spec: give a spec string or --type and --n", 0)
+    raise SpecInputError("missing spec: give a spec string or --type and --n")
 
 
 def _write_out(path: str | None, text: str) -> int:

@@ -140,9 +140,9 @@ def admissible_mask(spec: SeaweedSpec) -> AdmissibleMask:
 class LieData:
     """Basis plus structure constants.
 
-    ``brackets`` maps (i, j) with i < j to the coefficient vector of
-    [x_i, x_j] over the basis; the (j, i) entry is implied by
-    antisymmetry.  ``basis`` and ``spec`` are None for abstract
+    ``brackets`` maps (i, j) with i < j, ascending, to the coefficients of
+    [x_i, x_j] over the basis, in no set order; the (j, i) entry is implied
+    by antisymmetry.  ``basis`` and ``spec`` are None for abstract
     (structure-constant) input; ``seaweed_basis`` sets both.
     """
 
@@ -177,11 +177,11 @@ def seaweed_basis(spec: SeaweedSpec) -> LieData:
     """Generate the seaweed's basis and structure constants.
 
     The ambient standard basis is filtered by the admissible mask (an
-    element is kept only if every cell it touches is admissible), then
-    the brackets are reduced over the basis; failure to reduce exactly is
-    fatal since it would mean the span is not a subalgebra.  Only pairs
-    that share an index are bracketed (a column of one element's cells is
-    a row of the other's); every other product of matrix units is zero.
+    element is kept only if every cell it touches is admissible).  The
+    structure constants come from one pass over the products of cells
+    e_ab e_bd = e_ad that share an index b, with no commutator matrix per
+    pair; each bracket is then reduced over the basis, and failure to
+    reduce exactly is fatal since the span would not be a subalgebra.
     """
     mask = admissible_mask(spec)
     algebra = spec.algebra
@@ -230,49 +230,49 @@ def _symmetric_basis(algebra: AlgebraType, mask: AdmissibleMask) -> list[SparseI
 
 
 def _lie_data_from_basis(spec, basis) -> LieData:
-    # An element's lead cell, the first of its cells, lies in no other
-    # element, so a bracket's coefficient on x_idx is its value there over
-    # the element's unit.  The multiples must account for every cell of the
-    # bracket, or the span is not closed.
-    lead: dict[Cell, tuple[int, int]] = {}
-    for idx, elt in enumerate(basis):
-        cell = min(elt.entries)
-        lead[cell] = (idx, elt.entries[cell])
-
-    def decompose(m: SparseIntMatrix) -> dict[int, int]:
+    # e_ab e_bd = e_ad and other products of matrix units vanish, so one pass
+    # over cells (a, b) of x_i and (b, d) of x_j adds x_i x_j to [x_i, x_j]
+    # (i < j) or to -[x_j, x_i] (i > j); cells are coded a * width + d, pairs
+    # i * m + j.  An element's lead (first) cell lies in no other element, so
+    # it gives the coefficient, whose multiples must account for every cell.
+    m, width = len(basis), (basis[0].dim + 1 if basis else 1)
+    ids = list(range(m))  # one int per element, shared by every key that names it
+    lead: dict[int, tuple[int, int, list[tuple[int, int]]]] = {}
+    with_row: dict[int, list[tuple[int, int, int]]] = {}
+    with_col: dict[int, list[tuple[int, int, int]]] = {}
+    for idx, elt in zip(ids, basis):
+        ((a, d), unit), *rest = sorted(elt.entries.items())
+        lead[a * width + d] = (idx, unit, [(r * width + c, v) for (r, c), v in rest])
+        for (a, d), v in elt.entries.items():
+            with_row.setdefault(a, []).append((idx, d, v))
+            with_col.setdefault(d, []).append((idx, a * width, v))
+    products: dict[int, dict[int, int]] = {}
+    for b, left in with_col.items():
+        right = with_row.get(b, ())
+        for i, a, v in left:
+            for j, d, w in right:
+                if i != j:
+                    pair, term = (i * m + j, v * w) if i < j else (j * m + i, -v * w)
+                    product = products.setdefault(pair, {})
+                    product[a + d] = product.get(a + d, 0) + term
+    brackets: dict[tuple[int, int], dict[int, int]] = {}
+    for pair in sorted(products):
+        product = products[pair]
         coeffs: dict[int, int] = {}
-        residual = dict(m.entries)
-        for cell, value in m.entries.items():
-            if cell in lead:
-                idx, unit = lead[cell]
+        residual = dict(product)
+        for cell, value in product.items():
+            if value and cell in lead:
+                idx, unit, rest = lead[cell]
                 q = coeffs[idx] = value // unit
-                for c, v in basis[idx].entries.items():
+                residual[cell] -= q * unit
+                for c, v in rest:
                     residual[c] = residual.get(c, 0) - q * v
         if any(residual.values()):
-            raise ClosureError(f"{spec}: bracket {m.entries} is not in the span of the basis")
-        return coeffs
-
-    # A product of matrix units e_ab e_cd vanishes unless b == c, so
-    # [x_i, x_j] can be nonzero only when a column of one element's cells
-    # is a row of the other's.  Only those partners are bracketed, in
-    # increasing j, which keeps the (i, j) key order of the full loop.
-    with_row: dict[int, list[int]] = {}
-    with_col: dict[int, list[int]] = {}
-    for idx, elt in enumerate(basis):
-        for r, c in elt.entries:
-            with_row.setdefault(r, []).append(idx)
-            with_col.setdefault(c, []).append(idx)
-    brackets: dict[tuple[int, int], dict[int, int]] = {}
-    for i, x in enumerate(basis):
-        partners: set[int] = set()
-        for r, c in x.entries:
-            partners.update(with_row.get(c, ()))
-            partners.update(with_col.get(r, ()))
-        for j in sorted(j for j in partners if j > i):
-            coeffs = decompose(bracket(x, basis[j]))
-            if coeffs:
-                brackets[(i, j)] = coeffs
-    return LieData(dimension=len(basis), brackets=brackets, basis=basis, spec=spec)
+            entries = {divmod(c, width): v for c, v in product.items() if v}
+            raise ClosureError(f"{spec}: bracket {entries} is not in the span of the basis")
+        if coeffs:
+            brackets[ids[pair // m], ids[pair % m]] = coeffs
+    return LieData(dimension=m, brackets=brackets, basis=basis, spec=spec)
 
 
 def lie_from_structure_constants(

@@ -96,8 +96,12 @@ def block_partners(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
-    """Tail vertex set and type-D configuration for a valid spec."""
+    """Tail vertex set and type-D configuration; the spec is validated first."""
     require_valid(spec)
+    return _tail(spec)
+
+
+def _tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
     if spec.algebra.full_compositions_required:
         return (), TAIL_NONE
     r, s = sum(spec.top), sum(spec.bottom)
@@ -113,7 +117,14 @@ def tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
 
 
 def build_meander(spec: SeaweedSpec) -> Meander:
-    tail_set, config = tail(spec)
+    """The meander of ``spec``; the spec is validated first."""
+    require_valid(spec)
+    return meander_of_valid(spec)
+
+
+def meander_of_valid(spec: SeaweedSpec) -> Meander:
+    """The meander of a spec that has been validated already, as ``LieData.spec`` has."""
+    tail_set, config = _tail(spec)
     return Meander(
         n_vertices=spec.n,
         top=block_partners(spec.top, spec.n),

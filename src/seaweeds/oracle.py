@@ -18,14 +18,15 @@ index needs two degenerate draws: probability at most ((m/2)/p)**2.
 
 Every matrix reaches F_p through one reduction, ``_mod_p``: sparse rows
 scaled by the lcm of their denominators, then reduced mod p.  The form
-has one scale (1 for a seaweed), so it stays skew; the principal
-element's system [B | f] has one, with f as column m; so has ad(F); and
-``rank_exact`` scales each row of any matrix on its own.  Principal
-elements are solved by sparse Gaussian elimination, so they are the
-reductions mod p of the rational ones.  Their adjoint spectra (the
-obstruction test for embedding a Frobenius algebra as a seaweed) are
-integer eigenvalue multiplicities read as kernel dimensions over F_p of
-ad(F) - k; never the output of a numerical eigensolver.  The dense
+has one scale (1 for a seaweed): each value above the diagonal is
+reduced once and its mirror written as p - v, so it stays skew; the
+principal element's system [B | f] has one, with f as column m; so has
+ad(F); and ``rank_exact`` scales each row of any matrix on its own.
+Principal elements are solved by sparse Gaussian elimination, so they
+are the reductions mod p of the rational ones.  Their adjoint spectra
+(the obstruction test for embedding a Frobenius algebra as a seaweed)
+are integer eigenvalue multiplicities read as kernel dimensions over F_p
+of ad(F) - k; never the output of a numerical eigensolver.  The dense
 ``kirillov_matrix`` and ``ad_matrix`` are views of the same rows.
 
 Type-A and type-C seaweeds skip the scans when their meander allows:
@@ -49,7 +50,7 @@ from operator import mul
 from typing import Sequence
 
 from .matrices import LieData
-from .meander import build_meander, components
+from .meander import components, meander_of_valid
 from .specs import AlgebraType, SeaweedSpec
 
 # The prime of the rank kernel: 2**61 - 1 (a Mersenne prime).
@@ -95,11 +96,16 @@ class SpectrumReport:
 
 def kirillov_matrix(lie: LieData, f: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
     """Matrix of the form (x, y) -> f([x, y]) on the basis; skew by construction."""
-    return _dense(_kirillov_rows(lie, f), lie.dimension)
+    m = lie.dimension
+    out = [[0] * m for _ in range(m)]
+    for i, row in _kirillov_upper(lie, f).items():
+        for j, v in row.items():
+            out[i][j], out[j][i] = v, -v
+    return out
 
 
-def _kirillov_rows(lie: LieData, f: Sequence[int | Fraction]) -> dict[int, dict[int, int | Fraction]]:
-    """The nonzero f([x_i, x_j]) as skew rows ``{i: {j: value}}``, read only off ``lie.brackets``."""
+def _kirillov_upper(lie: LieData, f: Sequence[int | Fraction]) -> dict[int, dict[int, int | Fraction]]:
+    """The nonzero f([x_i, x_j]), i < j, as rows ``{i: {j: value}}``, read only off ``lie.brackets``."""
     if len(f) != lie.dimension:
         raise ValueError(f"functional has length {len(f)}, expected {lie.dimension}")
     rows: dict[int, dict[int, int | Fraction]] = {}
@@ -108,7 +114,24 @@ def _kirillov_rows(lie: LieData, f: Sequence[int | Fraction]) -> dict[int, dict[
         value = sum(map(mul, map(coordinate, coeffs), coeffs.values()))
         if value:
             rows.setdefault(i, {})[j] = value
-            rows.setdefault(j, {})[i] = -value
+    return rows
+
+
+def _skew_mod_p(rows: dict[int, dict[int, int | Fraction]], m: int) -> dict[int, dict[int, int]]:
+    """Reduce the upper rows of a skew form mod p and add their mirrors, in place; the rows.
+
+    Each entry (i, j) is reduced once, by ``_mod_p`` at one scale, and
+    its mirror at (j, i) written as p - v.  Entries in column m (the
+    principal element's f) reduce at the same scale and are not mirrored.
+    """
+    _mod_p(rows)
+    lower: dict[int, dict[int, int]] = {}
+    for i, row in rows.items():
+        for j, v in row.items():
+            if j < m:
+                lower.setdefault(j, {})[i] = P - v
+    for j, row in lower.items():
+        rows.setdefault(j, {}).update(row)
     return rows
 
 
@@ -149,9 +172,7 @@ def _kirillov_kernel(lie: LieData, f: Sequence[int | Fraction]) -> int:
     It equals ``kernel_dimension(kirillov_matrix(lie, f))`` unless p
     divides the form's scale, and bounds the rational kernel in any case.
     """
-    rows = _kirillov_rows(lie, f)
-    _mod_p(rows)
-    return lie.dimension - _skew_rank(rows)
+    return lie.dimension - _skew_rank(_skew_mod_p(_kirillov_upper(lie, f), lie.dimension))
 
 
 def _skew_rank(rows: dict[int, dict[int, int]]) -> int:
@@ -307,11 +328,11 @@ def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
     PrincipalElementError.
     """
     m = lie.dimension
-    rows = _kirillov_rows(lie, f)
+    rows = _kirillov_upper(lie, f)
     for r, fr in enumerate(f):
         if fr:
             rows.setdefault(r, {})[m] = fr
-    _mod_p(rows)
+    _skew_mod_p(rows, m)
     pivots = _eliminate([dict(row) for row in rows.values()])  # copies: the residual reads rows
     free = set(range(m + 1)).difference(col for col, _ in pivots)
     # Free columns are set to 1 and the pivot columns solved back up.
@@ -475,7 +496,7 @@ def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]]:
     0; type C mirrors it, H_{2n+1-v} = -h_v.  diag(H) lies in the Cartan
     subalgebra, up to a scalar in type A that ad ignores.
     """
-    meander = build_meander(spec)
+    meander = meander_of_valid(spec)  # seaweed_basis validated the spec
     n, top, bottom = spec.n, meander.top, meander.bottom
     support = [(v, 2 * n + 1 - v) for v in meander.tail]
     support += [(top[v], v) for v in range(1, n + 1) if v < top[v]]

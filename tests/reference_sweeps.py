@@ -14,8 +14,38 @@ from fractions import Fraction
 
 from seaweeds.delta import NotSinglePathError, delta_of_spec
 from seaweeds.formulas import index_combinatorial, xi
+from seaweeds.matrices import SparseIntMatrix, bracket
 from seaweeds.meander import Meander, build_meander, components
 from seaweeds.specs import AlgebraType, SeaweedSpec, compositions, enumerate_specs, format_spec
+
+
+def reference_brackets(basis: list[SparseIntMatrix]) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """The bracket table of a seaweed basis, one commutator matrix per pair.
+
+    Every pair i < j is bracketed with ``bracket`` and the commutator
+    read off the lead cells (the first cell of each element, which lies
+    in no other element); the combination must reproduce the commutator
+    exactly, or ValueError is raised.
+    """
+    lead = {min(x.entries): k for k, x in enumerate(basis)}
+    table = {}
+    for i, x in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            product = bracket(x, basis[j]).entries
+            coeffs = {}
+            for cell, value in product.items():
+                if cell in lead:
+                    k = lead[cell]
+                    coeffs[k] = Fraction(value, basis[k].entries[cell])
+            combination = {}
+            for k, c in coeffs.items():
+                for cell, v in basis[k].entries.items():
+                    combination[cell] = combination.get(cell, 0) + c * v
+            if {cell: v for cell, v in combination.items() if v} != product:
+                raise ValueError(f"[x_{i}, x_{j}] = {product} is not in the span of the basis")
+            if coeffs:
+                table[i, j] = coeffs
+    return table
 
 
 def degree(meander: Meander, v: int) -> int:

@@ -24,6 +24,8 @@ from seaweeds.matrices import (
 )
 from seaweeds.specs import AlgebraType, enumerate_specs, parse_spec
 
+from reference_sweeps import reference_brackets
+
 
 def test_antitranspose_identity():
     m = sparse(3, {(1, 1): 1, (2, 2): 1, (3, 3): 1})
@@ -264,7 +266,32 @@ def test_lead_cells_belong_to_one_element(algebra, n_max):
 
 
 @pytest.mark.parametrize(
-    "text, dropped", [("GL2:2/2", 0), ("A3:3/3", 7), ("B2:1/1", 1), ("C2:2/2", 3), ("D3:3/3", 0)]
+    "algebra, n_max",
+    [(AlgebraType.GL, 5), (AlgebraType.A, 5), (AlgebraType.B, 4), (AlgebraType.C, 4), (AlgebraType.D, 4)],
+)
+def test_bracket_table_equals_the_commutator_reference(algebra, n_max):
+    # the one-pass table against one commutator matrix per pair, exhaustively
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            lie = seaweed_basis(spec)
+            assert lie.brackets == reference_brackets(lie.basis), spec
+            assert list(lie.brackets) == sorted(lie.brackets), spec
+            assert all(i < j for i, j in lie.brackets), spec
+
+
+@pytest.mark.parametrize(
+    "text, dropped",
+    [
+        ("GL2:2/2", 0),
+        ("A3:3/3", 7),
+        ("B2:1/1", 1),
+        ("C2:2/2", 3),
+        ("D3:3/3", 0),
+        # root vectors that are brackets of two kept ones: e_13 = [e_12, e_23]
+        ("A3:3/3", 1),
+        ("C3:3/3", 2),
+        ("D4:4/4", 2),
+    ],
 )
 def test_bracket_outside_the_span_raises(text, dropped):
     spec = parse_spec(text)

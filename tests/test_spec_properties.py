@@ -1,4 +1,4 @@
-"""Property checks on random valid specs: the text form, and the three index routes past the sweeps."""
+"""Property checks on random valid specs: the text form, the three index routes past the sweeps, and the bracket table."""
 
 import pytest
 
@@ -6,6 +6,8 @@ from seaweeds.formulas import index_closed_form, index_combinatorial
 from seaweeds.matrices import seaweed_basis
 from seaweeds.oracle import index_oracle
 from seaweeds.specs import AlgebraType, SeaweedSpec, format_spec, parse_spec, validate
+
+from reference_sweeps import reference_brackets
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -54,3 +56,15 @@ def test_three_routes_agree_past_the_exhaustive_ranges(spec):
     closed = index_closed_form(spec)
     if closed is not None:
         assert closed[0] == index
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@hypothesis.given(
+    st.one_of(
+        valid_specs((AlgebraType.GL, AlgebraType.A), 1, 9),
+        valid_specs((AlgebraType.B, AlgebraType.C, AlgebraType.D), 1, 6),
+    )
+)
+def test_bracket_table_equals_the_commutator_reference_on_random_specs(spec):
+    lie = seaweed_basis(spec)
+    assert lie.brackets == reference_brackets(lie.basis)
