@@ -29,15 +29,16 @@ are integer eigenvalue multiplicities read as kernel dimensions over F_p
 of ad(F) - k; never the output of a numerical eigensolver.  The dense
 ``kirillov_matrix`` and ``ad_matrix`` are views of the same rows.
 
-Type-A and type-C seaweeds skip the scans when their meander allows:
-the meander functional (ones on the arc cells, plus (v, 2n+1-v) on the
-type-C tail) has a diagonal principal element, found by one walk along
-the meander, and each basis element is an eigenvector of its ad.  The
+Seaweeds of types A, B, C and D skip the scans when their meander
+allows: the meander functional (ones on the arc cells, plus cells at the
+tail: (v, 2n+1-v) in type C, the tail vertices in pairs in types B and
+D) has a diagonal principal element, found by one walk along the
+meander, and each basis element is an eigenvector of its ad.  The
 walk's spectrum is returned only under a certificate: every eigenvalue
 an integer, eigenvalue 1 on the support of f (so the diagonal is a
 principal element of f), and a zero Kirillov kernel of f mod p (so f
 is Frobenius over the rationals and the principal element is unique).
-Otherwise, and for B, D and abstract tables, the scans run."""
+Otherwise, and for abstract tables, the scans run."""
 
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .matrices import LieData
+from .matrices import LieData, matrix_dim
 from .meander import components, meander_of_valid
 from .specs import AlgebraType, SeaweedSpec
 
@@ -399,9 +400,11 @@ def _spectrum_scan_order(lo: int, hi: int) -> list[int]:
 def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> SpectrumReport:
     """Integer spectrum of ad(principal element), read off the meander or by kernel scans.
 
-    A type-A or type-C seaweed (``lie.spec`` set by ``seaweed_basis``)
+    A seaweed of type A, B, C or D (``lie.spec`` set by ``seaweed_basis``)
     first tries the meander functional f: ones on the arc cells, plus
-    (v, 2n+1-v) on the type-C tail.  One walk along the meander gives a
+    cells at the tail (``_meander_walk``): (v, 2n+1-v) in type C, and in
+    types B and D the tail vertices in pairs (v, w), each giving the
+    roots e_v - e_w and e_v + e_w.  One walk along the meander gives a
     diagonal F, and each basis element's eigenvalue is H_a - H_b at its
     cells (a, b).  That spectrum is returned only when all of these hold:
     every eigenvalue is an integer; every element of the support of f
@@ -411,8 +414,8 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
     a Frobenius algebra's principal element does not depend on the
     Frobenius functional, so the scans below would report the same.
 
-    Otherwise (types B and D, structure-constant tables, or a failed
-    certificate) ``principal_element`` is tried on ``index_oracle``'s
+    Otherwise (structure-constant tables, a type-D tail of odd length,
+    or a failed certificate) ``principal_element`` is tried on ``index_oracle``'s
     seeded trial functionals in order, and the first that solves is
     used: it raises exactly when the Kirillov kernel mod p is nonzero,
     so no kernel is ranked beforehand.  If none of the ``trials`` samples
@@ -447,20 +450,24 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
 
 
 def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
-    """Eigenvalue multiplicities of a type-A or type-C seaweed off its meander; None unless certified.
+    """Eigenvalue multiplicities of a type-A, B, C or D seaweed off its meander; None unless certified.
 
     ``_meander_walk`` gives the support of the meander functional f and
-    the diagonal H of F.  A basis element all of whose cells (a, b) read
-    one H_a - H_b is an eigenvector of ad(F) with that eigenvalue; every
-    element must be one, with an integer eigenvalue, and eigenvalue 1 on
-    the support, before the Kirillov kernel of f is computed (the
-    certificate of ``ad_spectrum``).  The result never rests on the walk
-    being right.
+    the diagonal H of F, or None (a type-D tail of odd length).  A basis
+    element all of whose cells (a, b) read one H_a - H_b is an
+    eigenvector of ad(F) with that eigenvalue; every element must be one,
+    with an integer eigenvalue, and eigenvalue 1 on the support, before
+    the Kirillov kernel of f is computed (the certificate of
+    ``ad_spectrum``).  GL is never Frobenius and has no walk.  The result
+    never rests on the walk being right.
     """
     spec = lie.spec
-    if spec is None or lie.basis is None or spec.algebra not in (AlgebraType.A, AlgebraType.C):
+    if spec is None or lie.basis is None or spec.algebra is AlgebraType.GL:
         return None
-    support, diagonal = _meander_walk(spec)
+    walk = _meander_walk(spec)
+    if walk is None:
+        return None
+    support, diagonal = walk
     doubled = []
     lead = {}
     for k, x in enumerate(lie.basis):
@@ -483,38 +490,58 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     return Counter(value // 2 for value in doubled)
 
 
-def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]]:
+def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]] | None:
     """The support cells of the meander functional and the doubled diagonal 2H, 1-based.
 
     f is 1 on the element whose lead cell is an arc cell, (j, i) for a
-    top arc i < j and (i, j) for a bottom arc, and on (v, 2n+1-v) for
-    each type-C tail vertex v.  Along the vertex order of each component
+    top arc i < j and (i, j) for a bottom arc, and on tail cells, with
+    N = ``matrix_dim(spec)``.  In type C each tail vertex v adds
+    (v, N+1-v) and anchors 2h_v = 1.  In types B and D the tail vertices,
+    in increasing order, go in consecutive pairs (v, w): each pair adds
+    (v, w) (root e_v - e_w) and (v, N+1-w) (root e_v + e_w) and anchors
+    2h_v = 2 and 2h_w = 0, so both roots read 1.  A last unpaired vertex
+    v adds (v, n+1) (root e_v) and anchors 2h_v = 2 in type B; in type D
+    there is no walk (None).  Along the vertex order of each component
     one arc joins each consecutive pair, and 2h rises by 2 up a top arc
     or down a bottom arc (2h_j - 2h_i = 2 on a top arc, 2h_i - 2h_j = 2 on
     a bottom arc).  Each component is then shifted so that its least tail
-    vertex reads 2h = 1, or, with no tail vertex, its least vertex reads
-    0; type C mirrors it, H_{2n+1-v} = -h_v.  diag(H) lies in the Cartan
-    subalgebra, up to a scalar in type A that ad ignores.
+    vertex reads its anchor, or, with no tail vertex, its least vertex
+    reads 0.  Types B, C and D mirror it, H_{N+1-v} = -h_v, with
+    H_{n+1} = 0 in type B.  diag(H) lies in the Cartan subalgebra, up to
+    a scalar in type A that ad ignores.
     """
     meander = meander_of_valid(spec)  # seaweed_basis validated the spec
-    n, top, bottom = spec.n, meander.top, meander.bottom
-    support = [(v, 2 * n + 1 - v) for v in meander.tail]
+    n, top, bottom, tail = spec.n, meander.top, meander.bottom, meander.tail
+    size = matrix_dim(spec)
+    anchor: dict[int, int] = {}
+    support: list[tuple[int, int]] = []
+    if spec.algebra is AlgebraType.C:
+        anchor = dict.fromkeys(tail, 1)
+        support = [(v, size + 1 - v) for v in tail]
+    else:  # type A has no tail; B and D take it in pairs
+        for v, w in zip(tail[::2], tail[1::2]):
+            anchor[v], anchor[w] = 2, 0
+            support += [(v, w), (v, size + 1 - w)]
+        if len(tail) % 2:
+            if spec.algebra is AlgebraType.D:
+                return None
+            anchor[tail[-1]] = 2
+            support.append((tail[-1], n + 1))
     support += [(top[v], v) for v in range(1, n + 1) if v < top[v]]
     support += [(v, bottom[v]) for v in range(1, n + 1) if v < bottom[v]]
-    tail = set(meander.tail)
     twice = [0] * (n + 1)
     for comp in components(meander)[1]:
         order = comp.vertices
         for v, w in zip(order, order[1:]):
             twice[w] = twice[v] + (2 if (top[v] == w) == (v < w) else -2)
-        tails = [v for v in order if v in tail]
-        root, value = (min(tails), 1) if tails else (min(order), 0)
-        shift = value - twice[root]
+        tails = [v for v in order if v in anchor]
+        root = min(tails) if tails else min(order)
+        shift = anchor.get(root, 0) - twice[root]
         for v in order:
             twice[v] += shift
     diagonal = twice[1:]
-    if spec.algebra is AlgebraType.C:
-        diagonal += [-h for h in reversed(diagonal)]
+    if spec.algebra is not AlgebraType.A:
+        diagonal += [0] * (size - 2 * n) + [-h for h in reversed(diagonal)]
     return support, [0] + diagonal
 
 

@@ -423,7 +423,10 @@ def _scanned(lie):
     return ad_spectrum(LieData(lie.dimension, lie.brackets, lie.basis))
 
 
-@pytest.mark.parametrize("algebra, n_max, count", [(AlgebraType.A, 6, 124), (AlgebraType.C, 5, 45)])
+@pytest.mark.parametrize(
+    "algebra, n_max, count",
+    [(AlgebraType.A, 6, 124), (AlgebraType.B, 5, 45), (AlgebraType.C, 5, 45), (AlgebraType.D, 5, 39)],
+)
 def test_meander_spectrum_equals_the_scans(algebra, n_max, count):
     cases = 0
     for n in range(1, n_max + 1):
@@ -459,6 +462,10 @@ def _shifted_walk(shifts):
         ("A4:2|2/1|3", {1: 1}),  # h_1 + 1/2: odd doubled eigenvalues
         ("C5:1|4/3", {1: 2, -1: -2}),  # h_1 + 1, mirrored: the arc at vertex 1 misses 1
         ("C5:1|4/3", {-1: -2}),  # H_10 alone: lead cells agree, partner cells do not
+        ("B2:1|1/", {1: -2, 2: 2, -1: 2, -2: -2}),  # pair anchors swapped: (1, 2) reads -1
+        ("D2:1|1/", {1: -2, 2: 2, -1: 2, -2: -2}),  # pair anchors swapped: (1, 2) reads -1
+        ("B3:1|1|1/", {3: -2, -3: 2}),  # unpaired h_3 = 0: the root e_3 at (3, 4) reads 0
+        ("B3:1|1|1/", {4: 2}),  # H_4 off 0: the two cells of e_3 disagree
     ],
 )
 def test_a_tampered_walk_falls_back_to_the_scans(monkeypatch, text, shifts):
@@ -488,7 +495,7 @@ def test_the_integrality_check_rejects_half_integer_eigenvalues(monkeypatch):
     assert oracle._meander_spectrum(seaweed_basis(parse_spec("C2:1/"))) is None
 
 
-@pytest.mark.parametrize("algebra", [AlgebraType.A, AlgebraType.C])
+@pytest.mark.parametrize("algebra", [AlgebraType.A, AlgebraType.B, AlgebraType.C, AlgebraType.D])
 def test_meander_spectrum_is_none_off_frobenius(algebra):
     for n in range(1, 5):
         for spec in enumerate_specs(algebra, n):
@@ -496,18 +503,16 @@ def test_meander_spectrum_is_none_off_frobenius(algebra):
                 assert oracle._meander_spectrum(seaweed_basis(spec)) is None, spec
 
 
-def test_spectrum_scans_tables_and_types_b_and_d(monkeypatch):
+def test_spectrum_scans_only_tables(monkeypatch):
     scans = []
     scanned = oracle._scanned_spectrum
     monkeypatch.setattr(oracle, "_scanned_spectrum", lambda *args: scans.append(args[0]) or scanned(*args))
-    ad_spectrum(seaweed_basis(parse_spec("A4:2|2/1|3")))
-    ad_spectrum(seaweed_basis(parse_spec("C5:1|4/3")))
+    for text in ("A4:2|2/1|3", "B2:2/1", "C5:1|4/3", "D4:1|3/2"):
+        ad_spectrum(seaweed_basis(parse_spec(text)))
     assert scans == []
     for z in (0, -2, 1):
         ad_spectrum(epilogue_family(z))
-    ad_spectrum(seaweed_basis(parse_spec("B2:2/1")))
-    ad_spectrum(seaweed_basis(parse_spec("D4:1|3/2")))
-    assert len(scans) == 5
+    assert len(scans) == 3
 
 
 def _ad_reference(lie, element):

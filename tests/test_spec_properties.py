@@ -1,8 +1,8 @@
-"""Property checks on random valid specs: the text form, the three index routes past the sweeps, and the bracket table."""
+"""Property checks on random valid specs: the text form, the three index routes past the sweeps, the classifier and the bracket table."""
 
 import pytest
 
-from seaweeds.formulas import index_closed_form, index_combinatorial
+from seaweeds.formulas import classify_frobenius, index_closed_form, index_combinatorial
 from seaweeds.matrices import seaweed_basis
 from seaweeds.oracle import index_oracle
 from seaweeds.specs import AlgebraType, SeaweedSpec, format_spec, parse_spec, validate
@@ -56,6 +56,18 @@ def test_three_routes_agree_past_the_exhaustive_ranges(spec):
     closed = index_closed_form(spec)
     if closed is not None:
         assert closed[0] == index
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@hypothesis.given(
+    st.one_of(
+        valid_specs((AlgebraType.GL, AlgebraType.A), 8, 40),
+        valid_specs((AlgebraType.B, AlgebraType.C, AlgebraType.D), 7, 40),
+    )
+)
+def test_classifier_rules_never_contradict_the_meander(spec):
+    verdict = classify_frobenius(spec)  # a contradicted rule raises RuleDisagreement
+    assert verdict.frobenius == (index_combinatorial(spec).index == 0)
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=40)

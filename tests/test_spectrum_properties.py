@@ -1,4 +1,4 @@
-"""Property checks of the meander spectrum on random Frobenius type-A and type-C seaweeds."""
+"""Property checks of the meander spectrum on random Frobenius seaweeds of types A, B, C and D."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from seaweeds import oracle
 from seaweeds.formulas import index_combinatorial
 from seaweeds.matrices import seaweed_basis
 from seaweeds.oracle import ad_spectrum
-from seaweeds.specs import AlgebraType, SeaweedSpec
+from seaweeds.specs import AlgebraType, SeaweedSpec, compositions, partial_compositions
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -14,13 +14,14 @@ st = hypothesis.strategies
 
 @st.composite
 def frobenius_specs(draw, algebra, n_max):
-    """A Frobenius seaweed wound up from a one-vertex meander (A) or a Borel (C).
+    """A Frobenius seaweed wound up from a one-vertex meander (A) or a Borel (B, C).
 
     Each move undoes one of the index-preserving winding-down moves on
     the first blocks of the signature (top | bottom): block elimination
     (a1 = 2 b1), rotation contraction (b1 < a1 < 2 b1), pure contraction
     (a1 > 2 b1) and the flip of top and bottom.  Every move adds the same
-    number of vertices to both sides, so the type-C tail is kept.
+    number of vertices to both sides, so the tail is kept; types B and C
+    share the meander, the tail and so the moves.
     """
     if algebra is AlgebraType.A:
         top, bottom = [1], [1]
@@ -41,9 +42,39 @@ def frobenius_specs(draw, algebra, n_max):
     return SeaweedSpec(algebra, sum(top), tuple(top), tuple(bottom))
 
 
+@st.composite
+def frobenius_d_specs(draw, n_max):
+    """A Frobenius type-D seaweed: a random top, then one of the bottoms that give index 0."""
+    n = draw(st.integers(2, n_max))
+    top = draw(st.sampled_from(list(compositions(draw(st.integers(1, n))))))
+    bottoms = [
+        bottom
+        for bottom in partial_compositions(sum(top))
+        if index_combinatorial(SeaweedSpec(AlgebraType.D, n, top, bottom)).index == 0
+    ]
+    hypothesis.assume(bottoms)
+    return SeaweedSpec(AlgebraType.D, n, top, draw(st.sampled_from(bottoms)))
+
+
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@hypothesis.given(st.one_of(frobenius_specs(AlgebraType.A, 12), frobenius_specs(AlgebraType.C, 9)))
+@hypothesis.given(
+    st.one_of(
+        frobenius_specs(AlgebraType.A, 12),
+        frobenius_specs(AlgebraType.B, 9),
+        frobenius_specs(AlgebraType.C, 9),
+    )
+)
 def test_meander_spectrum_is_integral_unbroken_and_symmetric(spec):
+    _check_meander_spectrum(spec)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@hypothesis.given(frobenius_d_specs(9))
+def test_type_d_meander_spectrum_is_integral_unbroken_and_symmetric(spec):
+    _check_meander_spectrum(spec)
+
+
+def _check_meander_spectrum(spec):
     assert index_combinatorial(spec).index == 0
     lie = seaweed_basis(spec)
     eigenvalues = oracle._meander_spectrum(lie)
