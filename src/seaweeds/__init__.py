@@ -5,14 +5,7 @@ index by meander component counts, by closed gcd/totient formulas, and
 by an exact Kirillov-form rank oracle, and classify the Frobenius ones.
 """
 
-from .delta import (
-    AugmentedMeander,
-    DeltaReport,
-    NotSinglePathError,
-    augment_with_loops,
-    delta_of_spec,
-    permutation_cycle,
-)
+from .delta import DeltaReport, NotSinglePathError, delta_of_spec
 from .formulas import (
     FrobeniusVerdict,
     IndexReport,
@@ -27,7 +20,6 @@ from .matrices import (
     LieData,
     SparseIntMatrix,
     admissible_mask,
-    antitranspose,
     bracket,
     lie_from_structure_constants,
     parse_structure_constants,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: index, meander, sweep, delta, spectrum.  Specs are given
-either as compact strings ("C14:7|7/11") or via --type/--n/--top/--bottom.
+Subcommands: index, meander, sweep, delta, spectrum.  A seaweed is named
+by its compact spec string ("C14:7|7/11").
 Exit codes: 0 success, 1 cross-validation mismatch, 2 parse/validation
 error, 3 I/O error, 4 precondition failure (non-Frobenius input where a
 Frobenius one is required).  Sweeps refuse n_max beyond the SEAWEED_MAX_N
@@ -25,7 +25,6 @@ from .render import FORMATS, RenderSpec, component_payload, render_meander
 from .specs import (
     AlgebraType,
     InvalidSpecError,
-    SeaweedSpec,
     SpecSyntaxError,
     format_spec,
     parse_spec,
@@ -42,16 +41,12 @@ EXIT_PRECONDITION = 4
 DEFAULT_SWEEP_BUDGET = 8
 
 
-class SpecInputError(ValueError):
-    """The spec inputs on the command line are missing or mixed (exit 2)."""
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SpecSyntaxError, InvalidSpecError, SpecInputError) as exc:
+    except (SpecSyntaxError, InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except RuleDisagreement as exc:
@@ -68,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True)
 
     p_index = sub.add_parser("index", help="compute the index of a seaweed")
-    _add_spec_args(p_index)
+    p_index.add_argument("spec", help="compact spec string")
     p_index.add_argument(
         "--method",
         choices=("meander", "formula", "oracle", "all"),
@@ -82,10 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_index.set_defaults(handler=cmd_index)
 
     p_meander = sub.add_parser("meander", help="render the meander of a seaweed")
-    _add_spec_args(p_meander)
+    p_meander.add_argument("spec", help="compact spec string")
     p_meander.add_argument("--format", choices=FORMATS, default="json")
     p_meander.add_argument("--out", help="output file (stdout when omitted)")
-    p_meander.add_argument("--no-highlight-tail", action="store_false", dest="highlight_tail")
     p_meander.add_argument("--color-components", action="store_true")
     p_meander.set_defaults(handler=cmd_meander)
 
@@ -100,12 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_delta = sub.add_parser("delta", help="permutation cycle and difference multiset")
-    _add_spec_args(p_delta)
+    p_delta.add_argument("spec", help="compact spec string")
     p_delta.add_argument("--json", action="store_true", dest="as_json")
     p_delta.set_defaults(handler=cmd_delta)
 
     p_spectrum = sub.add_parser("spectrum", help="principal-element adjoint spectrum")
-    _add_spec_args(p_spectrum)
+    p_spectrum.add_argument("spec", nargs="?", help="compact spec string")
     p_spectrum.add_argument("--sc-file", help="structure-constant table instead of a seaweed spec")
     p_spectrum.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     p_spectrum.add_argument("--seed", type=int, default=0)
@@ -120,32 +114,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _add_spec_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("spec", nargs="?", help="compact spec string")
-    parser.add_argument("--type", dest="algebra", choices=[t.value for t in AlgebraType])
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--top", help="pipe-separated top parts, empty string for none")
-    parser.add_argument("--bottom", help="pipe-separated bottom parts, empty string for none")
-
-
-def _spec_flags(args) -> list[str]:
-    """The spec flags given on the command line."""
-    given = (("--type", args.algebra), ("--n", args.n), ("--top", args.top), ("--bottom", args.bottom))
-    return [flag for flag, value in given if value is not None]
-
-
-def _resolve_spec(args) -> SeaweedSpec:
-    """The parsed spec; the library call that consumes it validates it."""
-    if args.spec is not None:
-        flags = _spec_flags(args)
-        if flags:
-            raise SpecInputError(f"give a spec string or {', '.join(flags)}, not both")
-        return parse_spec(args.spec)
-    if args.algebra and args.n is not None:
-        return parse_spec(f"{args.algebra}{args.n}:{args.top or ''}/{args.bottom or ''}")
-    raise SpecInputError("missing spec: give a spec string or --type and --n")
 
 
 def _write_out(path: str | None, text: str) -> int:
@@ -163,7 +131,7 @@ def _write_out(path: str | None, text: str) -> int:
 
 
 def cmd_index(args) -> int:
-    spec = _resolve_spec(args)
+    spec = parse_spec(args.spec)  # the library call that consumes it validates it
     verdict = classify_frobenius(spec)
     report = verdict.report
     closed = verdict.closed_form
@@ -209,12 +177,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_meander(args) -> int:
-    spec = _resolve_spec(args)
-    options = RenderSpec(
-        format=args.format,
-        highlight_tail=args.highlight_tail,
-        color_components=args.color_components,
-    )
+    spec = parse_spec(args.spec)
+    options = RenderSpec(format=args.format, color_components=args.color_components)
     return _write_out(args.out, render_meander(build_meander(spec), options, label=format_spec(spec)))
 
 
@@ -249,7 +213,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    spec = _resolve_spec(args)
+    spec = parse_spec(args.spec)
     require_valid(spec)
     if spec.algebra is not AlgebraType.A:
         print("error: the delta construction needs a type-A seaweed", file=sys.stderr)
@@ -278,7 +242,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    has_spec = args.spec is not None or bool(_spec_flags(args))
+    has_spec = args.spec is not None
     if has_spec == bool(args.sc_file):
         both = ", not both" if has_spec else ""
         print(f"error: give a spec or --sc-file{both}", file=sys.stderr)
@@ -300,7 +264,7 @@ def cmd_spectrum(args) -> int:
             return EXIT_SPEC
         label = args.sc_file
     else:
-        spec = _resolve_spec(args)
+        spec = parse_spec(args.spec)
         lie = seaweed_basis(spec)
         label = format_spec(spec)
 

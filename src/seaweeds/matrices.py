@@ -51,12 +51,6 @@ def sparse(dim: int, entries: dict[Cell, int]) -> SparseIntMatrix:
     return SparseIntMatrix(dim, {c: v for c, v in entries.items() if v != 0})
 
 
-def antitranspose(m: SparseIntMatrix) -> SparseIntMatrix:
-    """Reflect across the antidiagonal: (i,j) -> (dim+1-j, dim+1-i)."""
-    d = m.dim
-    return sparse(d, {(d + 1 - j, d + 1 - i): v for (i, j), v in m.entries.items()})
-
-
 def bracket(x: SparseIntMatrix, y: SparseIntMatrix) -> SparseIntMatrix:
     """Matrix commutator xy - yx over exact integers.
 

@@ -108,7 +108,7 @@ def _tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
     tail_c = tuple(range(s + 1, r + 1))
     if spec.algebra is not AlgebraType.D:
         return tail_c, TAIL_NONE
-    t = r - s
+    t = r - s  # the D tail has even length: t (I), t + 1 (II) or t - 1 (III)
     if t % 2 == 0:
         return tail_c, TAIL_I
     if r < spec.n:

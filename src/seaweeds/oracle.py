@@ -29,15 +29,16 @@ are integer eigenvalue multiplicities read as kernel dimensions over F_p
 of ad(F) - k; never the output of a numerical eigensolver.  The dense
 ``kirillov_matrix`` and ``ad_matrix`` are views of the same rows.
 
-Seaweeds of types A, B, C and D skip the scans when their meander
-allows: the meander functional (ones on the arc cells, plus cells at the
-tail: (v, 2n+1-v) in type C, the tail vertices in pairs in types B and
-D) has a diagonal principal element, found by one walk along the
-meander, and each basis element is an eigenvector of its ad.  The
-walk's spectrum is returned only under a certificate: every eigenvalue
-an integer, eigenvalue 1 on the support of f (so the diagonal is a
-principal element of f), and a zero Kirillov kernel of f mod p (so f
-is Frobenius over the rationals and the principal element is unique).
+Every seaweed of type A, B, C or D first tries its meander: the meander
+functional (ones on the arc cells, plus cells at the tail: (v, 2n+1-v)
+in type C, the tail vertices in pairs in types B and D, and (v, n+1)
+for a last unpaired v in type B) has a diagonal principal element,
+found by one walk along the meander, and each basis element is an
+eigenvector of its ad.  The walk's spectrum is returned only under a
+certificate: every eigenvalue an integer, eigenvalue 1 on the support
+of f (so the diagonal is a principal element of f), and a zero
+Kirillov kernel of f mod p (so f is Frobenius over the rationals and
+the principal element is unique).
 Otherwise, and for abstract tables, the scans run."""
 
 from __future__ import annotations
@@ -414,14 +415,14 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
     a Frobenius algebra's principal element does not depend on the
     Frobenius functional, so the scans below would report the same.
 
-    Otherwise (structure-constant tables, a type-D tail of odd length,
-    or a failed certificate) ``principal_element`` is tried on ``index_oracle``'s
-    seeded trial functionals in order, and the first that solves is
-    used: it raises exactly when the Kirillov kernel mod p is nonzero,
-    so no kernel is ranked beforehand.  If none of the ``trials`` samples
-    solves, the algebra is not Frobenius (for these samples) and
-    NotFrobeniusError is raised; a Frobenius algebra gives that error
-    with probability at most ((m/2)/p)**trials.
+    Otherwise (structure-constant tables, or a failed certificate)
+    ``principal_element`` is tried on ``index_oracle``'s seeded trial
+    functionals in order, and the first that solves is used: it raises
+    exactly when the Kirillov kernel mod p is nonzero, so no kernel is
+    ranked beforehand.  If none of the ``trials`` samples solves, the
+    algebra is not Frobenius (for these samples) and NotFrobeniusError
+    is raised; a Frobenius algebra gives that error with probability at
+    most ((m/2)/p)**trials.
 
     For each integer k in [-m, m+1] the geometric multiplicity is the
     kernel dimension of ad(F) - k*I; the scan stops once the
@@ -453,21 +454,17 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     """Eigenvalue multiplicities of a type-A, B, C or D seaweed off its meander; None unless certified.
 
     ``_meander_walk`` gives the support of the meander functional f and
-    the diagonal H of F, or None (a type-D tail of odd length).  A basis
-    element all of whose cells (a, b) read one H_a - H_b is an
-    eigenvector of ad(F) with that eigenvalue; every element must be one,
-    with an integer eigenvalue, and eigenvalue 1 on the support, before
-    the Kirillov kernel of f is computed (the certificate of
-    ``ad_spectrum``).  GL is never Frobenius and has no walk.  The result
-    never rests on the walk being right.
+    the diagonal H of F.  A basis element all of whose cells (a, b) read
+    one H_a - H_b is an eigenvector of ad(F) with that eigenvalue; every
+    element must be one, with an integer eigenvalue, and eigenvalue 1 on
+    the support, before the Kirillov kernel of f is computed (the
+    certificate of ``ad_spectrum``).  GL is never Frobenius and has no
+    walk.  The result never rests on the walk being right.
     """
     spec = lie.spec
     if spec is None or lie.basis is None or spec.algebra is AlgebraType.GL:
         return None
-    walk = _meander_walk(spec)
-    if walk is None:
-        return None
-    support, diagonal = walk
+    support, diagonal = _meander_walk(spec)
     doubled = []
     lead = {}
     for k, x in enumerate(lie.basis):
@@ -490,7 +487,7 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     return Counter(value // 2 for value in doubled)
 
 
-def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]] | None:
+def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]]:
     """The support cells of the meander functional and the doubled diagonal 2H, 1-based.
 
     f is 1 on the element whose lead cell is an arc cell, (j, i) for a
@@ -499,16 +496,16 @@ def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]] 
     (v, N+1-v) and anchors 2h_v = 1.  In types B and D the tail vertices,
     in increasing order, go in consecutive pairs (v, w): each pair adds
     (v, w) (root e_v - e_w) and (v, N+1-w) (root e_v + e_w) and anchors
-    2h_v = 2 and 2h_w = 0, so both roots read 1.  A last unpaired vertex
-    v adds (v, n+1) (root e_v) and anchors 2h_v = 2 in type B; in type D
-    there is no walk (None).  Along the vertex order of each component
-    one arc joins each consecutive pair, and 2h rises by 2 up a top arc
-    or down a bottom arc (2h_j - 2h_i = 2 on a top arc, 2h_i - 2h_j = 2 on
-    a bottom arc).  Each component is then shifted so that its least tail
-    vertex reads its anchor, or, with no tail vertex, its least vertex
-    reads 0.  Types B, C and D mirror it, H_{N+1-v} = -h_v, with
-    H_{n+1} = 0 in type B.  diag(H) lies in the Cartan subalgebra, up to
-    a scalar in type A that ad ignores.
+    2h_v = 2 and 2h_w = 0, so both roots read 1.  In type B a last
+    unpaired vertex v adds (v, n+1) (root e_v) and anchors 2h_v = 2; a
+    type-D tail has even length (``meander.tail``).  Along the vertex
+    order of each component one arc joins each consecutive pair, and 2h
+    rises by 2 up a top arc or down a bottom arc (2h_j - 2h_i = 2 on a
+    top arc, 2h_i - 2h_j = 2 on a bottom arc).  Each component is then
+    shifted so that its least tail vertex reads its anchor, or, with no
+    tail vertex, its least vertex reads 0.  Types B, C and D mirror it,
+    H_{N+1-v} = -h_v, with H_{n+1} = 0 in type B.  diag(H) lies in the
+    Cartan subalgebra, up to a scalar in type A that ad ignores.
     """
     meander = meander_of_valid(spec)  # seaweed_basis validated the spec
     n, top, bottom, tail = spec.n, meander.top, meander.bottom, meander.tail
@@ -522,9 +519,7 @@ def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]] 
         for v, w in zip(tail[::2], tail[1::2]):
             anchor[v], anchor[w] = 2, 0
             support += [(v, w), (v, size + 1 - w)]
-        if len(tail) % 2:
-            if spec.algebra is AlgebraType.D:
-                return None
+        if len(tail) % 2:  # type B only: every type-D tail is even
             anchor[tail[-1]] = 2
             support.append((tail[-1], n + 1))
     support += [(top[v], v) for v in range(1, n + 1) if v < top[v]]

@@ -23,7 +23,6 @@ _PALETTE = ("blue", "red", "green", "orange", "purple", "brown", "teal", "magent
 @dataclass(frozen=True)
 class RenderSpec:
     format: str = "json"
-    highlight_tail: bool = True
     color_components: bool = False
 
     def __post_init__(self):
@@ -76,7 +75,7 @@ def _render_json(meander: Meander, options: RenderSpec, label: str) -> str:
 
 
 def _render_dot(meander: Meander, options: RenderSpec, label: str) -> str:
-    tail_set = set(meander.tail) if options.highlight_tail else set()
+    tail_set = set(meander.tail)
     colors = _component_colors(meander) if options.color_components else {}
     lines = [f'graph "{label or "meander"}" {{']
     lines.append("  rankdir=LR;")
@@ -100,7 +99,7 @@ def _render_dot(meander: Meander, options: RenderSpec, label: str) -> str:
 
 
 def _render_tikz(meander: Meander, options: RenderSpec, label: str) -> str:
-    tail_set = set(meander.tail) if options.highlight_tail else set()
+    tail_set = set(meander.tail)
     colors = _component_colors(meander) if options.color_components else {}
     lines = ["\\begin{tikzpicture}[scale=.6]"]
     for v in range(1, meander.n_vertices + 1):
@@ -117,7 +116,7 @@ def _render_tikz(meander: Meander, options: RenderSpec, label: str) -> str:
 
 
 def _render_svg(meander: Meander, options: RenderSpec, label: str) -> str:
-    tail_set = set(meander.tail) if options.highlight_tail else set()
+    tail_set = set(meander.tail)
     colors = _component_colors(meander) if options.color_components else {}
     step, radius, baseline = 40, 10, 120
     width = (meander.n_vertices + 1) * step

@@ -1,17 +1,11 @@
-"""Loop augmentation, permutation cycles and difference multisets."""
+"""Permutation cycles of single-path meanders and their difference multisets."""
 
 from collections import Counter
 
 import pytest
 
-from seaweeds.delta import (
-    AugmentedMeander,
-    NotSinglePathError,
-    TourError,
-    augment_with_loops,
-    delta_of_spec,
-    permutation_cycle,
-)
+from seaweeds import delta
+from seaweeds.delta import NotSinglePathError, TourError, delta_of_spec
 from seaweeds.meander import Meander, build_meander, components
 from seaweeds.specs import AlgebraType, SeaweedSpec, compositions, parse_spec
 
@@ -19,20 +13,21 @@ from reference_sweeps import canonical_delta_formula, delta_cardinality_probe, d
 
 
 def test_loops_a10():
-    aug = augment_with_loops(build_meander(parse_spec("A10:6|4/7|3")))
-    assert aug.top_loops == ()
-    assert aug.bottom_loops == (4, 9)
+    # Endpoints 4 and 9 both miss a bottom arc and carry its loop: the
+    # tour starts at 4 and turns at 9, where b is the identity.
+    sigma = delta_of_spec(parse_spec("A10:6|4/7|3")).sigma
+    assert sigma[0] == 4
+    assert sigma[sigma.index(9) + 1] == 8  # t(b(9)) = t(9)
 
 
 def test_loops_a3():
-    aug = augment_with_loops(build_meander(parse_spec("A3:2|1/1|2")))
-    assert aug.bottom_loops == (1,)
-    assert aug.top_loops == (3,)
+    # Endpoint 1 misses a bottom arc, endpoint 3 a top arc: the tour starts at 1.
+    assert delta_of_spec(parse_spec("A3:2|1/1|2")).sigma[0] == 1
 
 
 def test_loops_reject_multiple_components():
     with pytest.raises(NotSinglePathError):
-        augment_with_loops(build_meander(parse_spec("A8:4|4/8")))
+        delta_of_spec(parse_spec("A8:4|4/8"))
 
 
 def test_sigma_a10():
@@ -77,21 +72,22 @@ def test_delta_congruence_sweep_clean():
 
 
 def test_top_bottom_maps_cycle_iff_single_path():
-    # t∘b closes into an n-cycle exactly when the meander is one path;
-    # multi-component meanders are rejected before iteration starts.
+    # t∘b closes into an n-cycle from the lower endpoint exactly when the
+    # meander is one path; multi-component meanders are rejected first.
     for n in range(1, 7):
         for top in compositions(n):
             for bottom in compositions(n):
                 spec = SeaweedSpec(AlgebraType.A, n, top, bottom)
                 meander = build_meander(spec)
                 summary, _ = components(meander)
-                single = summary.cycles == 0 and summary.paths == 1
-                if single:
-                    report = permutation_cycle(augment_with_loops(meander))
+                if summary.cycles == 0 and summary.paths == 1:
+                    report = delta_of_spec(spec)
                     assert sorted(report.sigma) == list(range(1, n + 1))
+                    ends = [v for v in range(1, n + 1) if not meander.top[v] or not meander.bottom[v]]
+                    assert report.sigma[0] == min(ends)
                 else:
                     with pytest.raises(NotSinglePathError):
-                        augment_with_loops(meander)
+                        delta_of_spec(spec)
 
 
 def test_cardinality_probe_reports():
@@ -106,15 +102,16 @@ def test_cardinality_probe_reports():
 
 
 @pytest.mark.parametrize(
-    "n, top, top_loops, bottom_loops",
+    "n, top, bottom",
     [
-        (4, (0, 2, 1, 4, 3), (), (1, 2, 3, 4)),  # t∘b closes after two steps, short of n
-        (3, (0, 2, 1, 0), (3,), (1, 2, 3)),  # t∘b never returns to the start
-        (3, (0, 2, 1, 0), (), (1,)),  # t and b are not total: vertex 3 has neither
-        (3, (0, 2, 1, 0), (4,), (1, 2, 3)),  # a loop on a vertex past n
+        (3, (0, 2, 2, 0), (0, 0, 3, 2)),  # top is no involution: t∘b never returns to 1
+        (4, (0, 0, 0, 0, 2), (0, 4, 3, 1, 0)),  # t∘b closes after three steps, short of n
     ],
 )
-def test_forged_tour_raises(n, top, top_loops, bottom_loops):
-    base = Meander(n, top, (0,) * (n + 1), tail=(), tail_config="NONE")
+def test_forged_tour_raises(monkeypatch, n, top, bottom):
+    forged = Meander(n, top, bottom, tail=(), tail_config="NONE")
+    summary, _ = components(forged)
+    assert (summary.cycles, summary.paths) == (0, 1)
+    monkeypatch.setattr(delta, "build_meander", lambda spec: forged)
     with pytest.raises(TourError):
-        permutation_cycle(AugmentedMeander(base, top_loops, bottom_loops))
+        delta_of_spec(parse_spec(f"A{n}:{n}/{n}"))

@@ -15,7 +15,6 @@ from seaweeds.matrices import (
     SparseIntMatrix,
     ZeroEntryError,
     admissible_mask,
-    antitranspose,
     bracket,
     lie_from_structure_constants,
     parse_structure_constants,
@@ -25,28 +24,6 @@ from seaweeds.matrices import (
 from seaweeds.specs import AlgebraType, enumerate_specs, parse_spec
 
 from reference_sweeps import reference_brackets
-
-
-def test_antitranspose_identity():
-    m = sparse(3, {(1, 1): 1, (2, 2): 1, (3, 3): 1})
-    assert antitranspose(m) == m
-
-
-def test_antitranspose_corner():
-    m = sparse(2, {(1, 1): 1})
-    assert antitranspose(m) == sparse(2, {(2, 2): 1})
-
-
-def test_antitranspose_is_involutive():
-    rng = random.Random(5)
-    for _ in range(50):
-        dim = rng.randint(1, 8)
-        entries = {
-            (rng.randint(1, dim), rng.randint(1, dim)): rng.randint(-9, 9)
-            for _ in range(dim)
-        }
-        m = sparse(dim, entries)
-        assert antitranspose(antitranspose(m)) == m
 
 
 def test_bracket_sl2_relation():

@@ -3,7 +3,7 @@
 import pytest
 
 from seaweeds.meander import Meander, TailDegreeError, build_meander, components, tail
-from seaweeds.specs import AlgebraType, enumerate_specs, parse_spec
+from seaweeds.specs import AlgebraType, SeaweedSpec, enumerate_specs, parse_spec
 
 from reference_sweeps import degree
 
@@ -50,6 +50,16 @@ def test_tail_fixtures(text, expected_tail, expected_config):
     tail_set, config = tail(parse_spec(text))
     assert tail_set == expected_tail
     assert config == expected_config
+
+
+def test_type_d_tails_are_even():
+    # The tail reads only n, r = sum(top) and s = sum(bottom), so unit
+    # parts stand for every spec; the meander spectrum pairs the tail.
+    for n in range(1, 41):
+        for r in range(n + 1):
+            for s in range(r + 1):
+                vertices, _ = tail(SeaweedSpec(AlgebraType.D, n, (1,) * r, (1,) * s))
+                assert len(vertices) % 2 == 0, (n, r, s)
 
 
 def test_components_single_path():

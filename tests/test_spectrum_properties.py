@@ -12,31 +12,39 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
+def _windings(top, bottom, n_max):
+    """The signatures that undo one winding-down move on (top | bottom) and keep n <= n_max."""
+    n = max(sum(top), sum(bottom))
+    moves = []
+    if top and n + top[0] <= n_max:  # block elimination: a1 = 2 b1
+        moves.append(([2 * top[0], *top[1:]], [top[0], *bottom]))
+    if top and bottom and bottom[0] < top[0] and n + top[0] - bottom[0] <= n_max:  # rotation: b1 < a1 < 2 b1
+        moves.append(([2 * top[0] - bottom[0], *top[1:]], [top[0], *bottom[1:]]))
+    if len(top) > 1 and n + top[1] <= n_max:  # pure contraction: a1 > 2 b1
+        moves.append(([top[0] + 2 * top[1], *top[2:]], [top[1], *bottom]))
+    return moves
+
+
 @st.composite
 def frobenius_specs(draw, algebra, n_max):
     """A Frobenius seaweed wound up from a one-vertex meander (A) or a Borel (B, C).
 
-    Each move undoes one of the index-preserving winding-down moves on
-    the first blocks of the signature (top | bottom): block elimination
-    (a1 = 2 b1), rotation contraction (b1 < a1 < 2 b1), pure contraction
-    (a1 > 2 b1) and the flip of top and bottom.  Every move adds the same
-    number of vertices to both sides, so the tail is kept; types B and C
-    share the meander, the tail and so the moves.
+    Each step undoes one of the index-preserving winding-down moves on
+    the first blocks of the signature, on (top | bottom) or on its flip
+    (bottom | top), chosen among the moves that keep n <= n_max; the
+    winding stops when none is left.  Every move adds the same positive
+    number of vertices to both sides, so the tail is kept and the
+    winding ends; types B and C share the meander, the tail and so the
+    moves.  The choices come from one seeded ``Random`` per example,
+    which keeps generation cheap and the examples spread out.
     """
+    rng = draw(st.randoms(use_true_random=True))
     if algebra is AlgebraType.A:
         top, bottom = [1], [1]
     else:
-        top, bottom = [1] * draw(st.integers(1, n_max)), []
-    for move in draw(st.lists(st.sampled_from("CRPF"), min_size=6, max_size=24)):
-        n = max(sum(top), sum(bottom))
-        if move == "F":
-            top, bottom = bottom, top
-        elif move == "C" and top and n + top[0] <= n_max:
-            top, bottom = [2 * top[0], *top[1:]], [top[0], *bottom]
-        elif move == "R" and top and bottom and bottom[0] < top[0] and n + top[0] - bottom[0] <= n_max:
-            top, bottom = [2 * top[0] - bottom[0], *top[1:]], [top[0], *bottom[1:]]
-        elif move == "P" and len(top) > 1 and n + top[1] <= n_max:
-            top, bottom = [top[0] + 2 * top[1], *top[2:]], [top[1], *bottom]
+        top, bottom = [1] * rng.randint(1, n_max - 1), []
+    while moves := _windings(top, bottom, n_max) + _windings(bottom, top, n_max):
+        top, bottom = rng.choice(moves)
     if sum(top) < sum(bottom):
         top, bottom = bottom, top
     return SeaweedSpec(algebra, sum(top), tuple(top), tuple(bottom))
