@@ -6,14 +6,20 @@ every such dimension: the form is built as sparse skew rows from the
 pairs the bracket table lists, reduced mod p = 2**61 - 1 and ranked by
 symplectic elimination, two ranks per pivot pair.  There is no floating
 point.  The rank mod p never exceeds the rank over the rationals, so a
-sampled kernel dimension is an upper bound on the index, exact for
-generic functionals.  Trial functionals are drawn uniformly from F_p,
-so one is degenerate with probability at most (m/2)/p (Schwartz-Zippel
-on a nonzero Pfaffian of degree at most m/2), and a form whose scale p
-divides gives only the bound.  A skew form has even rank, over the
-rationals and over F_p alike, so no kernel is below m mod 2; the trials
-stop as soon as one reaches that floor, or once two trials have read
-the current minimum.  So, with two trials or more, a result above the
+kernel dimension is an upper bound on the index, exact for generic
+functionals.  Lower bounds (floors) turn a kernel into a proof: a kernel
+equal to one is the index.  A skew form has even rank, over the
+rationals and over F_p alike, so no kernel is below m mod 2; nor is
+any below m - 2 floor(tau/2), tau the term rank of the pattern of the
+bracket table (a maximum matching, Frobenius-Konig), which is computed
+only once a kernel misses m mod 2.  A seaweed of type A, B, C or D
+first runs the meander trial: the sparse 0/1 meander functional below,
+which answers only at the floor and is dropped otherwise.  Then trial
+functionals are drawn uniformly from F_p, so one is degenerate with
+probability at most (m/2)/p (Schwartz-Zippel on a nonzero Pfaffian of
+degree at most m/2), and a form whose scale p divides gives only the
+bound.  The trials stop at the floor, or once two trials have read the
+current minimum.  So, with two trials or more, a result above the
 index needs two degenerate draws: probability at most ((m/2)/p)**2.
 
 Every matrix reaches F_p through one reduction, ``_mod_p``: sparse rows
@@ -29,12 +35,13 @@ are integer eigenvalue multiplicities read as kernel dimensions over F_p
 of ad(F) - k; never the output of a numerical eigensolver.  The dense
 ``kirillov_matrix`` and ``ad_matrix`` are views of the same rows.
 
-Every seaweed of type A, B, C or D first tries its meander: the meander
-functional (ones on the arc cells, plus cells at the tail: (v, 2n+1-v)
-in type C, the tail vertices in pairs in types B and D, and (v, n+1)
-for a last unpaired v in type B) has a diagonal principal element,
-found by one walk along the meander, and each basis element is an
-eigenvector of its ad.  The walk's spectrum is returned only under a
+The meander functional of a seaweed of type A, B, C or D
+(``_meander_functional``: ones on the arc cells, plus cells at the
+tail: (v, 2n+1-v) in type C, the tail vertices in pairs in types B and
+D, and (v, n+1) for a last unpaired v in type B) serves the index
+oracle's first trial and the spectrum.  It has a diagonal principal
+element, found by one walk along the meander, and each basis element is
+an eigenvector of its ad.  The walk's spectrum is returned only under a
 certificate: every eigenvalue an integer, eigenvalue 1 on the support
 of f (so the diagonal is a principal element of f), and a zero
 Kirillov kernel of f mod p (so f is Frobenius over the rationals and
@@ -290,30 +297,122 @@ def _trial_functionals(lie: LieData, trials: int, seed: int):
 
 
 def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> int:
-    """Min kernel dimension of the Kirillov form over seeded random functionals.
+    """Min kernel dimension of the Kirillov form over trial functionals, stopped early by floors.
 
     Each kernel dimension is computed over F_p by the skew elimination of
-    the sparse form (see _kirillov_kernel), so the result is an upper
-    bound for the index that is exact for generic functionals.  At most
-    ``trials`` functionals are drawn, uniformly from F_p.  The trials
-    stop once the kernel reaches m mod 2, a proof (a skew-symmetric
-    matrix has even rank, so no kernel is smaller), or once two trials
-    have read the current minimum.  The result exceeds the index only if
-    every trial run is degenerate, and unless the floor stops them at
-    least two run, so with trials >= 2 that has probability at most
-    ((m/2)/p)**2.  Deterministic for a given (trials, seed).
+    the sparse form (see _kirillov_kernel), so it bounds the index from
+    above: kernel mod p >= kernel over the rationals >= index.  Any kernel
+    that equals a lower bound on the index (a floor) therefore proves
+    the index and is returned at once.  The floor starts at m mod 2 (a
+    skew form has even rank); once a kernel misses it, the floor becomes
+    m - 2 * (tau // 2), tau the term rank of the pattern of
+    ``lie.brackets`` (``_term_rank``), since every form's rank is even
+    and at most tau.  The term rank is computed at most once per call.
+
+    A seaweed of type A, B, C or D (``lie.spec`` set) first runs the
+    meander trial: the 0/1 functional of ``_meander_functional``, whose
+    form is sparse.  Its kernel answers only at the floor; otherwise it is
+    discarded and counts toward nothing below.  Then at most ``trials``
+    seeded functionals are drawn, uniformly from F_p; they stop at the
+    floor, or once two of them have read the current minimum.  The
+    result exceeds the index only if every seeded trial run is
+    degenerate, and unless the floor stops them at least two run, so
+    with trials >= 2 that has probability at most ((m/2)/p)**2.
+    Deterministic for a given (trials, seed).
     """
     functionals = _trial_functionals(lie, trials, seed)
-    if lie.dimension == 0:
+    m = lie.dimension
+    if m == 0:
         return 0
-    best = lie.dimension + 1  # above every kernel, so the first trial agrees with nothing
-    floor = lie.dimension % 2
+    floor = m % 2
+    raised = False
+
+    def at_floor(kernel: int) -> bool:
+        nonlocal floor, raised
+        if kernel != floor and not raised:
+            # m - tau >= 0 and the rounding keeps the parity of m, so this
+            # floor is never below m mod 2
+            floor, raised = m - 2 * (_term_rank(lie) // 2), True
+        return kernel == floor
+
+    meander = _meander_functional(lie)
+    if meander is not None and at_floor(_kirillov_kernel(lie, meander)):
+        return floor
+    best = m + 1  # above every kernel, so the first trial agrees with nothing
     for f in functionals:
         kernel = _kirillov_kernel(lie, f)
-        if kernel == best or kernel == floor:
+        if kernel == best or at_floor(kernel):
             return kernel
         best = min(best, kernel)
     return best
+
+
+def _term_rank(lie: LieData) -> int:
+    """The term rank of the pattern of ``lie.brackets``: a maximum matching of rows to columns.
+
+    Row i meets column j when (i, j) or (j, i) is a key of the table.
+    Every Kirillov form f([x_i, x_j]) is zero off that pattern, so no
+    form has rank above it over any field (Frobenius-Konig).
+    Hopcroft-Karp after a greedy start, with no recursion: each phase
+    lays out by breadth-first search the rows that alternating paths
+    reach from the unmatched rows, then augments along paths that climb
+    those layers, found with an explicit stack.
+    """
+    m = lie.dimension
+    adjacent: list[list[int]] = [[] for _ in range(m)]
+    for i, j in lie.brackets:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    row_mate = [-1] * m
+    col_mate = [-1] * m
+    for r, cols in enumerate(adjacent):
+        for c in cols:
+            if col_mate[c] < 0:
+                row_mate[r], col_mate[c] = c, r
+                break
+    while True:
+        roots = [r for r in range(m) if row_mate[r] < 0 and adjacent[r]]
+        layer = [-1] * m
+        for r in roots:
+            layer[r] = 0
+        queue, augmentable = list(roots), False
+        for r in queue:  # the queue grows while it is read
+            for c in adjacent[r]:
+                s = col_mate[c]
+                if s < 0:
+                    augmentable = True
+                elif layer[s] < 0:
+                    layer[s] = layer[r] + 1
+                    queue.append(s)
+        if not augmentable:
+            return m - row_mate.count(-1)
+        tried = [0] * m  # how many of each row's columns this phase has tried
+        for root in roots:
+            rows, cols = [root], []  # the path: cols[k] joins rows[k] to rows[k + 1]
+            while rows:
+                r = rows[-1]
+                options, k = adjacent[r], tried[r]
+                c = -1
+                while k < len(options):
+                    k += 1
+                    s = col_mate[options[k - 1]]
+                    if s < 0 or layer[s] == layer[r] + 1:
+                        c = options[k - 1]
+                        break
+                tried[r] = k
+                if c < 0:  # no path on from r in this phase
+                    layer[r] = -1
+                    rows.pop()
+                    if cols:
+                        cols.pop()
+                    continue
+                cols.append(c)
+                if s >= 0:
+                    rows.append(s)
+                    continue
+                for row, col in zip(rows, cols):
+                    row_mate[row], col_mate[col] = col, row
+                break
 
 
 def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
@@ -403,7 +502,7 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
 
     A seaweed of type A, B, C or D (``lie.spec`` set by ``seaweed_basis``)
     first tries the meander functional f: ones on the arc cells, plus
-    cells at the tail (``_meander_walk``): (v, 2n+1-v) in type C, and in
+    cells at the tail (``_meander_support``): (v, 2n+1-v) in type C, and in
     types B and D the tail vertices in pairs (v, w), each giving the
     roots e_v - e_w and e_v + e_w.  One walk along the meander gives a
     diagonal F, and each basis element's eigenvalue is H_a - H_b at its
@@ -453,77 +552,104 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
 def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     """Eigenvalue multiplicities of a type-A, B, C or D seaweed off its meander; None unless certified.
 
-    ``_meander_walk`` gives the support of the meander functional f and
-    the diagonal H of F.  A basis element all of whose cells (a, b) read
-    one H_a - H_b is an eigenvector of ad(F) with that eigenvalue; every
-    element must be one, with an integer eigenvalue, and eigenvalue 1 on
-    the support, before the Kirillov kernel of f is computed (the
-    certificate of ``ad_spectrum``).  GL is never Frobenius and has no
-    walk.  The result never rests on the walk being right.
+    ``_meander_functional`` gives the meander functional f and
+    ``_meander_walk`` the diagonal H of F.  A basis element all of whose
+    cells (a, b) read one H_a - H_b is an eigenvector of ad(F) with that
+    eigenvalue; every element must be one, with an integer eigenvalue,
+    and eigenvalue 1 on the support of f, before the Kirillov kernel of f
+    is computed (the certificate of ``ad_spectrum``).  GL is never
+    Frobenius and has no meander functional.  The result never rests on
+    the walk being right.
     """
-    spec = lie.spec
-    if spec is None or lie.basis is None or spec.algebra is AlgebraType.GL:
+    f = _meander_functional(lie)
+    if f is None:
         return None
-    support, diagonal = _meander_walk(spec)
+    diagonal = _meander_walk(lie.spec)
     doubled = []
-    lead = {}
-    for k, x in enumerate(lie.basis):
+    for x, on in zip(lie.basis, f):
         values = {diagonal[a] - diagonal[b] for a, b in x.entries}
         if len(values) != 1:
             return None
         value = values.pop()
-        if value % 2:
+        if value % 2 or (on and value != 2):
             return None
         doubled.append(value)
-        lead[min(x.entries)] = k
-    f = [0] * lie.dimension
-    for cell in support:
-        k = lead.get(cell)
-        if k is None or doubled[k] != 2:
-            return None
-        f[k] = 1
     if _kirillov_kernel(lie, f):
         return None
     return Counter(value // 2 for value in doubled)
 
 
-def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]]:
-    """The support cells of the meander functional and the doubled diagonal 2H, 1-based.
+def _meander_functional(lie: LieData) -> list[int] | None:
+    """The meander functional of a type-A, B, C or D seaweed as a 0/1 vector on its basis.
 
-    f is 1 on the element whose lead cell is an arc cell, (j, i) for a
-    top arc i < j and (i, j) for a bottom arc, and on tail cells, with
-    N = ``matrix_dim(spec)``.  In type C each tail vertex v adds
-    (v, N+1-v) and anchors 2h_v = 1.  In types B and D the tail vertices,
-    in increasing order, go in consecutive pairs (v, w): each pair adds
-    (v, w) (root e_v - e_w) and (v, N+1-w) (root e_v + e_w) and anchors
-    2h_v = 2 and 2h_w = 0, so both roots read 1.  In type B a last
-    unpaired vertex v adds (v, n+1) (root e_v) and anchors 2h_v = 2; a
-    type-D tail has even length (``meander.tail``).  Along the vertex
-    order of each component one arc joins each consecutive pair, and 2h
-    rises by 2 up a top arc or down a bottom arc (2h_j - 2h_i = 2 on a
-    top arc, 2h_i - 2h_j = 2 on a bottom arc).  Each component is then
+    f is 1 on each basis element whose lead cell (its least cell, which
+    lies in no other element) is a cell of ``_meander_support``, and 0
+    elsewhere.  None for GL, for tables (no ``lie.spec``), and if a
+    support cell leads no element.  Both ``index_oracle`` (the meander
+    trial) and ``_meander_spectrum`` (the certificate) use it.
+    """
+    spec = lie.spec
+    if spec is None or lie.basis is None or spec.algebra is AlgebraType.GL:
+        return None
+    lead = {min(x.entries): k for k, x in enumerate(lie.basis)}
+    f = [0] * lie.dimension
+    for cell in _meander_support(spec):
+        k = lead.get(cell)
+        if k is None:
+            return None
+        f[k] = 1
+    return f
+
+
+def _meander_support(spec: SeaweedSpec) -> list[tuple[int, int]]:
+    """The support cells of the meander functional, 1-based, with N = ``matrix_dim(spec)``.
+
+    Each arc gives its arc cell: (j, i) for a top arc i < j and (i, j)
+    for a bottom arc.  In type C each tail vertex v gives (v, N+1-v).  In
+    types B and D the tail vertices, in increasing order, go in
+    consecutive pairs (v, w): each pair gives (v, w) (root e_v - e_w) and
+    (v, N+1-w) (root e_v + e_w).  In type B a last unpaired vertex v
+    gives (v, n+1) (root e_v); a type-D tail has even length
+    (``meander.tail``).
+    """
+    meander = meander_of_valid(spec)  # seaweed_basis validated the spec
+    n, top, bottom, tail = spec.n, meander.top, meander.bottom, meander.tail
+    size = matrix_dim(spec)
+    if spec.algebra is AlgebraType.C:
+        support = [(v, size + 1 - v) for v in tail]
+    else:  # type A has no tail; B and D take it in pairs
+        support = []
+        for v, w in zip(tail[::2], tail[1::2]):
+            support += [(v, w), (v, size + 1 - w)]
+        if len(tail) % 2:  # type B only: every type-D tail is even
+            support.append((tail[-1], n + 1))
+    support += [(top[v], v) for v in range(1, n + 1) if v < top[v]]
+    support += [(v, bottom[v]) for v in range(1, n + 1) if v < bottom[v]]
+    return support
+
+
+def _meander_walk(spec: SeaweedSpec) -> list[int]:
+    """The doubled diagonal 2H of the meander functional's principal element, 1-based.
+
+    Each tail vertex anchors 2h: in type C to 1, so that (v, N+1-v)
+    reads 1; in types B and D, along the tail in increasing order,
+    alternately to 2 and 0, so that both roots of each pair (v, w) of
+    ``_meander_support`` read 1, and so does the root e_v of a last
+    unpaired type-B vertex.  Along the vertex order of each component
+    one arc joins each consecutive pair, and 2h rises by 2 up a top arc
+    or down a bottom arc (2h_j - 2h_i = 2 on a top arc, 2h_i - 2h_j = 2
+    on a bottom arc), so every arc cell reads 1.  Each component is then
     shifted so that its least tail vertex reads its anchor, or, with no
     tail vertex, its least vertex reads 0.  Types B, C and D mirror it,
     H_{N+1-v} = -h_v, with H_{n+1} = 0 in type B.  diag(H) lies in the
     Cartan subalgebra, up to a scalar in type A that ad ignores.
     """
     meander = meander_of_valid(spec)  # seaweed_basis validated the spec
-    n, top, bottom, tail = spec.n, meander.top, meander.bottom, meander.tail
-    size = matrix_dim(spec)
-    anchor: dict[int, int] = {}
-    support: list[tuple[int, int]] = []
+    n, top, tail = spec.n, meander.top, meander.tail
     if spec.algebra is AlgebraType.C:
         anchor = dict.fromkeys(tail, 1)
-        support = [(v, size + 1 - v) for v in tail]
     else:  # type A has no tail; B and D take it in pairs
-        for v, w in zip(tail[::2], tail[1::2]):
-            anchor[v], anchor[w] = 2, 0
-            support += [(v, w), (v, size + 1 - w)]
-        if len(tail) % 2:  # type B only: every type-D tail is even
-            anchor[tail[-1]] = 2
-            support.append((tail[-1], n + 1))
-    support += [(top[v], v) for v in range(1, n + 1) if v < top[v]]
-    support += [(v, bottom[v]) for v in range(1, n + 1) if v < bottom[v]]
+        anchor = {v: 0 if k % 2 else 2 for k, v in enumerate(tail)}
     twice = [0] * (n + 1)
     for comp in components(meander)[1]:
         order = comp.vertices
@@ -536,8 +662,8 @@ def _meander_walk(spec: SeaweedSpec) -> tuple[list[tuple[int, int]], list[int]]:
             twice[v] += shift
     diagonal = twice[1:]
     if spec.algebra is not AlgebraType.A:
-        diagonal += [0] * (size - 2 * n) + [-h for h in reversed(diagonal)]
-    return support, [0] + diagonal
+        diagonal += [0] * (matrix_dim(spec) - 2 * n) + [-h for h in reversed(diagonal)]
+    return [0] + diagonal
 
 
 def _scanned_spectrum(lie: LieData, principal: Sequence[int]) -> dict[int, int]:

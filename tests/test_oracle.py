@@ -23,6 +23,7 @@ from seaweeds.oracle import (
     rank_exact,
 )
 from seaweeds.specs import AlgebraType, enumerate_specs, parse_spec
+from seaweeds.sweep import run_sweep
 
 SL2 = lie_from_structure_constants({(0, 2): {1: 1}, (1, 0): {0: 2}, (1, 2): {2: -2}})
 
@@ -203,8 +204,10 @@ def test_index_oracle_deterministic():
 @pytest.mark.parametrize(
     "text, dimension, index, calls",
     [
-        ("A4:4/2|2", 11, 1, 1),  # odd dimension: kernel 1 is the floor
-        ("A3:3/3", 8, 2, 2),  # even dimension, index 2: two trials agree on 2
+        ("A4:4/2|2", 11, 1, 1),  # odd dimension: the meander trial reads the floor 1
+        # sl3, index 2: the term rank 8 leaves the floor at 0, so the meander
+        # trial's 2 is dropped and two seeded trials then agree on 2
+        ("A3:3/3", 8, 2, 3),
     ],
 )
 def test_index_oracle_stops_at_the_parity_floor(monkeypatch, text, dimension, index, calls):
@@ -212,20 +215,29 @@ def test_index_oracle_stops_at_the_parity_floor(monkeypatch, text, dimension, in
     lie = seaweed_basis(parse_spec(text))
     assert lie.dimension == dimension
     assert index_oracle(lie, trials=5, seed=0) == index
-    assert len(counted) == calls
+    assert counted == [index] * calls
 
 
-def _count_kernels(monkeypatch):
-    # the kernel dimensions of the oracle's Kirillov kernels, in call order
+def _count_kernels(monkeypatch, functionals=None):
+    # the kernel dimensions of the oracle's Kirillov kernels, in call order;
+    # the functionals too, if a list is given
     counted = []
     kernel = oracle._kirillov_kernel
-    monkeypatch.setattr(oracle, "_kirillov_kernel", lambda lie, f: counted.append(kernel(lie, f)) or counted[-1])
+
+    def counting(lie, f):
+        if functionals is not None:
+            functionals.append(list(f))
+        counted.append(kernel(lie, f))
+        return counted[-1]
+
+    monkeypatch.setattr(oracle, "_kirillov_kernel", counting)
     return counted
 
 
 def test_index_oracle_runs_on_past_a_degenerate_first_trial(monkeypatch):
-    # the zero functional reads the whole dimension; the next two trials
-    # both read the index, and the second of them stops the oracle
+    # the meander trial reads 2 above the floor 0 and is dropped; the zero
+    # functional reads the whole dimension; the next two trials both read
+    # the index, and the second of them stops the oracle
     draw = oracle.random_functional
     draws = []
 
@@ -237,13 +249,123 @@ def test_index_oracle_runs_on_past_a_degenerate_first_trial(monkeypatch):
     counted = _count_kernels(monkeypatch)
     lie = seaweed_basis(parse_spec("A3:3/3"))
     assert index_oracle(lie, trials=5, seed=0) == 2
-    assert counted == [8, 2, 2]
+    assert counted == [2, 8, 2, 2]
 
 
-def test_index_oracle_with_one_trial_runs_one_kernel(monkeypatch):
+def test_index_oracle_with_one_trial_runs_one_dense_kernel(monkeypatch):
+    # the meander trial misses the floor and does not count as a trial
+    functionals = []
+    counted = _count_kernels(monkeypatch, functionals)
+    lie = seaweed_basis(parse_spec("A3:3/3"))
+    assert index_oracle(lie, trials=1, seed=0) == 2
+    assert counted == [2, 2]
+    assert functionals[0] == oracle._meander_functional(lie)
+
+
+def test_index_oracle_decides_a_frobenius_seaweed_with_one_sparse_kernel(monkeypatch):
+    functionals = []
+    counted = _count_kernels(monkeypatch, functionals)
+    lie = seaweed_basis(parse_spec("A5:4|1/2|1|2"))
+    assert index_oracle(lie, trials=5, seed=0) == 0
+    assert counted == [0]
+    assert set(functionals[0]) == {0, 1}
+    assert functionals[0] == oracle._meander_functional(lie)
+
+
+def test_index_oracle_stops_a_gl_seaweed_at_the_term_rank_floor(monkeypatch):
+    # GL has no meander trial; dimension 8 and term rank 7 give the floor
+    # 8 - 6 = 2, the index, so the first seeded trial's 2 proves it
     counted = _count_kernels(monkeypatch)
-    assert index_oracle(seaweed_basis(parse_spec("A3:3/3")), trials=1, seed=0) == 2
-    assert len(counted) == 1
+    lie = seaweed_basis(parse_spec("GL4:1|3/1|1|2"))
+    assert (lie.dimension, oracle._term_rank(lie)) == (8, 7)
+    assert oracle._meander_functional(lie) is None
+    assert index_oracle(lie, trials=5, seed=0) == 2
+    assert counted == [2]
+
+
+def test_index_oracle_rejects_zero_trials_before_any_kernel(monkeypatch):
+    # the meander trial alone would prove index 0 here; it must not answer first
+    counted = _count_kernels(monkeypatch)
+    with pytest.raises(ValueError, match="trials"):
+        index_oracle(seaweed_basis(parse_spec("A5:4|1/2|1|2")), trials=0)
+    assert counted == []
+
+
+def test_index_oracle_equals_the_meander_on_the_benchmark_ranges():
+    # the default oracle, meander trial and term-rank floor included
+    ranges = {
+        AlgebraType.GL: (1, 5),
+        AlgebraType.A: (2, 5),
+        AlgebraType.B: (1, 4),
+        AlgebraType.C: (1, 4),
+        AlgebraType.D: (1, 4),
+    }
+    checked = 0
+    for algebra, (n_min, n_max) in ranges.items():
+        report = run_sweep(algebra, n_max=n_max, n_min=n_min, trials=5, seed=1)
+        assert report.mismatches == [], report.mismatches[:3]
+        checked += report.specs_checked
+    assert checked == 1365
+
+
+def _term_rank_reference(lie):
+    # augmenting paths by recursion, one free row at a time
+    adjacent = [[] for _ in range(lie.dimension)]
+    for i, j in lie.brackets:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    col_mate = {}
+
+    def augment(r, seen):
+        for c in adjacent[r]:
+            if c not in seen:
+                seen.add(c)
+                if c not in col_mate or augment(col_mate[c], seen):
+                    col_mate[c] = r
+                    return True
+        return False
+
+    return sum(augment(r, set()) for r in range(lie.dimension))
+
+
+def test_term_rank_matches_augmenting_paths_on_random_patterns():
+    rng = random.Random(53)
+    deficient = 0
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.2]
+        rng.shuffle(pairs)
+        lie = LieData(m, {pair: {0: 1} for pair in pairs})
+        expected = _term_rank_reference(lie)
+        assert oracle._term_rank(lie) == expected, pairs
+        deficient += expected < m
+    assert deficient > 100
+
+
+def test_term_rank_follows_long_augmenting_paths_without_recursion():
+    # a path 0 - 1 - ... - (m-1) listed from its far end: the greedy start
+    # matches row v to column v + 1, so the last row augments along a path
+    # through every vertex, far deeper than the recursion limit
+    m = 4000
+    lie = LieData(m, {(v, v + 1): {0: 1} for v in reversed(range(m - 1))})
+    assert oracle._term_rank(lie) == m
+    assert oracle._term_rank(LieData(m + 1, lie.brackets)) == m
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max",
+    [(AlgebraType.GL, 6), (AlgebraType.A, 6), (AlgebraType.B, 5), (AlgebraType.C, 5), (AlgebraType.D, 5)],
+)
+def test_term_rank_floor_never_exceeds_the_index(algebra, n_max):
+    tight = 0
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            lie = seaweed_basis(spec)
+            floor = lie.dimension - 2 * (oracle._term_rank(lie) // 2)
+            index = index_combinatorial(spec).index
+            assert lie.dimension % 2 <= floor <= index, spec
+            tight += lie.dimension % 2 < floor == index
+    assert tight
 
 
 def test_random_functional_draws_from_f_p():
@@ -447,10 +569,10 @@ def _shifted_walk(shifts):
     walk = oracle._meander_walk
 
     def tampered(spec):
-        support, diagonal = walk(spec)
+        diagonal = walk(spec)
         for index, by in shifts.items():
             diagonal[index] += by
-        return support, diagonal
+        return diagonal
 
     return tampered
 
