@@ -35,18 +35,11 @@ are integer eigenvalue multiplicities read as kernel dimensions over F_p
 of ad(F) - k; never the output of a numerical eigensolver.  The dense
 ``kirillov_matrix`` and ``ad_matrix`` are views of the same rows.
 
-The meander functional of a seaweed of type A, B, C or D
-(``_meander_functional``: ones on the arc cells, plus cells at the
-tail: (v, 2n+1-v) in type C, the tail vertices in pairs in types B and
-D, and (v, n+1) for a last unpaired v in type B) serves the index
-oracle's first trial and the spectrum.  It has a diagonal principal
-element, found by one walk along the meander, and each basis element is
-an eigenvector of its ad.  The walk's spectrum is returned only under a
-certificate: every eigenvalue an integer, eigenvalue 1 on the support
-of f (so the diagonal is a principal element of f), and a zero
-Kirillov kernel of f mod p (so f is Frobenius over the rationals and
-the principal element is unique).
-Otherwise, and for abstract tables, the scans run."""
+The meander functional of a seaweed of type A, B, C or D and its
+diagonal principal element come from one walk along the meander
+(``_meander_functional``); they serve the oracle's meander trial and,
+under a certificate, the spectrum.  Otherwise, and for abstract
+tables, the scans run."""
 
 from __future__ import annotations
 
@@ -60,7 +53,7 @@ from typing import Sequence
 
 from .matrices import LieData, matrix_dim
 from .meander import components, meander_of_valid
-from .specs import AlgebraType, SeaweedSpec
+from .specs import AlgebraType
 
 # The prime of the rank kernel: 2**61 - 1 (a Mersenne prime).
 P = (1 << 61) - 1
@@ -336,7 +329,7 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
         return kernel == floor
 
     meander = _meander_functional(lie)
-    if meander is not None and at_floor(_kirillov_kernel(lie, meander)):
+    if meander is not None and at_floor(_kirillov_kernel(lie, meander[0])):
         return floor
     best = m + 1  # above every kernel, so the first trial agrees with nothing
     for f in functionals:
@@ -500,19 +493,12 @@ def _spectrum_scan_order(lo: int, hi: int) -> list[int]:
 def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> SpectrumReport:
     """Integer spectrum of ad(principal element), read off the meander or by kernel scans.
 
-    A seaweed of type A, B, C or D (``lie.spec`` set by ``seaweed_basis``)
-    first tries the meander functional f: ones on the arc cells, plus
-    cells at the tail (``_meander_support``): (v, 2n+1-v) in type C, and in
-    types B and D the tail vertices in pairs (v, w), each giving the
-    roots e_v - e_w and e_v + e_w.  One walk along the meander gives a
-    diagonal F, and each basis element's eigenvalue is H_a - H_b at its
-    cells (a, b).  That spectrum is returned only when all of these hold:
-    every eigenvalue is an integer; every element of the support of f
-    has eigenvalue 1, so f([F, x]) = f(x) for all x; and the Kirillov
-    kernel of f is 0 mod p, so f is Frobenius over the rationals and F
-    its only principal element (``_meander_spectrum``).  The spectrum of
-    a Frobenius algebra's principal element does not depend on the
-    Frobenius functional, so the scans below would report the same.
+    An odd dimension m raises NotFrobeniusError at once: a skew form on
+    an odd-dimensional space is degenerate.  A seaweed of type A, B, C or
+    D (``lie.spec`` set by ``seaweed_basis``) first tries the certified
+    spectrum of its meander functional (``_meander_spectrum``).  The
+    spectrum of a Frobenius algebra's principal element does not depend
+    on the Frobenius functional, so the scans below would report the same.
 
     Otherwise (structure-constant tables, or a failed certificate)
     ``principal_element`` is tried on ``index_oracle``'s seeded trial
@@ -535,6 +521,8 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
     m = lie.dimension
     if m == 0:
         return SpectrumReport({}, True, True, True, 0)
+    if m % 2:
+        raise NotFrobeniusError(f"no nondegenerate functional: dimension {m} is odd")
     eigenvalues = _meander_spectrum(lie)
     if eigenvalues is None:
         for f in functionals:
@@ -550,28 +538,25 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
 
 
 def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
-    """Eigenvalue multiplicities of a type-A, B, C or D seaweed off its meander; None unless certified.
+    """Eigenvalue multiplicities of ad(F) off the meander (``_meander_functional``); None unless certified.
 
-    ``_meander_functional`` gives the meander functional f and
-    ``_meander_walk`` the diagonal H of F.  A basis element all of whose
-    cells (a, b) read one H_a - H_b is an eigenvector of ad(F) with that
-    eigenvalue; every element must be one, with an integer eigenvalue,
-    and eigenvalue 1 on the support of f, before the Kirillov kernel of f
-    is computed (the certificate of ``ad_spectrum``).  GL is never
-    Frobenius and has no meander functional.  The result never rests on
-    the walk being right.
+    A basis element all of whose cells (a, b) read one H_a - H_b is an
+    eigenvector of ad(F) with that eigenvalue.  The certificate: every
+    element is one, with an integer eigenvalue; eigenvalue 1 on the
+    support of f, so f([F, x]) = f(x) for all x; and, checked last, a
+    zero Kirillov kernel of f mod p, so f is Frobenius over the rationals
+    and F its only principal element.  The result never rests on the
+    walk being right.
     """
-    f = _meander_functional(lie)
-    if f is None:
+    found = _meander_functional(lie)
+    if found is None:
         return None
-    diagonal = _meander_walk(lie.spec)
+    f, twice_h = found
     doubled = []
     for x, on in zip(lie.basis, f):
-        values = {diagonal[a] - diagonal[b] for a, b in x.entries}
-        if len(values) != 1:
-            return None
+        values = {twice_h[a] - twice_h[b] for a, b in x.entries}
         value = values.pop()
-        if value % 2 or (on and value != 2):
+        if values or value % 2 or (on and value != 2):
             return None
         doubled.append(value)
     if _kirillov_kernel(lie, f):
@@ -579,77 +564,59 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     return Counter(value // 2 for value in doubled)
 
 
-def _meander_functional(lie: LieData) -> list[int] | None:
-    """The meander functional of a type-A, B, C or D seaweed as a 0/1 vector on its basis.
+def _meander_functional(lie: LieData) -> tuple[list[int], list[int]] | None:
+    """The meander functional f of a type-A, B, C or D seaweed and the doubled diagonal 2H of F.
 
-    f is 1 on each basis element whose lead cell (its least cell, which
-    lies in no other element) is a cell of ``_meander_support``, and 0
-    elsewhere.  None for GL, for tables (no ``lie.spec``), and if a
-    support cell leads no element.  Both ``index_oracle`` (the meander
-    trial) and ``_meander_spectrum`` (the certificate) use it.
-    """
-    spec = lie.spec
-    if spec is None or lie.basis is None or spec.algebra is AlgebraType.GL:
-        return None
-    lead = {min(x.entries): k for k, x in enumerate(lie.basis)}
-    f = [0] * lie.dimension
-    for cell in _meander_support(spec):
-        k = lead.get(cell)
-        if k is None:
-            return None
-        f[k] = 1
-    return f
-
-
-def _meander_support(spec: SeaweedSpec) -> list[tuple[int, int]]:
-    """The support cells of the meander functional, 1-based, with N = ``matrix_dim(spec)``.
+    f is a 0/1 vector on the basis: 1 on each element whose lead cell
+    (its least cell, which lies in no other element) is a support cell.
+    2H is 1-based, N = ``matrix_dim(spec)``, and F = diag(H) is the
+    principal element of f whenever the certificate of
+    ``_meander_spectrum`` holds.  None for GL, for tables (no
+    ``lie.spec``), and if a support cell leads no element.
 
     Each arc gives its arc cell: (j, i) for a top arc i < j and (i, j)
-    for a bottom arc.  In type C each tail vertex v gives (v, N+1-v).  In
-    types B and D the tail vertices, in increasing order, go in
-    consecutive pairs (v, w): each pair gives (v, w) (root e_v - e_w) and
-    (v, N+1-w) (root e_v + e_w).  In type B a last unpaired vertex v
-    gives (v, n+1) (root e_v); a type-D tail has even length
-    (``meander.tail``).
-    """
-    meander = meander_of_valid(spec)  # seaweed_basis validated the spec
-    n, top, bottom, tail = spec.n, meander.top, meander.bottom, meander.tail
-    size = matrix_dim(spec)
-    if spec.algebra is AlgebraType.C:
-        support = [(v, size + 1 - v) for v in tail]
-    else:  # type A has no tail; B and D take it in pairs
-        support = []
-        for v, w in zip(tail[::2], tail[1::2]):
-            support += [(v, w), (v, size + 1 - w)]
-        if len(tail) % 2:  # type B only: every type-D tail is even
-            support.append((tail[-1], n + 1))
-    support += [(top[v], v) for v in range(1, n + 1) if v < top[v]]
-    support += [(v, bottom[v]) for v in range(1, n + 1) if v < bottom[v]]
-    return support
-
-
-def _meander_walk(spec: SeaweedSpec) -> list[int]:
-    """The doubled diagonal 2H of the meander functional's principal element, 1-based.
-
-    Each tail vertex anchors 2h: in type C to 1, so that (v, N+1-v)
-    reads 1; in types B and D, along the tail in increasing order,
-    alternately to 2 and 0, so that both roots of each pair (v, w) of
-    ``_meander_support`` read 1, and so does the root e_v of a last
-    unpaired type-B vertex.  Along the vertex order of each component
-    one arc joins each consecutive pair, and 2h rises by 2 up a top arc
-    or down a bottom arc (2h_j - 2h_i = 2 on a top arc, 2h_i - 2h_j = 2
-    on a bottom arc), so every arc cell reads 1.  Each component is then
+    for a bottom arc.  The tail gives support cells, each with the anchor
+    of 2h that makes it read 1: in type C each tail vertex v gives
+    (v, N+1-v) with 2h_v = 1; in types B and D the tail vertices, in
+    increasing order, go in consecutive pairs (v, w), each giving
+    (v, w) (root e_v - e_w) and (v, N+1-w) (root e_v + e_w) with
+    2h_v = 2 and 2h_w = 0; in type B a last unpaired vertex v gives
+    (v, n+1) (root e_v) with 2h_v = 2 (a type-D tail has even length,
+    ``meander.tail``).  Along the vertex order of each component one arc
+    joins each consecutive pair, and 2h rises by 2 up a top arc or down
+    a bottom arc, so every arc cell reads 1.  Each component is then
     shifted so that its least tail vertex reads its anchor, or, with no
     tail vertex, its least vertex reads 0.  Types B, C and D mirror it,
     H_{N+1-v} = -h_v, with H_{n+1} = 0 in type B.  diag(H) lies in the
     Cartan subalgebra, up to a scalar in type A that ad ignores.
     """
+    spec = lie.spec
+    if spec is None or lie.basis is None or spec.algebra is AlgebraType.GL:
+        return None
     meander = meander_of_valid(spec)  # seaweed_basis validated the spec
-    n, top, tail = spec.n, meander.top, meander.tail
+    n, top, bottom, tail = spec.n, meander.top, meander.bottom, meander.tail
+    size = matrix_dim(spec)
+    support, anchor = [], {}
     if spec.algebra is AlgebraType.C:
-        anchor = dict.fromkeys(tail, 1)
+        for v in tail:
+            support.append((v, size + 1 - v))
+            anchor[v] = 1
     else:  # type A has no tail; B and D take it in pairs
-        anchor = {v: 0 if k % 2 else 2 for k, v in enumerate(tail)}
+        for v, w in zip(tail[::2], tail[1::2]):
+            support += [(v, w), (v, size + 1 - w)]
+            anchor[v], anchor[w] = 2, 0
+        if len(tail) % 2:  # type B only: every type-D tail is even
+            support.append((tail[-1], n + 1))
+            anchor[tail[-1]] = 2
+    support += [(top[v], v) for v in range(1, n + 1) if v < top[v]]
+    support += [(v, bottom[v]) for v in range(1, n + 1) if v < bottom[v]]
+    lead = {min(x.entries): k for k, x in enumerate(lie.basis)}
+    f = [0] * lie.dimension
+    for cell in support:
+        k = lead.get(cell)
+        if k is None:
+            return None
+        f[k] = 1
     twice = [0] * (n + 1)
     for comp in components(meander)[1]:
         order = comp.vertices
@@ -660,10 +627,9 @@ def _meander_walk(spec: SeaweedSpec) -> list[int]:
         shift = anchor.get(root, 0) - twice[root]
         for v in order:
             twice[v] += shift
-    diagonal = twice[1:]
     if spec.algebra is not AlgebraType.A:
-        diagonal += [0] * (matrix_dim(spec) - 2 * n) + [-h for h in reversed(diagonal)]
-    return [0] + diagonal
+        twice += [0] * (size - 2 * n) + [-h for h in reversed(twice[1:])]
+    return f, twice
 
 
 def _scanned_spectrum(lie: LieData, principal: Sequence[int]) -> dict[int, int]:

@@ -259,7 +259,7 @@ def test_index_oracle_with_one_trial_runs_one_dense_kernel(monkeypatch):
     lie = seaweed_basis(parse_spec("A3:3/3"))
     assert index_oracle(lie, trials=1, seed=0) == 2
     assert counted == [2, 2]
-    assert functionals[0] == oracle._meander_functional(lie)
+    assert functionals[0] == oracle._meander_functional(lie)[0]
 
 
 def test_index_oracle_decides_a_frobenius_seaweed_with_one_sparse_kernel(monkeypatch):
@@ -269,7 +269,7 @@ def test_index_oracle_decides_a_frobenius_seaweed_with_one_sparse_kernel(monkeyp
     assert index_oracle(lie, trials=5, seed=0) == 0
     assert counted == [0]
     assert set(functionals[0]) == {0, 1}
-    assert functionals[0] == oracle._meander_functional(lie)
+    assert functionals[0] == oracle._meander_functional(lie)[0]
 
 
 def test_index_oracle_stops_a_gl_seaweed_at_the_term_rank_floor(monkeypatch):
@@ -536,8 +536,47 @@ def test_spectrum_rejects_nonpositive_trials():
 
 
 def test_spectrum_rejects_non_frobenius():
-    with pytest.raises(NotFrobeniusError):
-        ad_spectrum(seaweed_basis(parse_spec("A8:4|4/8")))
+    # even dimension 8, index 2: every trial is tried and fails
+    with pytest.raises(NotFrobeniusError, match="found in 5 trials"):
+        ad_spectrum(seaweed_basis(parse_spec("A3:3/3")))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lie",
+    [
+        seaweed_basis(parse_spec("A8:4|4/8")),  # dimension 47
+        lie_from_structure_constants(parse_structure_constants("1 3 -> 1:1\n")),  # dimension 3
+    ],
+    ids=["seaweed", "table"],
+)
+def test_spectrum_rejects_an_odd_dimension_before_any_kernel(monkeypatch, lie):
+    # a skew form on an odd-dimensional space is degenerate: no trial can solve
+    assert lie.dimension % 2
+    principals = _count_calls(monkeypatch, "principal_element")
+    kernels = _count_calls(monkeypatch, "_kirillov_kernel")
+    with pytest.raises(NotFrobeniusError, match=f"^no nondegenerate functional: dimension {lie.dimension} is odd$"):
+        ad_spectrum(lie)
+    with pytest.raises(ValueError, match="trials"):  # the trials check comes first
+        ad_spectrum(lie, trials=0)
+    assert principals == [] and kernels == []
+
+
+@pytest.mark.parametrize("text", ["A4:2|2/1|3", "B3:1|1|1/", "C5:1|4/3", "D4:1|3/2"])
+def test_one_meander_per_spectrum_and_per_meander_trial(monkeypatch, text):
+    lie = seaweed_basis(parse_spec(text))
+    built = _count_calls(monkeypatch, "meander_of_valid")
+    assert oracle._meander_spectrum(lie) is not None
+    assert len(built) == 1
+    built.clear()
+    assert index_oracle(lie) == 0
+    assert len(built) == 1
 
 
 def _scanned(lie):
@@ -565,14 +604,14 @@ def test_meander_spectrum_equals_the_scans(algebra, n_max, count):
 
 
 def _shifted_walk(shifts):
-    # the walk's doubled diagonal 2H with the given entries moved (index -1 is the last)
-    walk = oracle._meander_walk
+    # the meander functional with entries of its doubled diagonal 2H moved (index -1 is the last)
+    walk = oracle._meander_functional
 
-    def tampered(spec):
-        diagonal = walk(spec)
+    def tampered(lie):
+        f, twice_h = walk(lie)
         for index, by in shifts.items():
-            diagonal[index] += by
-        return diagonal
+            twice_h[index] += by
+        return f, twice_h
 
     return tampered
 
@@ -593,7 +632,7 @@ def _shifted_walk(shifts):
 def test_a_tampered_walk_falls_back_to_the_scans(monkeypatch, text, shifts):
     lie = seaweed_basis(parse_spec(text))
     expected = _scanned(lie)
-    monkeypatch.setattr(oracle, "_meander_walk", _shifted_walk(shifts))
+    monkeypatch.setattr(oracle, "_meander_functional", _shifted_walk(shifts))
     assert oracle._meander_spectrum(lie) is None
     assert ad_spectrum(lie) == expected
 

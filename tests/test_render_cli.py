@@ -187,6 +187,20 @@ def test_cli_main_calls_in_one_process_are_independent(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
+def test_cli_spectrum_exits_4_at_once_on_an_odd_dimension(tmp_path, capsys, monkeypatch):
+    principals = []
+    solve = oracle.principal_element
+    monkeypatch.setattr(oracle, "principal_element", lambda *args: principals.append(args) or solve(*args))
+    table = tmp_path / "odd.sc"
+    table.write_text("1 3 -> 1:1\n")
+    assert run_cli("spectrum", "A20:10|10/20") == 4
+    assert capsys.readouterr().err == "error: no nondegenerate functional: dimension 299 is odd\n"
+    assert run_cli("spectrum", "--sc-file", str(table), "--json") == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no nondegenerate functional: dimension 3 is odd\n")
+    assert principals == []
+
+
 def test_cli_spectrum_from_structure_constants(tmp_path, capsys):
     table = tmp_path / "family.txt"
     table.write_text("1 4 -> 1:-1\n2 3 -> 1:-1\n2 4 -> 3:-1\n3 4 -> 3:-1,2:-2\n")
