@@ -3,16 +3,20 @@
 A Frobenius type-A seaweed has a single-path meander.  A self-loop on
 the missing side of each endpoint makes the top and bottom maps t and b
 total involutions, and iterating t(b(.)) from the path's lower endpoint
-visits every vertex once.  The cyclic differences of that tour form a
-multiset; when they are all equal the common value is the delta of the
-seaweed, and for two-part-over-two-part shapes a|b/c|d it is congruent
-to a+d mod n.
+visits every vertex once: it steps along the path two vertices at a
+time and turns back at the far end, so the tour is read off the path
+order by slices and then checked against t and b.  The cyclic
+differences of that tour form a multiset; when they are all equal the
+common value is the delta of the seaweed, and for two-part-over-two-part
+shapes a|b/c|d it is congruent to a+d mod n.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mod, sub
 
 from .meander import build_meander, components
 from .specs import SeaweedSpec
@@ -35,14 +39,22 @@ class DeltaReport:
 
 
 def delta_of_spec(spec: SeaweedSpec) -> DeltaReport:
-    """Iterate t(b(.)) on the meander of a type-A spec and record the tour.
+    """The t(b(.)) tour on the meander of a type-A spec, from the path's lower endpoint.
 
     On a single path only the endpoints miss a side (an isolated vertex,
-    the n=1 meander, misses both), so filling every missing partner with
-    the vertex itself adds exactly the endpoint self-loops.  Meanders
-    that are not a single path are rejected.  The differences are taken
-    cyclically (n of them, wrap included), so the multiset is invariant
-    under rotation of the starting point.
+    the n=1 meander, misses both), so filling each endpoint's missing
+    partner with the vertex itself adds exactly the endpoint self-loops.
+    Meanders that are not a single path are rejected.
+
+    Let p_0 .. p_{n-1} be the path walked from p_0.  If p_0 misses its
+    top arc, t∘b runs p_0, p_2, p_4, ... out and the odd-indexed
+    vertices back; if it misses its bottom arc, t∘b runs p_0, then
+    p_1, p_3, ... out and the even-indexed vertices back down to p_2.
+    The sliced tour is checked against t and b (each vertex maps to the
+    next, the last to the first, no vertex twice); a mismatch raises
+    ``TourError``.  The differences are taken cyclically (n of them,
+    wrap included), so the multiset is invariant under rotation of the
+    starting point.
     """
     meander = build_meander(spec)
     if meander.tail:
@@ -53,20 +65,23 @@ def delta_of_spec(spec: SeaweedSpec) -> DeltaReport:
             f"meander is not a single path ({summary.total} components)"
         )
     n = meander.n_vertices
-    top = [w or v for v, w in enumerate(meander.top)]
-    bottom = [w or v for v, w in enumerate(meander.bottom)]
-
-    start = comps[0].vertices[0]  # the path's lower endpoint
-    sigma = [start]
-    v = start
-    for _ in range(n - 1):
-        v = top[bottom[v]]
-        sigma.append(v)
-    if top[bottom[v]] != start or len(set(sigma)) != n:
+    path = comps[0].vertices
+    start = path[0]
+    top, bottom = list(meander.top), list(meander.bottom)
+    for v in (start, path[-1]):
+        top[v] = top[v] or v
+        bottom[v] = bottom[v] or v
+    evens, odds = path[::2], path[1::2]
+    if top[start] == start:
+        sigma = evens + odds[::-1]
+    else:
+        sigma = evens[:1] + odds + evens[:0:-1]
+    rotated = sigma[1:] + sigma[:1]
+    if tuple(map(top.__getitem__, map(bottom.__getitem__, sigma))) != rotated or len(set(sigma)) != n:
         raise TourError(f"t∘b from {start} does not close into one {n}-cycle")
 
-    diffs = tuple((sigma[(k + 1) % n] - sigma[k]) % n for k in range(n))
+    diffs = tuple(map(mod, map(sub, rotated, sigma), repeat(n)))
     counts = Counter(diffs)
     distinct = tuple(sorted(counts.items(), key=lambda item: (item[1], item[0])))
     canonical = diffs[0] if len(counts) == 1 else None
-    return DeltaReport(tuple(sigma), diffs, distinct, canonical)
+    return DeltaReport(sigma, diffs, distinct, canonical)

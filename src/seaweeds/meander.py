@@ -18,6 +18,8 @@ configurations I/II/III.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul, not_
 
 from .specs import AlgebraType, SeaweedSpec, require_valid
 
@@ -135,42 +137,73 @@ def meander_of_valid(spec: SeaweedSpec) -> Meander:
 
 
 def components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:
-    """Decompose into paths and cycles in one pass, deterministically ordered.
+    """Decompose into paths and cycles, ordered by first vertex.
 
-    Vertices are scanned in increasing order, so every path is first met
-    at its lower-numbered endpoint and walked from there; every vertex
-    left over then lies on a cycle, which is first met at its minimum
-    and walked from it along its top edge.  The returned list is sorted
-    by first vertex.  Tail vertices sit past the shorter composition, so
-    each carries at most one arc: they are path endpoints, which bounds
-    ``tail_count`` by two, and a tail vertex with both arcs raises
-    ``TailDegreeError``.
+    Tail vertices sit past the shorter composition, so each carries at
+    most one arc; one carrying both raises ``TailDegreeError`` before
+    any walk.  Every tail vertex is then a path endpoint, so a path's
+    ``tail_count`` is read off its two endpoints and is at most two.
+
+    Paths come from one ascending scan over the vertices that miss a
+    side: each path is first met at its lower endpoint and walked from
+    there two arcs per step, and its far endpoint is skipped when the
+    scan reaches it.  The scan stops once the paths cover every vertex.
+    Vertices left over lie on cycles; each cycle is first met at its
+    minimum and walked from it along its top arc.  Paths and cycles are
+    each met in order of first vertex, so the list is sorted only when
+    it holds cycles.
     """
-    n, top, bottom = meander.n_vertices, meander.top, meander.bottom
-    tail_set = set(meander.tail)
-    seen = bytearray(n + 1)
+    n, top, bottom, tail = meander.n_vertices, meander.top, meander.bottom, meander.tail
+    for v in tail:
+        if top[v] and bottom[v]:
+            raise TailDegreeError(f"tail vertex {v} carries a top and a bottom arc")
+    tail_set = frozenset(tail)
     comps: list[Component] = []
-    for kind in ("path", "cycle"):
-        for start in range(1, n + 1):
-            if seen[start] or (kind == "path" and top[start] and bottom[start]):
-                continue
-            # A path endpoint's one arc is forced; a cycle starts on top.
-            arcs = (top, bottom) if top[start] else (bottom, top)
-            order = []
-            tail_count = 0
-            v, side = start, 0
-            while v and not seen[v]:
-                seen[v] = 1
-                order.append(v)
-                if v in tail_set:
-                    if top[v] and bottom[v]:
-                        raise TailDegreeError(f"tail vertex {v} carries a top and a bottom arc")
-                    tail_count += 1
-                v = arcs[side][v]
-                side ^= 1
-            comps.append(Component(tuple(order), kind, tail_count))
+    seen = bytearray(n + 1)  # far path endpoints, then every walked vertex
+    covered = tailed = 0
+    ends = compress(range(n + 1), map(not_, map(mul, top, bottom)))
+    next(ends)  # vertex 0 carries no arc
+    for start in ends:
+        if seen[start]:
+            continue
+        # An endpoint's one arc is forced; an isolated vertex has none.
+        first, second = (top, bottom) if top[start] else (bottom, top)
+        order = [start]
+        w = first[start]
+        while w:
+            order.append(w)
+            v = second[w]
+            if not v:
+                break
+            order.append(v)
+            w = first[v]
+        end = order[-1]
+        seen[end] = 1
+        tail_count = (start in tail_set) + (end != start and end in tail_set)
+        if tail_count != 1:  # zero or two tail vertices
+            tailed += 1
+        comps.append(Component(tuple(order), "path", tail_count))
+        covered += len(order)
+        if covered >= n:
+            break
 
-    comps.sort(key=lambda c: c.vertices[0])
-    cycles = sum(1 for c in comps if c.kind == "cycle")
-    tailed = sum(1 for c in comps if c.kind == "path" and c.tail_count in (0, 2))
-    return ComponentSummary(cycles, len(comps) - cycles, tailed), comps
+    paths = len(comps)
+    if covered < n:
+        seen[0] = 1
+        for comp in comps:
+            for v in comp.vertices:
+                seen[v] = 1
+        start = seen.find(0)
+        while start > 0:
+            order = []
+            v = start
+            while not seen[v]:
+                w = top[v]
+                seen[v] = seen[w] = 1
+                order.append(v)
+                order.append(w)
+                v = bottom[w]
+            comps.append(Component(tuple(order), "cycle", 0))
+            start = seen.find(0, start + 1)
+        comps.sort(key=lambda c: c.vertices[0])
+    return ComponentSummary(len(comps) - paths, paths, tailed), comps

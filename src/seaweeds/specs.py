@@ -90,54 +90,58 @@ def parse_spec(text: str) -> SeaweedSpec:
     the byte offset into the original text; semantic problems (sums not
     matching n, top/bottom convention) are left to validate().
     """
-    # Positions of the non-whitespace characters in the original text.
-    chars = [(i, ch) for i, ch in enumerate(text) if not ch.isspace()]
-    end_offset = len(text)
-
-    def offset_at(k: int) -> int:
-        return chars[k][0] if k < len(chars) else end_offset
-
-    stripped = "".join(ch for _, ch in chars)
-    pos = 0
-
+    stripped = "".join(text.split())
     for tag in _TAGS:
-        if stripped[pos:pos + len(tag)] == tag:
+        if stripped.startswith(tag):
             algebra = AlgebraType(tag)
-            pos += len(tag)
+            pos = len(tag)
             break
     else:
-        raise SpecSyntaxError("expected algebra tag GL, A, B, C or D", offset_at(0))
+        raise SpecSyntaxError("expected algebra tag GL, A, B, C or D", _offset(text, 0))
 
     start = pos
     while pos < len(stripped) and stripped[pos] in _DIGITS:
         pos += 1
     if pos == start:
-        raise SpecSyntaxError("expected decimal n after algebra tag", offset_at(pos))
+        raise SpecSyntaxError("expected decimal n after algebra tag", _offset(text, pos))
     n = int(stripped[start:pos])
 
     if pos >= len(stripped) or stripped[pos] != ":":
-        raise SpecSyntaxError("expected ':' after n", offset_at(pos))
+        raise SpecSyntaxError("expected ':' after n", _offset(text, pos))
     pos += 1
 
     rest = stripped[pos:]
     if rest.count("/") != 1:
-        raise SpecSyntaxError("expected exactly one '/' between compositions", offset_at(pos))
+        raise SpecSyntaxError("expected exactly one '/' between compositions", _offset(text, pos))
     top_text, bottom_text = rest.split("/")
-    top = _parse_parts(top_text, offset_at(pos))
-    bottom = _parse_parts(bottom_text, offset_at(pos + len(top_text) + 1))
+    top = _parse_parts(text, top_text, pos)
+    bottom = _parse_parts(text, bottom_text, pos + len(top_text) + 1)
     return SeaweedSpec(algebra, n, top, bottom)
 
 
-def _parse_parts(text: str, base_offset: int) -> Composition:
-    if not text:
+def _offset(text: str, k: int) -> int:
+    """Offset in ``text`` of its k-th non-whitespace character, or len(text) past the last."""
+    chars = [i for i, ch in enumerate(text) if not ch.isspace()]
+    return chars[k] if k < len(chars) else len(text)
+
+
+def _parse_parts(text: str, parts_text: str, start: int) -> Composition:
+    """The parts of one composition, ``parts_text``, found at index ``start`` of ``text`` stripped.
+
+    A bad part is reported at the composition's offset in ``text`` plus
+    the stripped lengths of the parts before it.
+    """
+    if not parts_text:
         return ()
     parts = []
-    at = base_offset
-    for piece in text.split("|"):
-        if not (piece.isascii() and piece.isdigit()) or int(piece) < 1:
-            raise SpecSyntaxError(f"composition part {piece!r} is not a positive integer", at)
-        parts.append(int(piece))
-        at += len(piece) + 1
+    skipped = 0
+    for piece in parts_text.split("|"):
+        part = int(piece) if piece.isascii() and piece.isdigit() else 0
+        if part < 1:
+            offset = _offset(text, start) + skipped
+            raise SpecSyntaxError(f"composition part {piece!r} is not a positive integer", offset)
+        parts.append(part)
+        skipped += len(piece) + 1
     return tuple(parts)
 
 
@@ -153,7 +157,7 @@ def validate(spec: SeaweedSpec) -> ValidationReport:
     violations = []
     if spec.n < 1:
         violations.append("n-positive")
-    if any(p < 1 for p in spec.top + spec.bottom):
+    if min(spec.top + spec.bottom, default=1) < 1:
         violations.append("parts-positive")
     r, s = sum(spec.top), sum(spec.bottom)
     if spec.algebra.full_compositions_required:

@@ -10,12 +10,20 @@ modules import it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
-from seaweeds.delta import NotSinglePathError, delta_of_spec
+from seaweeds.delta import DeltaReport, NotSinglePathError, TourError, delta_of_spec
 from seaweeds.formulas import index_combinatorial, xi
 from seaweeds.matrices import SparseIntMatrix, bracket
-from seaweeds.meander import Meander, build_meander, components
+from seaweeds.meander import (
+    Component,
+    ComponentSummary,
+    Meander,
+    TailDegreeError,
+    build_meander,
+    components,
+)
 from seaweeds.specs import AlgebraType, SeaweedSpec, compositions, enumerate_specs, format_spec
 
 
@@ -46,6 +54,75 @@ def reference_brackets(basis: list[SparseIntMatrix]) -> dict[tuple[int, int], di
             if coeffs:
                 table[i, j] = coeffs
     return table
+
+
+def reference_components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:
+    """The component walk one vertex at a time, with a side flag and a seen mark.
+
+    Vertices are scanned in increasing order, so every path is first met
+    at its lower-numbered endpoint and walked from there; every vertex
+    left over then lies on a cycle, which is first met at its minimum
+    and walked from it along its top edge.  Tail membership is looked up
+    at every vertex, and a tail vertex with both arcs raises
+    ``TailDegreeError`` when the walk reaches it.
+    """
+    n, top, bottom = meander.n_vertices, meander.top, meander.bottom
+    tail_set = set(meander.tail)
+    seen = bytearray(n + 1)
+    comps: list[Component] = []
+    for kind in ("path", "cycle"):
+        for start in range(1, n + 1):
+            if seen[start] or (kind == "path" and top[start] and bottom[start]):
+                continue
+            arcs = (top, bottom) if top[start] else (bottom, top)
+            order = []
+            tail_count = 0
+            v, side = start, 0
+            while v and not seen[v]:
+                seen[v] = 1
+                order.append(v)
+                if v in tail_set:
+                    if top[v] and bottom[v]:
+                        raise TailDegreeError(f"tail vertex {v} carries a top and a bottom arc")
+                    tail_count += 1
+                v = arcs[side][v]
+                side ^= 1
+            comps.append(Component(tuple(order), kind, tail_count))
+
+    comps.sort(key=lambda c: c.vertices[0])
+    cycles = sum(1 for c in comps if c.kind == "cycle")
+    tailed = sum(1 for c in comps if c.kind == "path" and c.tail_count in (0, 2))
+    return ComponentSummary(cycles, len(comps) - cycles, tailed), comps
+
+
+def reference_delta(spec: SeaweedSpec) -> DeltaReport:
+    """``delta_of_spec`` by iterating t(b(.)) n times from the path's lower endpoint.
+
+    Every missing partner is filled with the vertex itself, and the
+    meander is read through ``reference_components``.
+    """
+    meander = build_meander(spec)
+    if meander.tail:
+        raise NotSinglePathError("loop augmentation needs a tailless (type A) meander")
+    summary, comps = reference_components(meander)
+    if summary.cycles or summary.paths != 1:
+        raise NotSinglePathError(f"meander is not a single path ({summary.total} components)")
+    n = meander.n_vertices
+    top = [w or v for v, w in enumerate(meander.top)]
+    bottom = [w or v for v, w in enumerate(meander.bottom)]
+    start = comps[0].vertices[0]
+    sigma = [start]
+    v = start
+    for _ in range(n - 1):
+        v = top[bottom[v]]
+        sigma.append(v)
+    if top[bottom[v]] != start or len(set(sigma)) != n:
+        raise TourError(f"t∘b from {start} does not close into one {n}-cycle")
+    diffs = tuple((sigma[(k + 1) % n] - sigma[k]) % n for k in range(n))
+    counts = Counter(diffs)
+    distinct = tuple(sorted(counts.items(), key=lambda item: (item[1], item[0])))
+    canonical = diffs[0] if len(counts) == 1 else None
+    return DeltaReport(tuple(sigma), diffs, distinct, canonical)
 
 
 def degree(meander: Meander, v: int) -> int:

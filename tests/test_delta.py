@@ -9,7 +9,12 @@ from seaweeds.delta import NotSinglePathError, TourError, delta_of_spec
 from seaweeds.meander import Meander, build_meander, components
 from seaweeds.specs import AlgebraType, SeaweedSpec, compositions, parse_spec
 
-from reference_sweeps import canonical_delta_formula, delta_cardinality_probe, delta_congruence_sweep
+from reference_sweeps import (
+    canonical_delta_formula,
+    delta_cardinality_probe,
+    delta_congruence_sweep,
+    reference_delta,
+)
 
 
 def test_loops_a10():
@@ -88,6 +93,22 @@ def test_top_bottom_maps_cycle_iff_single_path():
                 else:
                     with pytest.raises(NotSinglePathError):
                         delta_of_spec(spec)
+
+
+def outcome(function, spec):
+    try:
+        return function(spec)
+    except (NotSinglePathError, TourError) as exc:
+        return repr(exc)
+
+
+def test_sliced_tour_matches_iteration():
+    # The tour sliced from the path equals n steps of t∘b, errors included.
+    specs = (SeaweedSpec(AlgebraType.A, n, top, bottom)
+             for n in range(1, 10) for top in compositions(n) for bottom in compositions(n))
+    assert [spec for spec in specs if outcome(delta_of_spec, spec) != outcome(reference_delta, spec)] == []
+    spec = parse_spec("A100000:37|99963/100000")
+    assert delta_of_spec(spec) == reference_delta(spec)
 
 
 def test_cardinality_probe_reports():

@@ -1,11 +1,13 @@
 """Meander construction, tails and component decomposition."""
 
+import random
+
 import pytest
 
 from seaweeds.meander import Meander, TailDegreeError, build_meander, components, tail
 from seaweeds.specs import AlgebraType, SeaweedSpec, enumerate_specs, parse_spec
 
-from reference_sweeps import degree
+from reference_sweeps import degree, reference_components
 
 
 def edges(spec_text):
@@ -152,3 +154,37 @@ def test_tail_vertex_with_two_arcs_raises(top, bottom):
     m = Meander(3, top, bottom, tail=(1,), tail_config="NONE")
     with pytest.raises(TailDegreeError):
         components(m)
+
+
+def random_composition(rng, total):
+    # Small caps give many short blocks and so many components.
+    cap = rng.choice((2, 5, 30, max(total, 1)))
+    parts = []
+    while total:
+        parts.append(rng.randint(1, min(cap, total)))
+        total -= parts[-1]
+    return tuple(parts)
+
+
+def test_components_match_reference_walk():
+    # The reference walks one vertex at a time with a side flag, a seen
+    # mark and a tail lookup per vertex.  Both must return equal results,
+    # hence equal reprs: the dataclasses compare field by field.
+    specs = [
+        spec
+        for algebra in AlgebraType
+        for n in range(1, (7 if algebra.full_compositions_required else 5) + 1)
+        for spec in enumerate_specs(algebra, n)
+    ]
+    rng = random.Random(18)
+    for algebra in AlgebraType:
+        for _ in range(300):
+            n = rng.randint(1, 400)
+            if algebra.full_compositions_required:
+                r = s = n
+            else:
+                r = rng.randint(0, n)
+                s = rng.randint(0, r)
+            specs.append(SeaweedSpec(algebra, n, random_composition(rng, r), random_composition(rng, s)))
+    meanders = zip(specs, map(build_meander, specs))
+    assert [spec for spec, m in meanders if components(m) != reference_components(m)] == []

@@ -70,6 +70,31 @@ def test_parse_error_carries_offset():
     assert excinfo.value.offset == 0
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        (" X9:1/1", 1),
+        ("\tX9:1/1", 1),
+        ("\u3000X9:1/1", 1),  # ideographic space: str.split and str.isspace agree on it
+        ("A1 2;1/1", 4),
+        ("A\u30001:1/1/1", 4),
+        # A bad part is reported at its composition's offset plus the
+        # stripped lengths of the parts before it, so whitespace inside
+        # a composition shifts the offset away from the part.
+        ("A5:4 | 0/5", 5),
+        ("A5:4|\t0/5", 5),
+        ("A5:4|1/2|\u3000x|2", 9),
+        ("A5:4|1/2 |1| 0", 11),
+        (" A 5 : 4 | 1 / 2 | 1 | 0 ", 19),
+        ("A5:4|1\u3000/\t2|1|2|", 15),
+    ],
+)
+def test_parse_error_offset_counts_whitespace(text, offset):
+    with pytest.raises(SpecSyntaxError) as excinfo:
+        parse_spec(text)
+    assert excinfo.value.offset == offset
+
+
 def test_validate_accepts_paper_shape():
     assert validate(SeaweedSpec(AlgebraType.A, 5, (4, 1), (2, 1, 2))).ok
 
