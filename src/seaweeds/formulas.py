@@ -19,16 +19,17 @@ point is involved anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .meander import TAIL_I, TAIL_II, TAIL_III, Component, ComponentSummary, build_meander, components
 from .meander import tail as meander_tail
 from .specs import AlgebraType, SeaweedSpec
 
+_GL, _A, _B, _C, _D = AlgebraType
 
-@dataclass(frozen=True)
-class IndexReport:
+
+class IndexReport(NamedTuple):
     """The meander index and the component counts it is read from."""
 
     index: int
@@ -37,8 +38,7 @@ class IndexReport:
     tailed_paths: int
 
 
-@dataclass(frozen=True)
-class FrobeniusVerdict:
+class FrobeniusVerdict(NamedTuple):
     """One analysis of a spec: the verdict, its rule and certificate, the
     meander index it rests on (``index_combinatorial``), the meander's
     components, and the closed form (``index_closed_form``: a (value,
@@ -47,7 +47,7 @@ class FrobeniusVerdict:
     frobenius: bool
     justification: str
     report: IndexReport
-    certificate: dict = field(default_factory=dict)
+    certificate: dict
     components: tuple[Component, ...] = ()
     closed_form: tuple[int, str] | None = None
 
@@ -87,9 +87,9 @@ def index_combinatorial(spec: SeaweedSpec) -> IndexReport:
 
 
 def _index_report(algebra: AlgebraType, summary: ComponentSummary) -> IndexReport:
-    if algebra is AlgebraType.GL:
+    if algebra is _GL:
         value = 2 * summary.cycles + summary.paths
-    elif algebra is AlgebraType.A:
+    elif algebra is _A:
         value = 2 * summary.cycles + summary.paths - 1
     else:
         value = 2 * summary.cycles + summary.tailed_paths
@@ -130,11 +130,11 @@ def index_closed_form(spec: SeaweedSpec) -> tuple[int, str] | None:
 def _closed_form(spec: SeaweedSpec, config: str) -> tuple[int, str] | None:
     """``index_closed_form`` for a valid spec with tail configuration ``config``."""
     algebra = spec.algebra
-    if algebra is AlgebraType.A:
+    if algebra is _A:
         return _closed_form_a(spec)
-    if algebra in (AlgebraType.B, AlgebraType.C):
+    if algebra is _B or algebra is _C:
         return _closed_form_bc(spec.n, spec.top, spec.bottom)
-    if algebra is AlgebraType.D:
+    if algebra is _D:
         return _closed_form_d(spec, config)
     return None
 
@@ -192,7 +192,7 @@ def _closed_form_d(spec: SeaweedSpec, config: str) -> tuple[int, str] | None:
     a, b = top
     c = bottom[0]
     if config == TAIL_II:
-        inner = SeaweedSpec(AlgebraType.C, a + b, top, bottom)
+        inner = SeaweedSpec(_C, a + b, top, bottom)
         reduced = index_combinatorial(inner).index
         return n - (a + b + 1) + reduced, RULE_CONFIG_II
     if config == TAIL_III and b == n - c:
@@ -268,12 +268,12 @@ def _justification(spec: SeaweedSpec, report: IndexReport, config: str, comps: l
     verdict when its hypotheses fully determine one, else None.  The type-D
     CONFIG_II and TAIL_GAP_MATCH rules read their index off ``closed``."""
     algebra = spec.algebra
-    if algebra is AlgebraType.GL:
+    if algebra is _GL:
         # 2C+P >= 1 on a nonempty vertex set.
         return TAG_GL_NEVER, {}, False
-    if algebra is AlgebraType.A:
+    if algebra is _A:
         return TAG_MEANDER_PATH, {"cycles": report.cycles, "paths": report.paths}, None
-    if algebra in (AlgebraType.B, AlgebraType.C):
+    if algebra is _B or algebra is _C:
         return _justify_bc(spec.n, spec.top, spec.bottom)
     return _justify_d(spec, config, comps, closed)
 

@@ -17,9 +17,9 @@ configurations I/II/III.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import mul, not_
+from typing import NamedTuple
 
 from .specs import AlgebraType, SeaweedSpec, require_valid
 
@@ -30,13 +30,14 @@ TAIL_I = "I"
 TAIL_II = "II"
 TAIL_III = "III"
 
+_D = AlgebraType.D
+
 
 class TailDegreeError(ValueError):
     """A tail vertex carries both a top and a bottom arc (malformed meander)."""
 
 
-@dataclass(frozen=True)
-class Meander:
+class Meander(NamedTuple):
     """``top[v]`` (``bottom[v]``) is v's partner by a top (bottom) arc, or 0.
 
     Both tuples have length n_vertices + 1 and hold 0 at index 0.
@@ -58,15 +59,13 @@ class Meander:
         return [(v, w) for v, w in enumerate(self.bottom) if v < w]
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     vertices: tuple[int, ...]
     kind: str  # "cycle" or "path"
     tail_count: int
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
+class ComponentSummary(NamedTuple):
     """Component counts feeding the index formulas.
 
     ``tailed_paths`` counts the path components containing zero or two
@@ -108,7 +107,7 @@ def _tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
         return (), TAIL_NONE
     r, s = sum(spec.top), sum(spec.bottom)
     tail_c = tuple(range(s + 1, r + 1))
-    if spec.algebra is not AlgebraType.D:
+    if spec.algebra is not _D:
         return tail_c, TAIL_NONE
     t = r - s  # the D tail has even length: t (I), t + 1 (II) or t - 1 (III)
     if t % 2 == 0:

@@ -26,9 +26,8 @@ class AlgebraType(Enum):
     C = "C"
     D = "D"
 
-    @property
-    def full_compositions_required(self) -> bool:
-        return self in (AlgebraType.GL, AlgebraType.A)
+    def __init__(self, tag: str):
+        self.full_compositions_required = tag in ("GL", "A")
 
 
 Composition = tuple[int, ...]
@@ -93,7 +92,7 @@ def parse_spec(text: str) -> SeaweedSpec:
     stripped = "".join(text.split())
     for tag in _TAGS:
         if stripped.startswith(tag):
-            algebra = AlgebraType(tag)
+            algebra = AlgebraType[tag]
             pos = len(tag)
             break
     else:
@@ -128,8 +127,9 @@ def _offset(text: str, k: int) -> int:
 def _parse_parts(text: str, parts_text: str, start: int) -> Composition:
     """The parts of one composition, ``parts_text``, found at index ``start`` of ``text`` stripped.
 
-    A bad part is reported at the composition's offset in ``text`` plus
-    the stripped lengths of the parts before it.
+    A bad part is reported at the offset in ``text`` of its first
+    character; an empty part, at the character after it (len(text) at
+    the end).
     """
     if not parts_text:
         return ()
@@ -138,7 +138,7 @@ def _parse_parts(text: str, parts_text: str, start: int) -> Composition:
     for piece in parts_text.split("|"):
         part = int(piece) if piece.isascii() and piece.isdigit() else 0
         if part < 1:
-            offset = _offset(text, start) + skipped
+            offset = _offset(text, start + skipped)
             raise SpecSyntaxError(f"composition part {piece!r} is not a positive integer", offset)
         parts.append(part)
         skipped += len(piece) + 1

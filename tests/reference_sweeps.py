@@ -1,10 +1,11 @@
-"""Verification sweeps and helpers that only the tests use.
+"""Verification sweeps and helpers that only the tests and CI use.
 
 Each sweep enumerates one special shape family and checks a closed
 criterion (the delta congruence, the xi tails, the split-top gcd
 conditions, the rooted-forest criterion) against the meander; they
-return their failures.  Pytest does not collect this module; the test
-modules import it.
+return their failures.  ``combinatorial_sweep`` runs the combinatorial
+routes on every spec up to a size, for CI.  Pytest does not collect
+this module; the test modules import it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 
 from seaweeds.delta import DeltaReport, NotSinglePathError, TourError, delta_of_spec
-from seaweeds.formulas import index_combinatorial, xi
+from seaweeds.formulas import classify_frobenius, index_closed_form, index_combinatorial, xi
 from seaweeds.matrices import SparseIntMatrix, bracket
 from seaweeds.meander import (
     Component,
@@ -319,3 +320,31 @@ def forest_criterion_sweep(algebra: AlgebraType, n_max: int) -> list[dict]:
             if rooted_forest != frobenius:
                 failures.append({"spec": format_spec(spec)})
     return failures
+
+
+def combinatorial_sweep(
+    gl_a_n_max: int = 10, bcd_n_max: int = 8
+) -> tuple[dict[tuple[str, int], tuple[int, int]], list[dict]]:
+    """The combinatorial routes on every spec of GL/A up to ``gl_a_n_max`` and B/C/D up to ``bcd_n_max``.
+
+    ``classify_frobenius`` raises ``RuleDisagreement`` where a rule
+    contradicts the meander.  Beside it, ``index_closed_form`` must equal
+    the verdict's closed form, and a closed value must equal the meander
+    index.  Returns the spec and Frobenius counts per (family, n), and
+    the failures.
+    """
+    counts = {}
+    failures = []
+    for algebra in AlgebraType:
+        n_max = gl_a_n_max if algebra.full_compositions_required else bcd_n_max
+        for n in range(1, n_max + 1):
+            specs = frobenius = 0
+            for spec in enumerate_specs(algebra, n):
+                verdict = classify_frobenius(spec)
+                closed = index_closed_form(spec)
+                if closed != verdict.closed_form or (closed is not None and closed[0] != verdict.report.index):
+                    failures.append({"spec": format_spec(spec), "closed_form": closed, "index": verdict.report.index})
+                specs += 1
+                frobenius += verdict.frobenius
+            counts[algebra.value, n] = (specs, frobenius)
+    return counts, failures

@@ -11,9 +11,11 @@ from seaweeds.formulas import (
     index_combinatorial,
     xi,
 )
+from seaweeds.meander import build_meander, components
 from seaweeds.specs import AlgebraType, SeaweedSpec, enumerate_specs, parse_spec
 
 from reference_sweeps import (
+    combinatorial_sweep,
     forest_criterion_sweep,
     split_top_gcd_sweep,
     xi_tail2_sweep,
@@ -154,6 +156,37 @@ def test_classifier_certificates():
     assert verdict.certificate["xi"] == Fraction(3, 7)
 
 
+VERDICT_REPRS = {
+    "A5:4|1/2|1|2": "FrobeniusVerdict(frobenius=True, justification='MEANDER_SINGLE_PATH', "
+    "report=IndexReport(index=0, cycles=0, paths=1, tailed_paths=1), certificate={'cycles': 0, 'paths': 1}, "
+    "components=(Component(vertices=(3, 2, 1, 4, 5), kind='path', tail_count=0),), closed_form=None)",
+    "D9:4|3|2/2|3|1": "FrobeniusVerdict(frobenius=False, justification='MEANDER_FOREST', "
+    "report=IndexReport(index=1, cycles=0, paths=3, tailed_paths=1), certificate={}, "
+    "components=(Component(vertices=(4, 1, 2, 3, 5, 7), kind='path', tail_count=1), "
+    "Component(vertices=(6,), kind='path', tail_count=0), "
+    "Component(vertices=(8, 9), kind='path', tail_count=1)), closed_form=None)",
+}
+
+
+def test_result_records_keep_their_reprs_and_refuse_assignment():
+    for text, expected in VERDICT_REPRS.items():
+        assert repr(classify_frobenius(parse_spec(text))) == expected
+    spec = parse_spec("D9:4|3|2/2|3|1")
+    meander = build_meander(spec)
+    summary, comps = components(meander)
+    verdict = classify_frobenius(spec)
+    fields = (
+        (meander, "top"),
+        (comps[0], "kind"),
+        (summary, "cycles"),
+        (verdict.report, "index"),
+        (verdict, "frobenius"),
+    )
+    for record, name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
 def test_classifier_matches_index_exhaustively():
     for algebra in AlgebraType:
         n_max = 6 if algebra.full_compositions_required else 5
@@ -178,6 +211,16 @@ def test_gl_index_is_a_index_plus_one():
         for spec in enumerate_specs(AlgebraType.A, n):
             gl = SeaweedSpec(AlgebraType.GL, n, spec.top, spec.bottom)
             assert index_combinatorial(gl).index == index_combinatorial(spec).index + 1
+
+
+def test_combinatorial_sweep_counts():
+    # CI runs the same sweep with GL/A n <= 10 and B/C/D n <= 8.
+    counts, failures = combinatorial_sweep(gl_a_n_max=5, bcd_n_max=4)
+    assert failures == []
+    frobenius = {}
+    for (family, _), (_, count) in counts.items():
+        frobenius.setdefault(family, []).append(count)
+    assert frobenius == {"GL": [0] * 5, "A": [1, 2, 6, 14, 34], "B": [1, 2, 5, 11], "C": [1, 2, 5, 11], "D": [0, 2, 5, 9]}
 
 
 def test_split_top_gcd_sweep_clean():

@@ -78,14 +78,14 @@ def test_parse_error_carries_offset():
         ("\u3000X9:1/1", 1),  # ideographic space: str.split and str.isspace agree on it
         ("A1 2;1/1", 4),
         ("A\u30001:1/1/1", 4),
-        # A bad part is reported at its composition's offset plus the
-        # stripped lengths of the parts before it, so whitespace inside
-        # a composition shifts the offset away from the part.
-        ("A5:4 | 0/5", 5),
-        ("A5:4|\t0/5", 5),
-        ("A5:4|1/2|\u3000x|2", 9),
-        ("A5:4|1/2 |1| 0", 11),
-        (" A 5 : 4 | 1 / 2 | 1 | 0 ", 19),
+        # A bad part is reported at its own first character, past any
+        # whitespace inside its composition; the empty last part at
+        # len(text).
+        ("A5:4 | 0/5", 7),
+        ("A5:4|\t0/5", 6),
+        ("A5:4|1/2|\u3000x|2", 10),
+        ("A5:4|1/2 |1| 0", 13),
+        (" A 5 : 4 | 1 / 2 | 1 | 0 ", 23),
         ("A5:4|1\u3000/\t2|1|2|", 15),
     ],
 )
@@ -137,6 +137,12 @@ def test_enumerate_a3_count_matches_bruteforce():
 def test_enumerate_c1():
     specs = list(enumerate_specs(AlgebraType.C, 1))
     assert [(s.top, s.bottom) for s in specs] == [((), ()), ((1,), ()), ((1,), (1,))]
+
+
+def test_algebra_type_members():
+    got = [(algebra.value, algebra.full_compositions_required) for algebra in AlgebraType]
+    assert got == [("GL", True), ("A", True), ("B", False), ("C", False), ("D", False)]
+    assert AlgebraType("A") is AlgebraType["A"] is AlgebraType.A
 
 
 @pytest.mark.parametrize("n", range(1, 7))
