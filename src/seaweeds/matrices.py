@@ -77,15 +77,6 @@ class AdmissibleMask:
     cells: frozenset[Cell]
 
 
-def _block_ranges(sizes: list[int]) -> list[tuple[int, int]]:
-    ranges = []
-    start = 1
-    for size in sizes:
-        ranges.append((start, start + size - 1))
-        start += size
-    return ranges
-
-
 def _symmetric_blocks(spec: SeaweedSpec, parts: tuple[int, ...]) -> list[int]:
     middle = 2 * (spec.n - sum(parts))
     if spec.algebra is AlgebraType.B:
@@ -106,28 +97,38 @@ def matrix_dim(spec: SeaweedSpec) -> int:
 
 
 def admissible_mask(spec: SeaweedSpec) -> AdmissibleMask:
-    """Union of top-blocks-within-lower and bottom-blocks-within-upper."""
+    """Union of top-blocks-within-lower and bottom-blocks-within-upper, as a set of cells."""
     require_valid(spec)
-    dim = matrix_dim(spec)
+    spans = _row_spans(spec)
+    cells = frozenset((i, j) for i, (lo, hi) in enumerate(spans, 1) for j in range(lo, hi + 1))
+    return AdmissibleMask(len(spans), cells)
+
+
+def _row_spans(spec: SeaweedSpec) -> list[tuple[int, int]]:
+    """The admissible columns lo..hi of rows 1, ..., N, in order; the spec is valid.
+
+    Row i meets the lower triangle in its top block, from the block's
+    first column to i, and the upper triangle in its bottom block, from i
+    to the block's last column, so its cells are the one interval from
+    the first column of its top block to the last column of its bottom
+    block.  Reflection in the antidiagonal keeps each triangle and maps a
+    block diagonal to that of the reversed blocks, so a B/C/D mask is
+    antidiagonal-symmetric exactly when both block lists are palindromes;
+    MaskSymmetryError otherwise.
+    """
     if spec.algebra.full_compositions_required:
-        top_sizes, bottom_sizes = list(spec.top), list(spec.bottom)
+        top_sizes, bottom_sizes = spec.top, spec.bottom
     else:
         top_sizes = _symmetric_blocks(spec, spec.top)
         bottom_sizes = _symmetric_blocks(spec, spec.bottom)
-    cells: set[Cell] = set()
-    for lo, hi in _block_ranges(top_sizes):
-        for i in range(lo, hi + 1):
-            for j in range(lo, i + 1):
-                cells.add((i, j))
-    for lo, hi in _block_ranges(bottom_sizes):
-        for i in range(lo, hi + 1):
-            for j in range(i, hi + 1):
-                cells.add((i, j))
-    if not spec.algebra.full_compositions_required:
-        mirrored = {(dim + 1 - j, dim + 1 - i) for i, j in cells}
-        if mirrored != cells:
+        if top_sizes[::-1] != top_sizes or bottom_sizes[::-1] != bottom_sizes:
             raise MaskSymmetryError(f"the admissible mask of {spec} is not antidiagonal-symmetric")
-    return AdmissibleMask(dim, frozenset(cells))
+    firsts, lasts = [], []
+    for size in top_sizes:
+        firsts += [len(firsts) + 1] * size
+    for size in bottom_sizes:
+        lasts += [len(lasts) + size] * size
+    return list(zip(firsts, lasts))
 
 
 @dataclass
@@ -137,7 +138,8 @@ class LieData:
     ``brackets`` maps (i, j) with i < j, ascending, to the coefficients of
     [x_i, x_j] over the basis, in no set order; the (j, i) entry is implied
     by antisymmetry.  ``basis`` and ``spec`` are None for abstract
-    (structure-constant) input; ``seaweed_basis`` sets both.
+    (structure-constant) input; ``seaweed_basis`` sets both, and its
+    coefficients are integers.
     """
 
     dimension: int
@@ -171,55 +173,59 @@ def seaweed_basis(spec: SeaweedSpec) -> LieData:
     """Generate the seaweed's basis and structure constants.
 
     The ambient standard basis is filtered by the admissible mask (an
-    element is kept only if every cell it touches is admissible).  The
-    structure constants come from one pass over the products of cells
-    e_ab e_bd = e_ad that share an index b, with no commutator matrix per
-    pair; each bracket is then reduced over the basis, and failure to
-    reduce exactly is fatal since the span would not be a subalgebra.
+    element is kept only if every cell it touches is admissible), read
+    row by row off the mask's row spans (``_row_spans``), so the elements
+    come in the order of their least cells, with type A's diagonal
+    elements last; no cell set is built.  The structure constants come
+    from one pass over the products of cells e_ab e_bd = e_ad that share
+    an index b, with no commutator matrix per pair; each bracket is then
+    reduced over the basis, and failure to reduce exactly is fatal since
+    the span would not be a subalgebra.
     """
-    mask = admissible_mask(spec)
+    require_valid(spec)
+    spans = _row_spans(spec)
     algebra = spec.algebra
-    if algebra is AlgebraType.GL:
-        basis = [sparse(mask.dim, {cell: 1}) for cell in sorted(mask.cells)]
-    elif algebra is AlgebraType.A:
-        basis = _sl_basis(mask)
+    if algebra.full_compositions_required:
+        basis = _gl_basis(spans, algebra is AlgebraType.A)
     else:
-        basis = _symmetric_basis(algebra, mask)
+        basis = _symmetric_basis(algebra, spans)
     return _lie_data_from_basis(spec, basis)
 
 
-def _sl_basis(mask: AdmissibleMask) -> list[SparseIntMatrix]:
-    n = mask.dim
+def _gl_basis(spans: list[tuple[int, int]], traceless: bool) -> list[SparseIntMatrix]:
+    """Matrix units on the mask; for sl (traceless) its off-diagonal ones, then e_ii - e_nn."""
+    n = len(spans)
     basis = [
-        sparse(n, {(i, j): 1})
-        for i, j in sorted(mask.cells)
-        if i != j
+        SparseIntMatrix(n, {(i, j): 1})
+        for i, (lo, hi) in enumerate(spans, 1)
+        for j in range(lo, hi + 1)
+        if j != i or not traceless
     ]
-    basis.extend(sparse(n, {(i, i): 1, (n, n): -1}) for i in range(1, n))
+    if traceless:
+        basis.extend(SparseIntMatrix(n, {(i, i): 1, (n, n): -1}) for i in range(1, n))
     return basis
 
 
-def _symmetric_basis(algebra: AlgebraType, mask: AdmissibleMask) -> list[SparseIntMatrix]:
-    dim = mask.dim
+def _symmetric_basis(algebra: AlgebraType, spans: list[tuple[int, int]]) -> list[SparseIntMatrix]:
+    """One element per mirror pair of mask cells, from the cell above the antidiagonal.
+
+    Cell (i, j) mirrors to (N+1-j, N+1-i), which is the same cell when
+    i + j = N + 1 and a later one when i + j < N + 1.  A cell on the
+    antidiagonal is free for C off blocks and forced zero under
+    X = -antitranspose(X) for B and D.
+    """
+    dim = len(spans)
     half = dim // 2
     basis = []
-    for cell in sorted(mask.cells):
-        i, j = cell
-        partner = (dim + 1 - j, dim + 1 - i)  # in the mask: admissible_mask checks the mirror
-        if cell == partner:
-            # Cell on the antidiagonal: free for C off blocks, forced zero
-            # under X = -antitranspose(X) for B and D.
+    for i, (lo, hi) in enumerate(spans, 1):
+        for j in range(lo, min(hi, dim - i) + 1):
             if algebra is AlgebraType.C:
-                basis.append(sparse(dim, {cell: 1}))
-            continue
-        if cell > partner:
-            continue  # handled from the partner's side
-        if algebra is AlgebraType.C:
-            diagonal_block = (i <= half) == (j <= half)
-            sign = -1 if diagonal_block else 1
-        else:
-            sign = -1
-        basis.append(sparse(dim, {cell: 1, partner: sign}))
+                sign = -1 if (i <= half) == (j <= half) else 1
+            else:
+                sign = -1
+            basis.append(SparseIntMatrix(dim, {(i, j): 1, (dim + 1 - j, dim + 1 - i): sign}))
+        if algebra is AlgebraType.C and lo <= dim + 1 - i <= hi:
+            basis.append(SparseIntMatrix(dim, {(i, dim + 1 - i): 1}))
     return basis
 
 
@@ -229,6 +235,8 @@ def _lie_data_from_basis(spec, basis) -> LieData:
     # (i < j) or to -[x_j, x_i] (i > j); cells are coded a * width + d, pairs
     # i * m + j.  An element's lead (first) cell lies in no other element, so
     # it gives the coefficient, whose multiples must account for every cell.
+    # A pair's product stays one (cell, term) until a term at a second cell
+    # arrives; a lone term on a one-cell element's lead is read off directly.
     m, width = len(basis), (basis[0].dim + 1 if basis else 1)
     ids = list(range(m))  # one int per element, shared by every key that names it
     lead: dict[int, tuple[int, int, list[tuple[int, int]]]] = {}
@@ -240,18 +248,34 @@ def _lie_data_from_basis(spec, basis) -> LieData:
         for (a, d), v in elt.entries.items():
             with_row.setdefault(a, []).append((idx, d, v))
             with_col.setdefault(d, []).append((idx, a * width, v))
-    products: dict[int, dict[int, int]] = {}
+    products: dict[int, tuple[int, int] | dict[int, int]] = {}
     for b, left in with_col.items():
         right = with_row.get(b, ())
         for i, a, v in left:
             for j, d, w in right:
                 if i != j:
                     pair, term = (i * m + j, v * w) if i < j else (j * m + i, -v * w)
-                    product = products.setdefault(pair, {})
-                    product[a + d] = product.get(a + d, 0) + term
+                    cell = a + d
+                    product = products.get(pair)
+                    if product is None:
+                        products[pair] = (cell, term)
+                    elif type(product) is dict:
+                        product[cell] = product.get(cell, 0) + term
+                    elif product[0] == cell:
+                        products[pair] = (cell, product[1] + term)
+                    else:
+                        products[pair] = {product[0]: product[1], cell: term}
     brackets: dict[tuple[int, int], dict[int, int]] = {}
     for pair in sorted(products):
         product = products[pair]
+        if type(product) is tuple:
+            cell, value = product
+            found = lead.get(cell)
+            if found is not None and not found[2] and not value % found[1]:
+                if value:
+                    brackets[ids[pair // m], ids[pair % m]] = {found[0]: value // found[1]}
+                continue
+            product = {cell: value}
         coeffs: dict[int, int] = {}
         residual = dict(product)
         for cell, value in product.items():

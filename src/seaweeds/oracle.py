@@ -22,24 +22,27 @@ bound.  The trials stop at the floor, or once two trials have read the
 current minimum.  So, with two trials or more, a result above the
 index needs two degenerate draws: probability at most ((m/2)/p)**2.
 
-Every matrix reaches F_p through one reduction, ``_mod_p``: sparse rows
-scaled by the lcm of their denominators, then reduced mod p.  The form
-has one scale (1 for a seaweed): each value above the diagonal is
-reduced once and its mirror written as p - v, so it stays skew; the
-principal element's system [B | f] has one, with f as column m; so has
-ad(F); and ``rank_exact`` scales each row of any matrix on its own.
+A Kirillov form reaches F_p in the pass that builds it
+(``_kirillov_rows``): one scale, settled before the pass (the lcm of
+the denominators of f and of the table, 1 for a seaweed), and each value
+above the diagonal reduced once and its mirror written as p - v, so it
+stays skew; the principal element's system [B | f] is the same rows with
+f as column m at that scale.  Other matrices go through ``_mod_p``:
+ad(F) at one scale, and ``rank_exact`` each row of any matrix on its own.
 Principal elements are solved by sparse Gaussian elimination, so they
 are the reductions mod p of the rational ones.  Their adjoint spectra
 (the obstruction test for embedding a Frobenius algebra as a seaweed)
 are integer eigenvalue multiplicities read as kernel dimensions over F_p
 of ad(F) - k; never the output of a numerical eigensolver.  The dense
-``kirillov_matrix`` and ``ad_matrix`` are views of the same rows.
+``kirillov_matrix`` and ``ad_matrix`` are exact views of the same
+bracket table.
 
-The meander functional of a seaweed of type A, B, C or D and its
-diagonal principal element come from one walk along the meander
-(``_meander_functional``); they serve the oracle's meander trial and,
-under a certificate, the spectrum.  Otherwise, and for abstract
-tables, the scans run."""
+The meander functional of a seaweed of type A, B, C or D comes from one
+meander and its tail (``_meander_functional``) and serves the oracle's
+meander trial, which reads it alone.  Its diagonal principal element
+comes from a walk along the meander's components that only the spectrum
+runs, under a certificate.  Otherwise, and for abstract tables, the
+scans run."""
 
 from __future__ import annotations
 
@@ -47,13 +50,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .matrices import LieData, matrix_dim
-from .meander import components, meander_of_valid
-from .specs import AlgebraType
+from .meander import Meander, components, meander_of_valid
+from .specs import AlgebraType, SeaweedSpec
 
 # The prime of the rank kernel: 2**61 - 1 (a Mersenne prime).
 P = (1 << 61) - 1
@@ -97,44 +101,55 @@ class SpectrumReport:
 
 
 def kirillov_matrix(lie: LieData, f: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
-    """Matrix of the form (x, y) -> f([x, y]) on the basis; skew by construction."""
+    """Matrix of the form (x, y) -> f([x, y]) on the basis, exact, read off ``lie.brackets``; skew by construction."""
+    _check_length(lie, f)
     m = lie.dimension
     out = [[0] * m for _ in range(m)]
-    for i, row in _kirillov_upper(lie, f).items():
-        for j, v in row.items():
-            out[i][j], out[j][i] = v, -v
-    return out
-
-
-def _kirillov_upper(lie: LieData, f: Sequence[int | Fraction]) -> dict[int, dict[int, int | Fraction]]:
-    """The nonzero f([x_i, x_j]), i < j, as rows ``{i: {j: value}}``, read only off ``lie.brackets``."""
-    if len(f) != lie.dimension:
-        raise ValueError(f"functional has length {len(f)}, expected {lie.dimension}")
-    rows: dict[int, dict[int, int | Fraction]] = {}
     coordinate = f.__getitem__
     for (i, j), coeffs in lie.brackets.items():
         value = sum(map(mul, map(coordinate, coeffs), coeffs.values()))
         if value:
-            rows.setdefault(i, {})[j] = value
-    return rows
+            out[i][j], out[j][i] = value, -value
+    return out
 
 
-def _skew_mod_p(rows: dict[int, dict[int, int | Fraction]], m: int) -> dict[int, dict[int, int]]:
-    """Reduce the upper rows of a skew form mod p and add their mirrors, in place; the rows.
+def _check_length(lie: LieData, f: Sequence[int | Fraction]) -> None:
+    if len(f) != lie.dimension:
+        raise ValueError(f"functional has length {len(f)}, expected {lie.dimension}")
 
-    Each entry (i, j) is reduced once, by ``_mod_p`` at one scale, and
-    its mirror at (j, i) written as p - v.  Entries in column m (the
-    principal element's f) reduce at the same scale and are not mirrored.
+
+def _kirillov_rows(lie: LieData, f: Sequence[int | Fraction]) -> tuple[dict[int, dict[int, int]], list]:
+    """The nonzero rows mod p of the Kirillov form of s f, s its one scale; and s f.
+
+    The scale is settled before the pass: the lcm of the denominators of
+    f times that of the table (``_table_scale``, 1 for a seaweed), so
+    every s f([x_i, x_j]) is an integer, and mod p s is a unit unless p
+    divides it.  One pass over ``lie.brackets`` reduces each value above
+    the diagonal once and writes its mirror as p - v, so the rows stay
+    skew.  The principal element's system [B | f] takes s f as column m.
     """
-    _mod_p(rows)
-    lower: dict[int, dict[int, int]] = {}
-    for i, row in rows.items():
-        for j, v in row.items():
-            if j < m:
-                lower.setdefault(j, {})[i] = P - v
-    for j, row in lower.items():
-        rows.setdefault(j, {}).update(row)
-    return rows
+    _check_length(lie, f)
+    scale = _table_scale(lie) * lcm(*[v.denominator for v in f])
+    scaled = [v * scale for v in f]
+    coordinate = scaled.__getitem__
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), coeffs in lie.brackets.items():
+        v = sum(map(mul, map(coordinate, coeffs), coeffs.values())).numerator % P
+        if v:
+            rows.setdefault(i, {})[j] = v
+            rows.setdefault(j, {})[i] = P - v
+    return rows, scaled
+
+
+def _table_scale(lie: LieData) -> int:
+    """The lcm of the denominators of ``lie.brackets``; 1, unread, for a table read off a basis.
+
+    ``seaweed_basis`` divides each bracket exactly by lead entries, so a
+    table with a basis holds integers (ClosureError otherwise).
+    """
+    if lie.basis is not None:
+        return 1
+    return lcm(*[v.denominator for coeffs in lie.brackets.values() for v in coeffs.values()])
 
 
 def _dense(rows: dict[int, dict[int, int | Fraction]], m: int) -> list[list[int | Fraction]]:
@@ -171,10 +186,12 @@ def _mod_p(rows: dict[int, dict[int, int | Fraction]]) -> int:
 def _kirillov_kernel(lie: LieData, f: Sequence[int | Fraction]) -> int:
     """Kernel dimension mod p of the Kirillov form of f, built sparse and ranked skew.
 
-    It equals ``kernel_dimension(kirillov_matrix(lie, f))`` unless p
-    divides the form's scale, and bounds the rational kernel in any case.
+    The rows come reduced mod p from one pass over ``lie.brackets``
+    (``_kirillov_rows``).  It equals ``kernel_dimension(kirillov_matrix(lie, f))``
+    unless p divides the form's scale, and bounds the rational kernel in
+    any case.
     """
-    return lie.dimension - _skew_rank(_skew_mod_p(_kirillov_upper(lie, f), lie.dimension))
+    return lie.dimension - _skew_rank(_kirillov_rows(lie, f)[0])
 
 
 def _skew_rank(rows: dict[int, dict[int, int]]) -> int:
@@ -328,7 +345,7 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
             floor, raised = m - 2 * (_term_rank(lie) // 2), True
         return kernel == floor
 
-    meander = _meander_functional(lie)
+    meander = _meander_functional(lie)  # f alone: the trial runs no walk
     if meander is not None and at_floor(_kirillov_kernel(lie, meander[0])):
         return floor
     best = m + 1  # above every kernel, so the first trial agrees with nothing
@@ -413,20 +430,20 @@ def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
 
     F = sum c_i x_i with sum_i c_i B[i][j] = f_j (B the Kirillov matrix).
     B is skew, so that is B c + f = 0, and (c, 1) spans the kernel of
-    [B | f], read back from the pivots of the rank kernel's elimination
-    on the sparse rows of the form, with f as column m, so that one scale
-    covers the denominators of both.  The Kirillov
-    form must be nondegenerate mod p (NotFrobeniusFunctionalError
+    [B | f], read back from the pivots of the rank kernel's elimination.
+    The rows of B are the kernel's own (``_kirillov_rows``), and f joins
+    them as column m at the same scale, which covers the denominators of
+    both.  The Kirillov form must be nondegenerate mod p (NotFrobeniusFunctionalError
     otherwise); then F is the reduction mod p of the rational principal
     element.  A residual row B c + f that does not vanish mod p raises
     PrincipalElementError.
     """
     m = lie.dimension
-    rows = _kirillov_upper(lie, f)
-    for r, fr in enumerate(f):
-        if fr:
-            rows.setdefault(r, {})[m] = fr
-    _skew_mod_p(rows, m)
+    rows, scaled = _kirillov_rows(lie, f)
+    for r, v in enumerate(scaled):
+        v = v.numerator % P
+        if v:
+            rows.setdefault(r, {})[m] = v
     pivots = _eliminate([dict(row) for row in rows.values()])  # copies: the residual reads rows
     free = set(range(m + 1)).difference(col for col, _ in pivots)
     # Free columns are set to 1 and the pivot columns solved back up.
@@ -540,18 +557,20 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
 def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     """Eigenvalue multiplicities of ad(F) off the meander (``_meander_functional``); None unless certified.
 
-    A basis element all of whose cells (a, b) read one H_a - H_b is an
-    eigenvector of ad(F) with that eigenvalue.  The certificate: every
-    element is one, with an integer eigenvalue; eigenvalue 1 on the
-    support of f, so f([F, x]) = f(x) for all x; and, checked last, a
-    zero Kirillov kernel of f mod p, so f is Frobenius over the rationals
-    and F its only principal element.  The result never rests on the
-    walk being right.
+    The only reader of the doubled diagonal 2H: it runs the walk that the
+    oracle's meander trial skips.  A basis element all of whose cells
+    (a, b) read one H_a - H_b is an eigenvector of ad(F) with that
+    eigenvalue.  The certificate: every element is one, with an integer
+    eigenvalue; eigenvalue 1 on the support of f, so f([F, x]) = f(x)
+    for all x; and, checked last, a zero Kirillov kernel of f mod p, so f
+    is Frobenius over the rationals and F its only principal element.
+    The result never rests on the walk being right.
     """
     found = _meander_functional(lie)
     if found is None:
         return None
-    f, twice_h = found
+    f, diagonal = found
+    twice_h = diagonal()
     doubled = []
     for x, on in zip(lie.basis, f):
         values = {twice_h[a] - twice_h[b] for a, b in x.entries}
@@ -564,15 +583,17 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     return Counter(value // 2 for value in doubled)
 
 
-def _meander_functional(lie: LieData) -> tuple[list[int], list[int]] | None:
-    """The meander functional f of a type-A, B, C or D seaweed and the doubled diagonal 2H of F.
+def _meander_functional(lie: LieData) -> tuple[list[int], Callable[[], list[int]]] | None:
+    """The meander functional f of a type-A, B, C or D seaweed, and the walk that gives 2H of F.
 
     f is a 0/1 vector on the basis: 1 on each element whose lead cell
     (its least cell, which lies in no other element) is a support cell.
-    2H is 1-based, N = ``matrix_dim(spec)``, and F = diag(H) is the
+    None for GL, for tables (no ``lie.spec``), and if a support cell
+    leads no element.  The second item computes, when called, the
+    doubled diagonal 2H (``_doubled_diagonal``) of the F that is the
     principal element of f whenever the certificate of
-    ``_meander_spectrum`` holds.  None for GL, for tables (no
-    ``lie.spec``), and if a support cell leads no element.
+    ``_meander_spectrum`` holds; the meander trial reads f alone and
+    never calls it.
 
     Each arc gives its arc cell: (j, i) for a top arc i < j and (i, j)
     for a bottom arc.  The tail gives support cells, each with the anchor
@@ -582,13 +603,7 @@ def _meander_functional(lie: LieData) -> tuple[list[int], list[int]] | None:
     (v, w) (root e_v - e_w) and (v, N+1-w) (root e_v + e_w) with
     2h_v = 2 and 2h_w = 0; in type B a last unpaired vertex v gives
     (v, n+1) (root e_v) with 2h_v = 2 (a type-D tail has even length,
-    ``meander.tail``).  Along the vertex order of each component one arc
-    joins each consecutive pair, and 2h rises by 2 up a top arc or down
-    a bottom arc, so every arc cell reads 1.  Each component is then
-    shifted so that its least tail vertex reads its anchor, or, with no
-    tail vertex, its least vertex reads 0.  Types B, C and D mirror it,
-    H_{N+1-v} = -h_v, with H_{n+1} = 0 in type B.  diag(H) lies in the
-    Cartan subalgebra, up to a scalar in type A that ad ignores.
+    ``meander.tail``); N = ``matrix_dim(spec)``.
     """
     spec = lie.spec
     if spec is None or lie.basis is None or spec.algebra is AlgebraType.GL:
@@ -617,6 +632,21 @@ def _meander_functional(lie: LieData) -> tuple[list[int], list[int]] | None:
         if k is None:
             return None
         f[k] = 1
+    return f, partial(_doubled_diagonal, spec, meander, anchor)
+
+
+def _doubled_diagonal(spec: SeaweedSpec, meander: Meander, anchor: dict[int, int]) -> list[int]:
+    """The doubled diagonal 2H, 1-based, of the meander functional's F, by one component walk.
+
+    Along the vertex order of each component one arc joins each
+    consecutive pair, and 2h rises by 2 up a top arc or down a bottom
+    arc, so every arc cell reads 1.  Each component is then shifted so
+    that its least tail vertex reads its ``anchor``, or, with no tail
+    vertex, its least vertex reads 0.  Types B, C and D mirror it,
+    H_{N+1-v} = -h_v, with H_{n+1} = 0 in type B.  diag(H) lies in the
+    Cartan subalgebra, up to a scalar in type A that ad ignores.
+    """
+    n, top = spec.n, meander.top
     twice = [0] * (n + 1)
     for comp in components(meander)[1]:
         order = comp.vertices
@@ -628,8 +658,8 @@ def _meander_functional(lie: LieData) -> tuple[list[int], list[int]] | None:
         for v in order:
             twice[v] += shift
     if spec.algebra is not AlgebraType.A:
-        twice += [0] * (size - 2 * n) + [-h for h in reversed(twice[1:])]
-    return f, twice
+        twice += [0] * (matrix_dim(spec) - 2 * n) + [-h for h in reversed(twice[1:])]
+    return twice
 
 
 def _scanned_spectrum(lie: LieData, principal: Sequence[int]) -> dict[int, int]:

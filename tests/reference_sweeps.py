@@ -28,6 +28,62 @@ from seaweeds.meander import (
 from seaweeds.specs import AlgebraType, SeaweedSpec, compositions, enumerate_specs, format_spec
 
 
+def reference_mask(spec: SeaweedSpec) -> frozenset[tuple[int, int]]:
+    """The admissible mask cell by cell: each top block's lower triangle and each bottom block's upper one.
+
+    B/C/D blocks are the parts, a middle block of 2(n - sum) (plus one
+    for B) if nonzero, and the parts reversed.
+    """
+
+    def blocks(parts):
+        if spec.algebra.full_compositions_required:
+            return list(parts)
+        middle = 2 * (spec.n - sum(parts)) + (spec.algebra is AlgebraType.B)
+        return list(parts) + ([middle] if middle else []) + list(reversed(parts))
+
+    cells = set()
+    start = 1
+    for size in blocks(spec.top):
+        for i in range(start, start + size):
+            for j in range(start, i + 1):
+                cells.add((i, j))
+        start += size
+    start = 1
+    for size in blocks(spec.bottom):
+        for i in range(start, start + size):
+            for j in range(i, start + size):
+                cells.add((i, j))
+        start += size
+    return frozenset(cells)
+
+
+def reference_basis(spec: SeaweedSpec) -> list[dict[tuple[int, int], int]]:
+    """The entries of the seaweed basis elements in order, filtered from the sorted mask cells.
+
+    GL: every cell.  A: the off-diagonal cells, then e_ii - e_nn.  B, C,
+    D: cell (i, j) with its mirror (N+1-j, N+1-i) at sign -1 (C: +1 off
+    the diagonal blocks), from the lesser of the two; an antidiagonal
+    cell alone in C, dropped in B and D.
+    """
+    cells = sorted(reference_mask(spec))
+    dim = max(i for i, _ in cells)
+    algebra = spec.algebra
+    if algebra is AlgebraType.GL:
+        return [{cell: 1} for cell in cells]
+    if algebra is AlgebraType.A:
+        return [{(i, j): 1} for i, j in cells if i != j] + [{(i, i): 1, (dim, dim): -1} for i in range(1, dim)]
+    basis = []
+    for i, j in cells:
+        partner = (dim + 1 - j, dim + 1 - i)
+        if (i, j) == partner:
+            if algebra is AlgebraType.C:
+                basis.append({(i, j): 1})
+        elif (i, j) < partner:
+            off_blocks = algebra is AlgebraType.C and (i <= dim // 2) != (j <= dim // 2)
+            basis.append({(i, j): 1, partner: 1 if off_blocks else -1})
+    return basis
+
+
 def reference_brackets(basis: list[SparseIntMatrix]) -> dict[tuple[int, int], dict[int, Fraction]]:
     """The bracket table of a seaweed basis, one commutator matrix per pair.
 

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from seaweeds.matrices import (
 )
 from seaweeds.specs import AlgebraType, enumerate_specs, parse_spec
 
-from reference_sweeps import reference_brackets
+from reference_sweeps import reference_basis, reference_brackets, reference_mask
 
 
 def test_bracket_sl2_relation():
@@ -137,6 +138,22 @@ def test_mask_c5_figure():
 def test_mask_gl_full():
     mask = admissible_mask(parse_spec("GL3:3/3"))
     assert len(mask.cells) == 9
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max",
+    [(AlgebraType.GL, 7), (AlgebraType.A, 7), (AlgebraType.B, 5), (AlgebraType.C, 5), (AlgebraType.D, 5)],
+)
+def test_span_mask_and_basis_equal_the_cell_by_cell_reference(algebra, n_max):
+    # the row spans give the same cells, and the basis in the order of the sorted cells
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            mask = admissible_mask(spec)
+            assert mask.cells == reference_mask(spec), spec
+            basis = seaweed_basis(spec).basis
+            assert all(x.dim == mask.dim for x in basis), spec
+            expected = [list(entries.items()) for entries in reference_basis(spec)]
+            assert [list(x.entries.items()) for x in basis] == expected, spec
 
 
 def test_masks_are_antidiagonal_symmetric():
@@ -254,6 +271,20 @@ def test_bracket_table_equals_the_commutator_reference(algebra, n_max):
             assert lie.brackets == reference_brackets(lie.basis), spec
             assert list(lie.brackets) == sorted(lie.brackets), spec
             assert all(i < j for i, j in lie.brackets), spec
+
+
+def test_bracket_table_peaks_at_most_1_6_times_what_it_keeps():
+    # a pair's product is one (cell, term) until a second term arrives, so
+    # the transient products stay small beside the table and basis kept
+    seaweed_basis(parse_spec("A3:2|1/3"))  # one-time allocations, outside the trace
+    tracemalloc.start()
+    try:
+        lie = seaweed_basis(parse_spec("A20:7|13/20"))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lie.dimension == 308
+    assert peak <= 1.6 * kept, (peak, kept, peak / kept)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Kirillov forms, exact ranks, index oracle, principal elements, spectra."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from seaweeds.oracle import (
     random_functional,
     rank_exact,
 )
-from seaweeds.specs import AlgebraType, enumerate_specs, parse_spec
+from seaweeds.specs import AlgebraType, enumerate_specs, format_spec, parse_spec
 from seaweeds.sweep import run_sweep
 
 SL2 = lie_from_structure_constants({(0, 2): {1: 1}, (1, 0): {0: 2}, (1, 2): {2: -2}})
@@ -579,6 +580,38 @@ def test_one_meander_per_spectrum_and_per_meander_trial(monkeypatch, text):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("text", ["A4:2|2/1|3", "B3:1|1|1/", "C5:1|4/3", "D4:1|3/2"])
+def test_the_meander_trial_reads_f_alone(monkeypatch, text):
+    # the trial builds one meander and runs no component walk; only the
+    # spectrum, which reads 2H, walks
+    lie = seaweed_basis(parse_spec(text))
+    walks = _count_calls(monkeypatch, "components")
+    built = _count_calls(monkeypatch, "meander_of_valid")
+    assert index_oracle(lie) == 0
+    assert (len(walks), len(built)) == (0, 1)
+    assert oracle._meander_spectrum(lie) is not None
+    assert (len(walks), len(built)) == (1, 2)
+
+
+def test_spectra_of_the_frobenius_seaweeds_up_to_n_5_are_pinned():
+    # every Frobenius A/B/C/D seaweed with n <= 5, as the walk gave them
+    # when it ran inside _meander_functional
+    lines = []
+    for algebra in (AlgebraType.A, AlgebraType.B, AlgebraType.C, AlgebraType.D):
+        for n in range(1, 6):
+            for spec in enumerate_specs(algebra, n):
+                lie = seaweed_basis(spec)
+                if index_combinatorial(spec).index or not lie.dimension:
+                    continue
+                r = ad_spectrum(lie)
+                flags = f"{r.integral} {r.unbroken} {r.symmetric_about_half} {r.defect}"
+                lines.append(f"{format_spec(spec)} {sorted(r.eigenvalues.items())} {flags}")
+    assert len(lines) == 185
+    assert lines[2] == "A3:3/1|2 [(-1, 1), (0, 2), (1, 2), (2, 1)] True True True 0"
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5f4c409d87836d3053fe84ba26af104a03e6f732b51ac82ea0589061202311df"
+
+
 def _scanned(lie):
     # without a spec, ad_spectrum takes the sampled functional and the kernel scans
     return ad_spectrum(LieData(lie.dimension, lie.brackets, lie.basis))
@@ -608,10 +641,15 @@ def _shifted_walk(shifts):
     walk = oracle._meander_functional
 
     def tampered(lie):
-        f, twice_h = walk(lie)
-        for index, by in shifts.items():
-            twice_h[index] += by
-        return f, twice_h
+        f, diagonal = walk(lie)
+
+        def shifted():
+            twice_h = diagonal()
+            for index, by in shifts.items():
+                twice_h[index] += by
+            return twice_h
+
+        return f, shifted
 
     return tampered
 
