@@ -37,12 +37,13 @@ of ad(F) - k; never the output of a numerical eigensolver.  The dense
 ``kirillov_matrix`` and ``ad_matrix`` are exact views of the same
 bracket table.
 
-The meander functional of a seaweed of type A, B, C or D comes from one
-meander and its tail (``_meander_functional``) and serves the oracle's
-meander trial, which reads it alone.  Its diagonal principal element
-comes from a walk along the meander's components that only the spectrum
-runs, under a certificate.  Otherwise, and for abstract tables, the
-scans run."""
+The meander functional of a seaweed of type A, B, C or D is read off
+one meander and its tail (``_meander_functional``), which returns it
+with that meander and the tail's anchors.  The oracle's meander trial
+reads the functional alone.  Only the spectrum walks the meander's
+components (``_doubled_diagonal``) for a diagonal principal element,
+under a certificate.  Otherwise, and for abstract tables, the scans
+run."""
 
 from __future__ import annotations
 
@@ -50,10 +51,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache
 from math import lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .matrices import LieData, matrix_dim
 from .meander import Meander, components, meander_of_valid
@@ -334,20 +335,16 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     m = lie.dimension
     if m == 0:
         return 0
-    floor = m % 2
-    raised = False
+    term_rank_floor = cache(lambda: m - 2 * (_term_rank(lie) // 2))
 
     def at_floor(kernel: int) -> bool:
-        nonlocal floor, raised
-        if kernel != floor and not raised:
-            # m - tau >= 0 and the rounding keeps the parity of m, so this
-            # floor is never below m mod 2
-            floor, raised = m - 2 * (_term_rank(lie) // 2), True
-        return kernel == floor
+        # m - tau >= 0 and the rounding keeps the parity of m, so the term-rank
+        # floor is never below m mod 2: a kernel at m mod 2 is at both floors
+        return kernel == m % 2 or kernel == term_rank_floor()
 
     meander = _meander_functional(lie)  # f alone: the trial runs no walk
-    if meander is not None and at_floor(_kirillov_kernel(lie, meander[0])):
-        return floor
+    if meander is not None and at_floor(kernel := _kirillov_kernel(lie, meander[0])):
+        return kernel
     best = m + 1  # above every kernel, so the first trial agrees with nothing
     for f in functionals:
         kernel = _kirillov_kernel(lie, f)
@@ -569,8 +566,8 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     found = _meander_functional(lie)
     if found is None:
         return None
-    f, diagonal = found
-    twice_h = diagonal()
+    f, meander, anchor = found
+    twice_h = _doubled_diagonal(lie.spec, meander, anchor)
     doubled = []
     for x, on in zip(lie.basis, f):
         values = {twice_h[a] - twice_h[b] for a, b in x.entries}
@@ -583,17 +580,19 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     return Counter(value // 2 for value in doubled)
 
 
-def _meander_functional(lie: LieData) -> tuple[list[int], Callable[[], list[int]]] | None:
-    """The meander functional f of a type-A, B, C or D seaweed, and the walk that gives 2H of F.
+def _meander_functional(lie: LieData) -> tuple[list[int], Meander, dict[int, int]] | None:
+    """The meander functional f of a type-A, B, C or D seaweed, with its meander and tail anchors.
 
-    f is a 0/1 vector on the basis: 1 on each element whose lead cell
-    (its least cell, which lies in no other element) is a support cell.
-    None for GL, for tables (no ``lie.spec``), and if a support cell
-    leads no element.  The second item computes, when called, the
-    doubled diagonal 2H (``_doubled_diagonal``) of the F that is the
-    principal element of f whenever the certificate of
-    ``_meander_spectrum`` holds; the meander trial reads f alone and
-    never calls it.
+    f is a 0/1 vector on the basis: 1 on each element with a cell in the
+    support.  A support cell lies off the diagonal and, in types B, C and
+    D, above the antidiagonal or (type C) on it; the second cell of an
+    element lies on the diagonal in type A and below the antidiagonal
+    otherwise, so a support cell is a cell of one element only, its lead
+    (least) cell.  None for GL and for tables (no ``lie.spec``).  The
+    meander and the anchors are what ``_doubled_diagonal`` walks to give
+    2H of the F that is the principal element of f whenever the
+    certificate of ``_meander_spectrum`` holds; the meander trial reads
+    f alone.
 
     Each arc gives its arc cell: (j, i) for a top arc i < j and (i, j)
     for a bottom arc.  The tail gives support cells, each with the anchor
@@ -611,28 +610,22 @@ def _meander_functional(lie: LieData) -> tuple[list[int], Callable[[], list[int]
     meander = meander_of_valid(spec)  # seaweed_basis validated the spec
     n, top, bottom, tail = spec.n, meander.top, meander.bottom, meander.tail
     size = matrix_dim(spec)
-    support, anchor = [], {}
+    support, anchor = set(), {}
     if spec.algebra is AlgebraType.C:
         for v in tail:
-            support.append((v, size + 1 - v))
+            support.add((v, size + 1 - v))
             anchor[v] = 1
     else:  # type A has no tail; B and D take it in pairs
         for v, w in zip(tail[::2], tail[1::2]):
-            support += [(v, w), (v, size + 1 - w)]
+            support.update([(v, w), (v, size + 1 - w)])
             anchor[v], anchor[w] = 2, 0
         if len(tail) % 2:  # type B only: every type-D tail is even
-            support.append((tail[-1], n + 1))
+            support.add((tail[-1], n + 1))
             anchor[tail[-1]] = 2
-    support += [(top[v], v) for v in range(1, n + 1) if v < top[v]]
-    support += [(v, bottom[v]) for v in range(1, n + 1) if v < bottom[v]]
-    lead = {min(x.entries): k for k, x in enumerate(lie.basis)}
-    f = [0] * lie.dimension
-    for cell in support:
-        k = lead.get(cell)
-        if k is None:
-            return None
-        f[k] = 1
-    return f, partial(_doubled_diagonal, spec, meander, anchor)
+    support.update((top[v], v) for v in range(1, n + 1) if v < top[v])
+    support.update((v, bottom[v]) for v in range(1, n + 1) if v < bottom[v])
+    f = [0 if support.isdisjoint(x.entries) else 1 for x in lie.basis]
+    return f, meander, anchor
 
 
 def _doubled_diagonal(spec: SeaweedSpec, meander: Meander, anchor: dict[int, int]) -> list[int]:

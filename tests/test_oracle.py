@@ -8,7 +8,13 @@ import pytest
 
 from seaweeds import oracle
 from seaweeds.formulas import index_combinatorial
-from seaweeds.matrices import LieData, lie_from_structure_constants, parse_structure_constants, seaweed_basis
+from seaweeds.matrices import (
+    LieData,
+    lie_from_structure_constants,
+    matrix_dim,
+    parse_structure_constants,
+    seaweed_basis,
+)
 from seaweeds.oracle import (
     NotFrobeniusError,
     NotFrobeniusFunctionalError,
@@ -282,6 +288,24 @@ def test_index_oracle_stops_a_gl_seaweed_at_the_term_rank_floor(monkeypatch):
     assert oracle._meander_functional(lie) is None
     assert index_oracle(lie, trials=5, seed=0) == 2
     assert counted == [2]
+
+
+@pytest.mark.parametrize(
+    "text, calls",
+    [
+        ("A5:4|1/2|1|2", 0),  # the meander trial reads m mod 2 = 0
+        ("A4:4/2|2", 0),  # the meander trial reads m mod 2 = 1
+        ("A3:3/3", 1),  # the meander trial's 2 misses 0: one term rank for the call
+        ("D5:1|4/2", 1),
+        ("GL4:1|3/1|1|2", 1),  # no meander trial: the first seeded kernel misses 0
+        ("GL3:3/3", 1),
+    ],
+)
+def test_index_oracle_computes_the_term_rank_once_and_only_off_the_parity_floor(monkeypatch, text, calls):
+    lie = seaweed_basis(parse_spec(text))
+    ranks = _count_calls(monkeypatch, "_term_rank")
+    index_oracle(lie, trials=5, seed=0)
+    assert len(ranks) == calls
 
 
 def test_index_oracle_rejects_zero_trials_before_any_kernel(monkeypatch):
@@ -593,6 +617,57 @@ def test_the_meander_trial_reads_f_alone(monkeypatch, text):
     assert (len(walks), len(built)) == (1, 2)
 
 
+def _support_reference(spec, meander):
+    # the support cells as the docstring of _meander_functional lists them
+    size = matrix_dim(spec)
+    cells = [(w, v) for v, w in meander.top_edges] + meander.bottom_edges
+    tail = meander.tail
+    if spec.algebra is AlgebraType.C:
+        cells += [(v, size + 1 - v) for v in tail]
+    else:
+        for v, w in zip(tail[::2], tail[1::2]):
+            cells += [(v, w), (v, size + 1 - w)]
+        if len(tail) % 2:
+            cells.append((tail[-1], spec.n + 1))
+    return cells
+
+
+def _check_meander_functional(spec):
+    # each support cell is a cell of one element only, and that element's
+    # lead; f equals the lead-map rule, one 1 per arc and per tail vertex
+    lie = seaweed_basis(spec)
+    f, meander, _ = oracle._meander_functional(lie)
+    holders = {}
+    for k, x in enumerate(lie.basis):
+        for cell in x.entries:
+            holders.setdefault(cell, []).append(k)
+    lead = {min(x.entries): k for k, x in enumerate(lie.basis)}
+    expected = [0] * lie.dimension
+    for cell in _support_reference(spec, meander):
+        assert len(holders.get(cell, ())) == 1, (spec, cell)
+        assert lead.get(cell) == holders[cell][0], (spec, cell)
+        expected[lead[cell]] = 1
+    assert f == expected, spec
+    arcs = sum(p // 2 for p in spec.top) + sum(p // 2 for p in spec.bottom)
+    assert sum(f) == arcs + len(meander.tail), spec
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max, count",
+    [(AlgebraType.A, 6, 1365), (AlgebraType.B, 5, 911), (AlgebraType.C, 5, 911), (AlgebraType.D, 5, 911)],
+)
+def test_the_meander_functional_reads_one_lead_per_support_cell(algebra, n_max, count):
+    specs = [spec for n in range(1, n_max + 1) for spec in enumerate_specs(algebra, n)]
+    for spec in specs:
+        _check_meander_functional(spec)
+    assert len(specs) == count
+
+
+@pytest.mark.parametrize("text", ["A60:23|37/60", "B60:30|30/59", "C60:30|30/59", "D60:30|30/57"])
+def test_the_meander_functional_reads_one_lead_per_support_cell_at_scale(text):
+    _check_meander_functional(parse_spec(text))
+
+
 def test_spectra_of_the_frobenius_seaweeds_up_to_n_5_are_pinned():
     # every Frobenius A/B/C/D seaweed with n <= 5, as the walk gave them
     # when it ran inside _meander_functional
@@ -637,19 +712,14 @@ def test_meander_spectrum_equals_the_scans(algebra, n_max, count):
 
 
 def _shifted_walk(shifts):
-    # the meander functional with entries of its doubled diagonal 2H moved (index -1 is the last)
-    walk = oracle._meander_functional
+    # the walk with entries of its doubled diagonal 2H moved (index -1 is the last)
+    walk = oracle._doubled_diagonal
 
-    def tampered(lie):
-        f, diagonal = walk(lie)
-
-        def shifted():
-            twice_h = diagonal()
-            for index, by in shifts.items():
-                twice_h[index] += by
-            return twice_h
-
-        return f, shifted
+    def tampered(spec, meander, anchor):
+        twice_h = walk(spec, meander, anchor)
+        for index, by in shifts.items():
+            twice_h[index] += by
+        return twice_h
 
     return tampered
 
@@ -670,7 +740,7 @@ def _shifted_walk(shifts):
 def test_a_tampered_walk_falls_back_to_the_scans(monkeypatch, text, shifts):
     lie = seaweed_basis(parse_spec(text))
     expected = _scanned(lie)
-    monkeypatch.setattr(oracle, "_meander_functional", _shifted_walk(shifts))
+    monkeypatch.setattr(oracle, "_doubled_diagonal", _shifted_walk(shifts))
     assert oracle._meander_spectrum(lie) is None
     assert ad_spectrum(lie) == expected
 
