@@ -34,17 +34,33 @@ class MaskSymmetryError(RuntimeError):
     """A B/C/D admissible mask is not antidiagonal-symmetric (construction bug)."""
 
 
-@dataclass(frozen=True)
 class SparseIntMatrix:
-    dim: int
-    entries: dict[Cell, int]
+    """A dim x dim integer matrix as its nonzero entries, cell -> value.
 
-    def __post_init__(self):
-        if not all(self.entries.values()):
+    A ``__slots__`` record, since a frozen dataclass sets each field
+    through ``object.__setattr__`` at several times the cost of the
+    entries dict, once per basis element.  Equality, hash and repr are a
+    dataclass's; the fields are not meant to be reassigned.
+    """
+
+    __slots__ = ("dim", "entries")
+
+    def __init__(self, dim: int, entries: dict[Cell, int]):
+        if not all(entries.values()):
             raise ZeroEntryError("a SparseIntMatrix stores nonzero entries only; build it with sparse()")
+        self.dim = dim
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.entries.items())))
+
+    def __repr__(self):
+        return f"SparseIntMatrix(dim={self.dim!r}, entries={self.entries!r})"
 
 
 def sparse(dim: int, entries: dict[Cell, int]) -> SparseIntMatrix:
@@ -230,6 +246,12 @@ def _symmetric_basis(algebra: AlgebraType, spans: list[tuple[int, int]]) -> list
 
 
 def _lie_data_from_basis(spec, basis) -> LieData:
+    """The bracket table of ``basis``; each element's lead cell must be its first entry.
+
+    The lead is the element's least cell, which ``_gl_basis`` and
+    ``_symmetric_basis`` insert first, so it is read off the entries'
+    order with no sort.  ClosureError when a bracket leaves the span.
+    """
     # e_ab e_bd = e_ad and other products of matrix units vanish, so one pass
     # over cells (a, b) of x_i and (b, d) of x_j adds x_i x_j to [x_i, x_j]
     # (i < j) or to -[x_j, x_i] (i > j); cells are coded a * width + d, pairs
@@ -243,7 +265,7 @@ def _lie_data_from_basis(spec, basis) -> LieData:
     with_row: dict[int, list[tuple[int, int, int]]] = {}
     with_col: dict[int, list[tuple[int, int, int]]] = {}
     for idx, elt in zip(ids, basis):
-        ((a, d), unit), *rest = sorted(elt.entries.items())
+        ((a, d), unit), *rest = elt.entries.items()
         lead[a * width + d] = (idx, unit, [(r * width + c, v) for (r, c), v in rest])
         for (a, d), v in elt.entries.items():
             with_row.setdefault(a, []).append((idx, d, v))

@@ -295,16 +295,36 @@ def random_functional(rng: random.Random, dimension: int) -> list[int]:
 
     A degenerate draw is a zero of a nonzero Pfaffian of degree at most
     m/2, so by Schwartz-Zippel it has probability at most (m/2)/p.
+
+    The stream is the one ``[rng.randrange(P) for _ in range(dimension)]``
+    gives: CPython's randrange(P) draws getrandbits(61) and redraws every
+    value >= P, and 2**61 - 1 = P is the only such value.
     """
-    return [rng.randrange(P) for _ in range(dimension)]
+    draw = rng.getrandbits
+    f = []
+    for _ in range(dimension):
+        value = draw(61)
+        while value == P:
+            value = draw(61)
+        f.append(value)
+    return f
 
 
 def _trial_functionals(lie: LieData, trials: int, seed: int):
-    """At most ``trials`` seeded random functionals, drawn lazily."""
-    if trials < 1:  # raised at the call, before any draw
+    """At most ``trials`` seeded random functionals, drawn lazily.
+
+    Raises on ``trials < 1`` at the call; the generator is seeded at its
+    first draw, so a caller answered before any trial builds no rng.
+    """
+    if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    return (random_functional(rng, lie.dimension) for _ in range(trials))
+
+    def draws():
+        rng = random.Random(seed)
+        for _ in range(trials):
+            yield random_functional(rng, lie.dimension)
+
+    return draws()
 
 
 def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> int:

@@ -9,6 +9,7 @@ classifier's verdict carries the meander count and the closed form.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from .formulas import classify_frobenius
 from .matrices import seaweed_basis
 from .oracle import DEFAULT_TRIALS, index_oracle
 from .specs import AlgebraType, SeaweedSpec, enumerate_specs, format_spec
+
+CHUNK_SIZE = 64  # specs per task sent to a worker process
 
 
 @dataclass
@@ -82,12 +85,19 @@ def run_sweep(
     n_min: int = 1,
     workers: int = 1,
 ) -> SweepReport:
-    """Cross-validate every spec of the family with n_min <= n <= n_max."""
+    """Cross-validate every spec of the family with n_min <= n <= n_max.
+
+    The specs go to the pool in chunks of CHUNK_SIZE, and the pool has
+    at most one process per chunk and per CPU: under the fork start
+    method every process is forked at the first submit, however few
+    chunks there are.  A pool of one runs in this process.
+    """
     start = time.monotonic()
     specs = [spec for n in range(n_min, n_max + 1) for spec in enumerate_specs(algebra, n)]
+    workers = min(workers, -(-len(specs) // CHUNK_SIZE), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(check_spec, specs, repeat(trials), repeat(seed), chunksize=64))
+            records = list(pool.map(check_spec, specs, repeat(trials), repeat(seed), chunksize=CHUNK_SIZE))
     else:
         records = [check_spec(s, trials, seed) for s in specs]
 

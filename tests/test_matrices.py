@@ -391,6 +391,19 @@ def test_parse_structure_constants_rationals():
 def test_explicit_zero_entry_raises():
     with pytest.raises(ZeroEntryError):
         SparseIntMatrix(2, {(1, 1): 1, (1, 2): 0})
+    with pytest.raises(ZeroEntryError):
+        SparseIntMatrix(2, {(1, 2): 0})
+
+
+def test_sparse_int_matrix_equality_hash_and_repr():
+    x = SparseIntMatrix(2, {(1, 2): 1})
+    assert x == SparseIntMatrix(2, {(1, 2): 1})
+    assert x != SparseIntMatrix(3, {(1, 2): 1})
+    assert x != SparseIntMatrix(2, {(1, 2): -1})
+    assert x != ((1, 2), 1)
+    assert hash(x) == hash(SparseIntMatrix(2, {(1, 2): 1}))
+    assert {x, SparseIntMatrix(2, {(1, 2): 1}), sparse(2, {(1, 2): 1, (2, 1): 0})} == {x}
+    assert repr(x) == "SparseIntMatrix(dim=2, entries={(1, 2): 1})"
 
 
 def test_asymmetric_mask_raises(monkeypatch):

@@ -400,6 +400,62 @@ def test_random_functional_draws_from_f_p():
     assert max(values) > oracle.P // 2  # uniform over F_p, not a small range
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2022])
+@pytest.mark.parametrize("dimension", [0, 1, 12, 57])
+def test_random_functional_is_the_randrange_stream(seed, dimension):
+    rng = random.Random(seed)
+    reference = [rng.randrange(oracle.P) for _ in range(dimension)]
+    assert random_functional(random.Random(seed), dimension) == reference
+
+
+def test_random_functional_redraws_the_value_p():
+    class Stub:
+        def __init__(self, values):
+            self.values = iter(values)
+
+        def getrandbits(self, k):
+            assert k == 61
+            return next(self.values)
+
+    assert random_functional(Stub([5, oracle.P, 6, 7]), 3) == [5, 6, 7]
+
+
+@pytest.fixture
+def rng_builds(monkeypatch):
+    """The seeds of every random.Random built while the test runs."""
+    seeds = []
+
+    class Counting(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(oracle.random, "Random", Counting)
+    return seeds
+
+
+def test_a_meander_answered_oracle_seeds_no_rng(rng_builds):
+    assert index_oracle(seaweed_basis(parse_spec("A5:4|1/2|1|2"))) == 0
+    assert rng_builds == []
+
+
+def test_a_missed_meander_trial_seeds_one_rng(rng_builds):
+    assert index_oracle(seaweed_basis(parse_spec("A3:3/3")), seed=4) == 2
+    assert rng_builds == [4]
+
+
+def test_a_seaweed_spectrum_seeds_no_rng(rng_builds):
+    ad_spectrum(seaweed_basis(parse_spec("A4:2|2/1|3")))
+    assert rng_builds == []
+
+
+def test_nonpositive_trials_raise_before_any_draw(rng_builds):
+    lie = seaweed_basis(parse_spec("A5:4|1/2|1|2"))
+    with pytest.raises(ValueError):
+        index_oracle(lie, trials=0)
+    assert rng_builds == []
+
+
 @pytest.mark.parametrize("algebra", list(AlgebraType))
 def test_principal_element_raises_exactly_when_the_kernel_is_nonzero(algebra):
     degenerate = solved = 0

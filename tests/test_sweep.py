@@ -7,10 +7,44 @@ from seaweeds.sweep import check_spec, run_sweep
 
 
 def test_worker_pool_matches_serial_sweep():
-    serial = run_sweep(AlgebraType.D, n_max=3, workers=1).to_payload()
-    pooled = run_sweep(AlgebraType.D, n_max=3, workers=2).to_payload()
+    serial = run_sweep(AlgebraType.D, n_max=4, workers=1).to_payload()
+    pooled = run_sweep(AlgebraType.D, n_max=4, workers=2).to_payload()
+    assert serial["specs_checked"] > sweep.CHUNK_SIZE  # two chunks or more: a real pool of two
     del serial["elapsed_seconds"], pooled["elapsed_seconds"]
     assert pooled == serial
+
+
+def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            assert chunksize == sweep.CHUNK_SIZE
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
+    serial = run_sweep(AlgebraType.D, n_max=4).to_payload()  # 228 specs: four chunks
+    pooled = run_sweep(AlgebraType.D, n_max=4, workers=100_000).to_payload()
+    assert pools == [4]
+    del serial["elapsed_seconds"], pooled["elapsed_seconds"]
+    assert pooled == serial
+    assert run_sweep(AlgebraType.A, n_max=2, workers=100_000).specs_checked == 5  # one chunk
+    assert run_sweep(AlgebraType.D, n_max=4, workers=3).ok
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    assert run_sweep(AlgebraType.D, n_max=4, workers=100_000).ok
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    assert run_sweep(AlgebraType.D, n_max=4, workers=100_000).ok
+    assert pools == [4, 3, 2]
 
 
 def test_check_spec_builds_one_meander(monkeypatch):
