@@ -9,18 +9,21 @@ point.  The rank mod p never exceeds the rank over the rationals, so a
 kernel dimension is an upper bound on the index, exact for generic
 functionals.  Lower bounds (floors) turn a kernel into a proof: a kernel
 equal to one is the index.  A skew form has even rank, over the
-rationals and over F_p alike, so no kernel is below m mod 2; nor is
-any below m - 2 floor(tau/2), tau the term rank of the pattern of the
-bracket table (a maximum matching, Frobenius-Konig), which is computed
-only once a kernel misses m mod 2.  A seaweed of type A, B, C or D
-first runs the meander trial: the sparse 0/1 meander functional below,
-which answers only at the floor and is dropped otherwise.  Then trial
-functionals are drawn uniformly from F_p, so one is degenerate with
-probability at most (m/2)/p (Schwartz-Zippel on a nonzero Pfaffian of
-degree at most m/2), and a form whose scale p divides gives only the
-bound.  The trials stop at the floor, or once two trials have read the
-current minimum.  So, with two trials or more, a result above the
-index needs two degenerate draws: probability at most ((m/2)/p)**2.
+rationals and over F_p alike, so no kernel is below m mod 2.  Nor is
+any below c + ((m - c) mod 2), c the dimension of the diagonal center
+read off the basis cells (``_center_floor``; every central element is
+in every kernel), nor below m - 2 floor(tau/2), tau the term rank of the
+pattern of the bracket table (a maximum matching, Frobenius-Konig).
+Each is computed only once a kernel misses the floors before it.  A
+seaweed of any family first runs the meander trial: the sparse 0/1
+meander functional below, which answers only at a floor and is dropped
+otherwise.  Then trial functionals are drawn uniformly from F_p, so one
+is degenerate with probability at most (m/2)/p (Schwartz-Zippel on a
+nonzero Pfaffian of degree at most m/2), and a form whose scale p
+divides gives only the bound.  The trials stop at a floor, or once two
+trials have read the current minimum.  So, with two trials or more, a
+result above the index needs two degenerate draws: probability at most
+((m/2)/p)**2.
 
 A Kirillov form reaches F_p in the pass that builds it
 (``_kirillov_rows``): one scale, settled before the pass (the lcm of
@@ -37,13 +40,12 @@ of ad(F) - k; never the output of a numerical eigensolver.  The dense
 ``kirillov_matrix`` and ``ad_matrix`` are exact views of the same
 bracket table.
 
-The meander functional of a seaweed of type A, B, C or D is read off
-one meander and its tail (``_meander_functional``), which returns it
-with that meander and the tail's anchors.  The oracle's meander trial
-reads the functional alone.  Only the spectrum walks the meander's
-components (``_doubled_diagonal``) for a diagonal principal element,
-under a certificate.  Otherwise, and for abstract tables, the scans
-run."""
+The meander functional of a seaweed is read off one meander and its
+tail (``_meander_functional``), which returns it with that meander and
+the tail's anchors.  The oracle's meander trial reads the functional
+alone.  Only the spectrum walks the meander's components
+(``_doubled_diagonal``) for a diagonal principal element, under a
+certificate.  Otherwise, and for abstract tables, the scans run."""
 
 from __future__ import annotations
 
@@ -334,20 +336,24 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     the sparse form (see _kirillov_kernel), so it bounds the index from
     above: kernel mod p >= kernel over the rationals >= index.  Any kernel
     that equals a lower bound on the index (a floor) therefore proves
-    the index and is returned at once.  The floor starts at m mod 2 (a
-    skew form has even rank); once a kernel misses it, the floor becomes
-    m - 2 * (tau // 2), tau the term rank of the pattern of
-    ``lie.brackets`` (``_term_rank``), since every form's rank is even
-    and at most tau.  The term rank is computed at most once per call.
+    the index and is returned at once.  Each kernel is checked against
+    three floors in turn, each with the parity of m, since every form's
+    rank is even: m mod 2; then c + ((m - c) mod 2), c the dimension of
+    the diagonal center read off the basis cells (``_center_floor``),
+    since every form's rank is at most m - c; then m - 2 * (tau // 2), tau
+    the term rank of the pattern of ``lie.brackets`` (``_term_rank``),
+    since every form's rank is at most tau.  The second and third are
+    each computed at most once per call, and only once a kernel misses
+    the floors before them.
 
-    A seaweed of type A, B, C or D (``lie.spec`` set) first runs the
-    meander trial: the 0/1 functional of ``_meander_functional``, whose
-    form is sparse.  Its kernel answers only at the floor; otherwise it is
+    A seaweed (``lie.spec`` set), GL included, first runs the meander
+    trial: the 0/1 functional of ``_meander_functional``, whose form is
+    sparse.  Its kernel answers only at a floor; otherwise it is
     discarded and counts toward nothing below.  Then at most ``trials``
-    seeded functionals are drawn, uniformly from F_p; they stop at the
+    seeded functionals are drawn, uniformly from F_p; they stop at a
     floor, or once two of them have read the current minimum.  The
     result exceeds the index only if every seeded trial run is
-    degenerate, and unless the floor stops them at least two run, so
+    degenerate, and unless a floor stops them at least two run, so
     with trials >= 2 that has probability at most ((m/2)/p)**2.
     Deterministic for a given (trials, seed).
     """
@@ -355,12 +361,18 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     m = lie.dimension
     if m == 0:
         return 0
+
+    @cache
+    def center_floor() -> int:
+        c = _center_floor(lie)
+        return c + (m - c) % 2
+
     term_rank_floor = cache(lambda: m - 2 * (_term_rank(lie) // 2))
 
     def at_floor(kernel: int) -> bool:
-        # m - tau >= 0 and the rounding keeps the parity of m, so the term-rank
-        # floor is never below m mod 2: a kernel at m mod 2 is at both floors
-        return kernel == m % 2 or kernel == term_rank_floor()
+        # each floor keeps the parity of m and is at least m mod 2, so a kernel
+        # at m mod 2 is at every floor; the cheaper floor is read first
+        return kernel == m % 2 or kernel == center_floor() or kernel == term_rank_floor()
 
     meander = _meander_functional(lie)  # f alone: the trial runs no walk
     if meander is not None and at_floor(kernel := _kirillov_kernel(lie, meander[0])):
@@ -372,6 +384,48 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
             return kernel
         best = min(best, kernel)
     return best
+
+
+def _center_floor(lie: LieData) -> int:
+    """The dimension of a central subspace of a seaweed, read off ``lie.basis``; 0 for a table.
+
+    Merge the intervals [min(a, b), max(a, b)] of the cells (a, b) of
+    every basis element.  A diagonal matrix d that is constant on each
+    merged interval commutes with every basis element, since
+    [d, e_ab] = (d_a - d_b) e_ab, so it is central once it lies in the
+    algebra.  GL holds every such d: one per interval.  Type A holds the
+    traceless ones: one fewer, since the identity is among them.  Types
+    B, C and D hold those with d_{N+1-a} = -d_a: the cell set is mirror
+    symmetric, so the intervals are too; an interval that is its own
+    mirror reads 0 and each other pair one value, so they count the
+    intervals that end at v <= N/2.
+
+    A central z satisfies f([z, y]) = 0 for every y, so it lies in the
+    kernel of every Kirillov form, over the rationals and over F_p alike:
+    each form has rank at most m - c, and even.  So with c this
+    dimension, c + ((m - c) mod 2) is a floor on the index.
+    """
+    if not lie.basis:
+        return 0
+    reach: dict[int, int] = {}  # each interval's start -> its farthest end
+    for x in lie.basis:
+        for a, b in x.entries:
+            lo, hi = (a, b) if a < b else (b, a)
+            if reach.get(lo, 0) < hi:
+                reach[lo] = hi
+    ends: list[int] = []
+    for lo in sorted(reach):
+        if ends and lo <= ends[-1]:
+            ends[-1] = max(ends[-1], reach[lo])
+        else:
+            ends.append(reach[lo])
+    algebra = lie.spec.algebra
+    if algebra is AlgebraType.GL:
+        return len(ends)
+    if algebra is AlgebraType.A:
+        return len(ends) - 1
+    size = lie.basis[0].dim
+    return sum(2 * v <= size for v in ends)
 
 
 def _term_rank(lie: LieData) -> int:
@@ -601,18 +655,21 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
 
 
 def _meander_functional(lie: LieData) -> tuple[list[int], Meander, dict[int, int]] | None:
-    """The meander functional f of a type-A, B, C or D seaweed, with its meander and tail anchors.
+    """The meander functional f of a seaweed, with its meander and tail anchors.
 
     f is a 0/1 vector on the basis: 1 on each element with a cell in the
     support.  A support cell lies off the diagonal and, in types B, C and
-    D, above the antidiagonal or (type C) on it; the second cell of an
-    element lies on the diagonal in type A and below the antidiagonal
-    otherwise, so a support cell is a cell of one element only, its lead
-    (least) cell.  None for GL and for tables (no ``lie.spec``).  The
-    meander and the anchors are what ``_doubled_diagonal`` walks to give
-    2H of the F that is the principal element of f whenever the
-    certificate of ``_meander_spectrum`` holds; the meander trial reads
-    f alone.
+    D, above the antidiagonal or (type C) on it; an element of GL has one
+    cell, and the second cell of an element lies on the diagonal in type
+    A and below the antidiagonal otherwise, so a support cell is a cell
+    of one element only, its lead (least) cell.  GL takes A's support
+    rule: a GL seaweed is the A seaweed plus the central identity, on
+    which f vanishes, so its kernel is A's plus the identity.  None for
+    tables (no ``lie.spec``).  The meander and the anchors are what
+    ``_doubled_diagonal`` walks to give 2H of the F that is the principal
+    element of f whenever the certificate of ``_meander_spectrum`` holds,
+    which a GL seaweed never passes (its identity is in every kernel);
+    the meander trial reads f alone.
 
     Each arc gives its arc cell: (j, i) for a top arc i < j and (i, j)
     for a bottom arc.  The tail gives support cells, each with the anchor
@@ -625,7 +682,7 @@ def _meander_functional(lie: LieData) -> tuple[list[int], Meander, dict[int, int
     ``meander.tail``); N = ``matrix_dim(spec)``.
     """
     spec = lie.spec
-    if spec is None or lie.basis is None or spec.algebra is AlgebraType.GL:
+    if spec is None or lie.basis is None:
         return None
     meander = meander_of_valid(spec)  # seaweed_basis validated the spec
     n, top, bottom, tail = spec.n, meander.top, meander.bottom, meander.tail
@@ -656,8 +713,9 @@ def _doubled_diagonal(spec: SeaweedSpec, meander: Meander, anchor: dict[int, int
     arc, so every arc cell reads 1.  Each component is then shifted so
     that its least tail vertex reads its ``anchor``, or, with no tail
     vertex, its least vertex reads 0.  Types B, C and D mirror it,
-    H_{N+1-v} = -h_v, with H_{n+1} = 0 in type B.  diag(H) lies in the
-    Cartan subalgebra, up to a scalar in type A that ad ignores.
+    H_{N+1-v} = -h_v, with H_{n+1} = 0 in type B; GL and A do not.
+    diag(H) lies in the Cartan subalgebra, up to a scalar in type A that
+    ad ignores.
     """
     n, top = spec.n, meander.top
     twice = [0] * (n + 1)
@@ -670,7 +728,7 @@ def _doubled_diagonal(spec: SeaweedSpec, meander: Meander, anchor: dict[int, int
         shift = anchor.get(root, 0) - twice[root]
         for v in order:
             twice[v] += shift
-    if spec.algebra is not AlgebraType.A:
+    if not spec.algebra.full_compositions_required:
         twice += [0] * (matrix_dim(spec) - 2 * n) + [-h for h in reversed(twice[1:])]
     return twice
 

@@ -279,15 +279,21 @@ def test_index_oracle_decides_a_frobenius_seaweed_with_one_sparse_kernel(monkeyp
     assert functionals[0] == oracle._meander_functional(lie)[0]
 
 
-def test_index_oracle_stops_a_gl_seaweed_at_the_term_rank_floor(monkeypatch):
-    # GL has no meander trial; dimension 8 and term rank 7 give the floor
-    # 8 - 6 = 2, the index, so the first seeded trial's 2 proves it
-    counted = _count_kernels(monkeypatch)
+def test_index_oracle_stops_a_gl_seaweed_at_the_center_floor(monkeypatch):
+    # GL runs the meander trial under A's support rule; the merged cell
+    # intervals {1} and {2, 3, 4} give a center of dimension 2, and with
+    # dimension 8 the floor 2 + 0 is the index, so the one sparse 0/1
+    # kernel proves it and no term rank is computed
+    functionals = []
+    counted = _count_kernels(monkeypatch, functionals)
+    ranks = _count_calls(monkeypatch, "_term_rank")
     lie = seaweed_basis(parse_spec("GL4:1|3/1|1|2"))
-    assert (lie.dimension, oracle._term_rank(lie)) == (8, 7)
-    assert oracle._meander_functional(lie) is None
+    assert (lie.dimension, oracle._center_floor(lie)) == (8, 2)
     assert index_oracle(lie, trials=5, seed=0) == 2
     assert counted == [2]
+    assert set(functionals[0]) == {0, 1}
+    assert functionals[0] == oracle._meander_functional(lie)[0]
+    assert ranks == []
 
 
 @pytest.mark.parametrize(
@@ -297,7 +303,7 @@ def test_index_oracle_stops_a_gl_seaweed_at_the_term_rank_floor(monkeypatch):
         ("A4:4/2|2", 0),  # the meander trial reads m mod 2 = 1
         ("A3:3/3", 1),  # the meander trial's 2 misses 0: one term rank for the call
         ("D5:1|4/2", 1),
-        ("GL4:1|3/1|1|2", 1),  # no meander trial: the first seeded kernel misses 0
+        ("GL4:1|3/1|1|2", 0),  # the meander trial reads the center floor 2
         ("GL3:3/3", 1),
     ],
 )
@@ -306,6 +312,77 @@ def test_index_oracle_computes_the_term_rank_once_and_only_off_the_parity_floor(
     ranks = _count_calls(monkeypatch, "_term_rank")
     index_oracle(lie, trials=5, seed=0)
     assert len(ranks) == calls
+
+
+@pytest.mark.parametrize(
+    "text, index, kernels, ranks",
+    [
+        # a cut shared by both compositions splits off a central direction:
+        # each meander trial reads the center floor and answers alone
+        ("A3:1|2/1|2", 2, (3, 1), (1, 0)),
+        ("B3:1|2/1|2", 3, (3, 1), (1, 0)),
+        ("C3:1|2/1|2", 3, (3, 1), (1, 0)),
+        ("GL3:1|2/1|2", 3, (3, 1), (1, 0)),
+    ],
+)
+def test_center_floor_saves_the_seeded_trials_and_the_term_rank(monkeypatch, text, index, kernels, ranks):
+    # (kernels, term ranks) with the center floor read as 0, then as it is;
+    # without the floor each meander trial is dropped and two seeded
+    # trials agree after one term rank
+    lie = seaweed_basis(parse_spec(text))
+    counts = []
+    for floor in (lambda lie: 0, oracle._center_floor):
+        monkeypatch.setattr(oracle, "_center_floor", floor)
+        counted = _count_kernels(monkeypatch)
+        calls = _count_calls(monkeypatch, "_term_rank")
+        assert index_oracle(lie, trials=5, seed=0) == index
+        counts.append((len(counted), len(calls)))
+        monkeypatch.undo()
+    assert counts == list(zip(kernels, ranks))
+
+
+def _center_dimension(lie):
+    # z = sum c_i x_i is central iff sum_i c_i [x_i, x_j] = 0 for every j:
+    # one row per (j, k), solved by exact Fraction elimination
+    rows = {}
+    for (i, j), coeffs in lie.brackets.items():
+        for k, v in coeffs.items():
+            rows.setdefault((j, k), [Fraction(0)] * lie.dimension)[i] += v
+            rows.setdefault((i, k), [Fraction(0)] * lie.dimension)[j] -= v
+    return lie.dimension - (_fraction_rank(list(rows.values())) if rows else 0)
+
+
+def test_center_floor_equals_the_center_dimension():
+    checked = central = 0
+    families = [(AlgebraType.GL, 4), (AlgebraType.A, 4), (AlgebraType.B, 3), (AlgebraType.C, 3), (AlgebraType.D, 3)]
+    for algebra, n_max in families:
+        for n in range(1, n_max + 1):
+            for spec in enumerate_specs(algebra, n):
+                lie = seaweed_basis(spec)
+                center = oracle._center_floor(lie)
+                assert center == _center_dimension(lie), spec
+                checked += 1
+                central += center > 0
+    assert checked == 341 and central
+    assert oracle._center_floor(SL2) == 0
+    assert oracle._center_floor(lie_from_structure_constants({}, dimension=4)) == 0
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max",
+    [(AlgebraType.GL, 6), (AlgebraType.A, 6), (AlgebraType.B, 5), (AlgebraType.C, 5), (AlgebraType.D, 5)],
+)
+def test_center_floor_never_exceeds_the_index(algebra, n_max):
+    tight = 0
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            lie = seaweed_basis(spec)
+            center = oracle._center_floor(lie)
+            floor = center + (lie.dimension - center) % 2
+            index = index_combinatorial(spec).index
+            assert lie.dimension % 2 <= floor <= index, spec
+            tight += lie.dimension % 2 < floor == index
+    assert tight
 
 
 def test_index_oracle_rejects_zero_trials_before_any_kernel(monkeypatch):

@@ -164,6 +164,25 @@ def test_cli_spectrum_a3_cycle_exits_4(capsys):
     assert "no nondegenerate functional" in capsys.readouterr().err
 
 
+def test_cli_spectrum_of_a_gl_seaweed_exits_4(capsys, monkeypatch):
+    # GL4:1|3/1|1|2 (dimension 8): the meander certificate reads the kernel
+    # 2 of the central identity and fails, and the scans find no
+    # nondegenerate functional; GL3:3/3 (dimension 9) exits before either
+    kernels, principals = [], []
+    kernel, solve = oracle._kirillov_kernel, oracle.principal_element
+    monkeypatch.setattr(oracle, "_kirillov_kernel", lambda *args: kernels.append(kernel(*args)) or kernels[-1])
+    monkeypatch.setattr(oracle, "principal_element", lambda *args: principals.append(args) or solve(*args))
+    assert run_cli("spectrum", "GL4:1|3/1|1|2") == 4
+    assert capsys.readouterr().err == "error: no nondegenerate functional found in 5 trials\n"
+    assert (kernels, len(principals)) == ([2], 5)
+    kernels.clear()
+    principals.clear()
+    assert run_cli("spectrum", "GL3:3/3", "--json") == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no nondegenerate functional: dimension 9 is odd\n")
+    assert (kernels, principals) == ([], [])
+
+
 def test_cli_spectrum_of_a_table_takes_the_scans(tmp_path, capsys, monkeypatch):
     scans = []
     scanned = oracle._scanned_spectrum
