@@ -323,14 +323,18 @@ def lie_from_structure_constants(
 
     Keys are 0-based pairs; (j, i) entries, when present, must be the
     negations of their (i, j) mates.  The dimension defaults to one more
-    than the largest index seen.  Jacobi is checked only on the triples
-    that hold a pair with a nonzero bracket, since it holds trivially on
-    the rest, so its cost follows the table.  Messages name the basis
+    than the largest index seen; an index outside 0..dimension-1, in a
+    key or a coefficient, is rejected.  Jacobi is checked only on the
+    triples that hold a pair with a nonzero bracket, since it holds
+    trivially on the rest, so its cost follows the table.  Messages name the basis
     1-based, e_1, e_2, ..., as the text format does.
     """
     seen = [k for pair in table for k in pair]
     seen.extend(k for coeffs in table.values() for k in coeffs)
     dim = dimension if dimension is not None else (max(seen) + 1 if seen else 0)
+    for k in seen:
+        if not 0 <= k < dim:
+            raise ValueError(f"e_{k + 1} is outside e_1..e_{dim}")
     brackets: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     for (i, j), coeffs in table.items():
         if not coeffs or i == j:

@@ -7,23 +7,21 @@ pairs the bracket table lists, reduced mod p = 2**61 - 1 and ranked by
 symplectic elimination, two ranks per pivot pair.  There is no floating
 point.  The rank mod p never exceeds the rank over the rationals, so a
 kernel dimension is an upper bound on the index, exact for generic
-functionals.  Lower bounds (floors) turn a kernel into a proof: a kernel
-equal to one is the index.  A skew form has even rank, over the
-rationals and over F_p alike, so no kernel is below m mod 2.  Nor is
-any below c + ((m - c) mod 2), c the dimension of the diagonal center
-read off the basis cells (``_center_floor``; every central element is
-in every kernel), nor below m - 2 floor(tau/2), tau the term rank of the
-pattern of the bracket table (a maximum matching, Frobenius-Konig).
-Each is computed only once a kernel misses the floors before it.  A
-seaweed of any family first runs the meander trial: the sparse 0/1
-meander functional below, which answers only at a floor and is dropped
-otherwise.  Then trial functionals are drawn uniformly from F_p, so one
-is degenerate with probability at most (m/2)/p (Schwartz-Zippel on a
-nonzero Pfaffian of degree at most m/2), and a form whose scale p
-divides gives only the bound.  The trials stop at a floor, or once two
-trials have read the current minimum.  So, with two trials or more, a
-result above the index needs two degenerate draws: probability at most
-((m/2)/p)**2.
+functionals.  A lower bound (a floor) turns a kernel into a proof: a
+kernel equal to it is the index.  The oracle reads one floor,
+c + ((m - c) mod 2), c the dimension of the diagonal center read off the
+basis cells (``_center_floor``): every central element is in every
+kernel, and a skew form has even rank, over the rationals and over F_p
+alike.  The floor has the parity of m and is at least m mod 2, so it
+also answers wherever the parity bound m mod 2 would.  A seaweed of any
+family first runs the meander trial: the sparse 0/1 meander functional
+below, which answers only at the floor and is dropped otherwise.  Then
+trial functionals are drawn uniformly from F_p, so one is degenerate
+with probability at most (m/2)/p (Schwartz-Zippel on a nonzero Pfaffian
+of degree at most m/2), and a form whose scale p divides gives only the
+bound.  The trials stop at the floor, or once two trials have read the
+current minimum.  So, with two trials or more, a result above the index
+needs two degenerate draws: probability at most ((m/2)/p)**2.
 
 A Kirillov form reaches F_p in the pass that builds it
 (``_kirillov_rows``): one scale, settled before the pass (the lcm of
@@ -53,7 +51,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -330,30 +327,27 @@ def _trial_functionals(lie: LieData, trials: int, seed: int):
 
 
 def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> int:
-    """Min kernel dimension of the Kirillov form over trial functionals, stopped early by floors.
+    """Min kernel dimension of the Kirillov form over trial functionals, stopped early by a floor.
 
     Each kernel dimension is computed over F_p by the skew elimination of
     the sparse form (see _kirillov_kernel), so it bounds the index from
     above: kernel mod p >= kernel over the rationals >= index.  Any kernel
     that equals a lower bound on the index (a floor) therefore proves
-    the index and is returned at once.  Each kernel is checked against
-    three floors in turn, each with the parity of m, since every form's
-    rank is even: m mod 2; then c + ((m - c) mod 2), c the dimension of
-    the diagonal center read off the basis cells (``_center_floor``),
-    since every form's rank is at most m - c; then m - 2 * (tau // 2), tau
-    the term rank of the pattern of ``lie.brackets`` (``_term_rank``),
-    since every form's rank is at most tau.  The second and third are
-    each computed at most once per call, and only once a kernel misses
-    the floors before them.
+    the index and is returned at once.  The floor is c + ((m - c) mod 2),
+    c the dimension of the diagonal center read off the basis cells
+    (``_center_floor``, 0 for a table), since every form's rank is even
+    and at most m - c.  It is computed once per call, before any kernel.
+    It has the parity of m and is at least m mod 2, so a kernel at
+    m mod 2 is at the floor too.
 
     A seaweed (``lie.spec`` set), GL included, first runs the meander
     trial: the 0/1 functional of ``_meander_functional``, whose form is
-    sparse.  Its kernel answers only at a floor; otherwise it is
+    sparse.  Its kernel answers only at the floor; otherwise it is
     discarded and counts toward nothing below.  Then at most ``trials``
-    seeded functionals are drawn, uniformly from F_p; they stop at a
+    seeded functionals are drawn, uniformly from F_p; they stop at the
     floor, or once two of them have read the current minimum.  The
     result exceeds the index only if every seeded trial run is
-    degenerate, and unless a floor stops them at least two run, so
+    degenerate, and unless the floor stops them at least two run, so
     with trials >= 2 that has probability at most ((m/2)/p)**2.
     Deterministic for a given (trials, seed).
     """
@@ -361,26 +355,15 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     m = lie.dimension
     if m == 0:
         return 0
-
-    @cache
-    def center_floor() -> int:
-        c = _center_floor(lie)
-        return c + (m - c) % 2
-
-    term_rank_floor = cache(lambda: m - 2 * (_term_rank(lie) // 2))
-
-    def at_floor(kernel: int) -> bool:
-        # each floor keeps the parity of m and is at least m mod 2, so a kernel
-        # at m mod 2 is at every floor; the cheaper floor is read first
-        return kernel == m % 2 or kernel == center_floor() or kernel == term_rank_floor()
-
+    c = _center_floor(lie)
+    floor = c + (m - c) % 2
     meander = _meander_functional(lie)  # f alone: the trial runs no walk
-    if meander is not None and at_floor(kernel := _kirillov_kernel(lie, meander[0])):
+    if meander is not None and (kernel := _kirillov_kernel(lie, meander[0])) == floor:
         return kernel
     best = m + 1  # above every kernel, so the first trial agrees with nothing
     for f in functionals:
         kernel = _kirillov_kernel(lie, f)
-        if kernel == best or at_floor(kernel):
+        if kernel == best or kernel == floor:
             return kernel
         best = min(best, kernel)
     return best
@@ -426,74 +409,6 @@ def _center_floor(lie: LieData) -> int:
         return len(ends) - 1
     size = lie.basis[0].dim
     return sum(2 * v <= size for v in ends)
-
-
-def _term_rank(lie: LieData) -> int:
-    """The term rank of the pattern of ``lie.brackets``: a maximum matching of rows to columns.
-
-    Row i meets column j when (i, j) or (j, i) is a key of the table.
-    Every Kirillov form f([x_i, x_j]) is zero off that pattern, so no
-    form has rank above it over any field (Frobenius-Konig).
-    Hopcroft-Karp after a greedy start, with no recursion: each phase
-    lays out by breadth-first search the rows that alternating paths
-    reach from the unmatched rows, then augments along paths that climb
-    those layers, found with an explicit stack.
-    """
-    m = lie.dimension
-    adjacent: list[list[int]] = [[] for _ in range(m)]
-    for i, j in lie.brackets:
-        adjacent[i].append(j)
-        adjacent[j].append(i)
-    row_mate = [-1] * m
-    col_mate = [-1] * m
-    for r, cols in enumerate(adjacent):
-        for c in cols:
-            if col_mate[c] < 0:
-                row_mate[r], col_mate[c] = c, r
-                break
-    while True:
-        roots = [r for r in range(m) if row_mate[r] < 0 and adjacent[r]]
-        layer = [-1] * m
-        for r in roots:
-            layer[r] = 0
-        queue, augmentable = list(roots), False
-        for r in queue:  # the queue grows while it is read
-            for c in adjacent[r]:
-                s = col_mate[c]
-                if s < 0:
-                    augmentable = True
-                elif layer[s] < 0:
-                    layer[s] = layer[r] + 1
-                    queue.append(s)
-        if not augmentable:
-            return m - row_mate.count(-1)
-        tried = [0] * m  # how many of each row's columns this phase has tried
-        for root in roots:
-            rows, cols = [root], []  # the path: cols[k] joins rows[k] to rows[k + 1]
-            while rows:
-                r = rows[-1]
-                options, k = adjacent[r], tried[r]
-                c = -1
-                while k < len(options):
-                    k += 1
-                    s = col_mate[options[k - 1]]
-                    if s < 0 or layer[s] == layer[r] + 1:
-                        c = options[k - 1]
-                        break
-                tried[r] = k
-                if c < 0:  # no path on from r in this phase
-                    layer[r] = -1
-                    rows.pop()
-                    if cols:
-                        cols.pop()
-                    continue
-                cols.append(c)
-                if s >= 0:
-                    rows.append(s)
-                    continue
-                for row, col in zip(rows, cols):
-                    row_mate[row], col_mate[col] = col, row
-                break
 
 
 def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:

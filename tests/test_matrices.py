@@ -336,6 +336,19 @@ def test_heisenberg_table():
     assert lie.bracket_coeffs(1, 0) == {2: -1}
 
 
+@pytest.mark.parametrize(
+    "table, dimension, message",
+    [
+        ({(-1, 1): {0: 1}}, None, "e_0 is outside e_1..e_2"),  # would wrap to the last index
+        ({(0, 5): {1: 1}}, 3, "e_6 is outside e_1..e_3"),
+        ({(0, 1): {5: 1}}, 3, "e_6 is outside e_1..e_3"),
+    ],
+)
+def test_structure_constants_reject_an_index_outside_the_dimension(table, dimension, message):
+    with pytest.raises(ValueError, match=message):
+        lie_from_structure_constants(table, dimension=dimension)
+
+
 def test_jacobi_violation_reports_triple():
     bad = {(0, 1): {2: 1}, (0, 2): {0: 1}}
     with pytest.raises(JacobiError) as excinfo:

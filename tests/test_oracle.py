@@ -212,7 +212,7 @@ def test_index_oracle_deterministic():
     "text, dimension, index, calls",
     [
         ("A4:4/2|2", 11, 1, 1),  # odd dimension: the meander trial reads the floor 1
-        # sl3, index 2: the term rank 8 leaves the floor at 0, so the meander
+        # sl3, index 2: its center is 0, so the floor is 0, the meander
         # trial's 2 is dropped and two seeded trials then agree on 2
         ("A3:3/3", 8, 2, 3),
     ],
@@ -283,62 +283,59 @@ def test_index_oracle_stops_a_gl_seaweed_at_the_center_floor(monkeypatch):
     # GL runs the meander trial under A's support rule; the merged cell
     # intervals {1} and {2, 3, 4} give a center of dimension 2, and with
     # dimension 8 the floor 2 + 0 is the index, so the one sparse 0/1
-    # kernel proves it and no term rank is computed
+    # kernel proves it
     functionals = []
     counted = _count_kernels(monkeypatch, functionals)
-    ranks = _count_calls(monkeypatch, "_term_rank")
     lie = seaweed_basis(parse_spec("GL4:1|3/1|1|2"))
     assert (lie.dimension, oracle._center_floor(lie)) == (8, 2)
     assert index_oracle(lie, trials=5, seed=0) == 2
     assert counted == [2]
     assert set(functionals[0]) == {0, 1}
     assert functionals[0] == oracle._meander_functional(lie)[0]
-    assert ranks == []
 
 
 @pytest.mark.parametrize(
     "text, calls",
     [
-        ("A5:4|1/2|1|2", 0),  # the meander trial reads m mod 2 = 0
-        ("A4:4/2|2", 0),  # the meander trial reads m mod 2 = 1
-        ("A3:3/3", 1),  # the meander trial's 2 misses 0: one term rank for the call
+        ("A5:4|1/2|1|2", 1),  # the meander trial reads the floor m mod 2 = 0
+        ("A4:4/2|2", 1),  # the meander trial reads the floor m mod 2 = 1
+        ("A3:3/3", 1),  # the meander trial's 2 misses 0 and seeded trials run
         ("D5:1|4/2", 1),
-        ("GL4:1|3/1|1|2", 0),  # the meander trial reads the center floor 2
+        ("GL4:1|3/1|1|2", 1),  # the meander trial reads the floor 2
         ("GL3:3/3", 1),
+        ("A1:1/1", 0),  # dimension 0: answered before any floor
     ],
 )
-def test_index_oracle_computes_the_term_rank_once_and_only_off_the_parity_floor(monkeypatch, text, calls):
+def test_index_oracle_computes_the_center_floor_once_per_call(monkeypatch, text, calls):
     lie = seaweed_basis(parse_spec(text))
-    ranks = _count_calls(monkeypatch, "_term_rank")
+    floors = _count_calls(monkeypatch, "_center_floor")
     index_oracle(lie, trials=5, seed=0)
-    assert len(ranks) == calls
+    assert len(floors) == calls
 
 
 @pytest.mark.parametrize(
-    "text, index, kernels, ranks",
+    "text, index, kernels",
     [
         # a cut shared by both compositions splits off a central direction:
         # each meander trial reads the center floor and answers alone
-        ("A3:1|2/1|2", 2, (3, 1), (1, 0)),
-        ("B3:1|2/1|2", 3, (3, 1), (1, 0)),
-        ("C3:1|2/1|2", 3, (3, 1), (1, 0)),
-        ("GL3:1|2/1|2", 3, (3, 1), (1, 0)),
+        ("A3:1|2/1|2", 2, (3, 1)),
+        ("B3:1|2/1|2", 3, (3, 1)),
+        ("C3:1|2/1|2", 3, (3, 1)),
+        ("GL3:1|2/1|2", 3, (3, 1)),
     ],
 )
-def test_center_floor_saves_the_seeded_trials_and_the_term_rank(monkeypatch, text, index, kernels, ranks):
-    # (kernels, term ranks) with the center floor read as 0, then as it is;
-    # without the floor each meander trial is dropped and two seeded
-    # trials agree after one term rank
+def test_center_floor_saves_the_seeded_trials(monkeypatch, text, index, kernels):
+    # the kernels with the center floor read as 0, then as it is; without
+    # it each meander trial is dropped and two seeded trials agree
     lie = seaweed_basis(parse_spec(text))
     counts = []
     for floor in (lambda lie: 0, oracle._center_floor):
         monkeypatch.setattr(oracle, "_center_floor", floor)
         counted = _count_kernels(monkeypatch)
-        calls = _count_calls(monkeypatch, "_term_rank")
         assert index_oracle(lie, trials=5, seed=0) == index
-        counts.append((len(counted), len(calls)))
+        counts.append(len(counted))
         monkeypatch.undo()
-    assert counts == list(zip(kernels, ranks))
+    assert tuple(counts) == kernels
 
 
 def _center_dimension(lie):
@@ -385,6 +382,28 @@ def test_center_floor_never_exceeds_the_index(algebra, n_max):
     assert tight
 
 
+@pytest.mark.parametrize(
+    "lie, kernels",
+    [
+        (SL2, [1]),  # odd dimension 3: the first trial reads the floor 1
+        (lie_from_structure_constants(parse_structure_constants("1 2 -> 2:1/2\n")), [0]),  # the affine line
+        (lie_from_structure_constants({(0, 1): {2: 1}}), [1]),  # Heisenberg
+        # abelian: a table's center floor is 0, so the floor is 0 and only
+        # two agreeing trials can answer
+        (lie_from_structure_constants({}, dimension=4), [4, 4]),
+    ],
+    ids=["sl2", "affine", "heisenberg", "abelian"],
+)
+def test_index_oracle_on_tables_runs_no_meander_trial(monkeypatch, lie, kernels):
+    functionals = []
+    counted = _count_kernels(monkeypatch, functionals)
+    assert oracle._center_floor(lie) == 0
+    assert index_oracle(lie, trials=5, seed=0) == kernels[-1]
+    assert counted == kernels
+    rng = random.Random(0)
+    assert functionals == [random_functional(rng, lie.dimension) for _ in kernels]  # seeded draws only
+
+
 def test_index_oracle_rejects_zero_trials_before_any_kernel(monkeypatch):
     # the meander trial alone would prove index 0 here; it must not answer first
     counted = _count_kernels(monkeypatch)
@@ -393,8 +412,10 @@ def test_index_oracle_rejects_zero_trials_before_any_kernel(monkeypatch):
     assert counted == []
 
 
-def test_index_oracle_equals_the_meander_on_the_benchmark_ranges():
-    # the default oracle, meander trial and term-rank floor included
+def test_index_oracle_equals_the_meander_on_the_benchmark_ranges(monkeypatch):
+    # the default oracle, meander trial and center floor included; the
+    # kernel count pins how often the floor proves a kernel
+    kernels = _count_calls(monkeypatch, "_kirillov_kernel")
     ranges = {
         AlgebraType.GL: (1, 5),
         AlgebraType.A: (2, 5),
@@ -408,66 +429,7 @@ def test_index_oracle_equals_the_meander_on_the_benchmark_ranges():
         assert report.mismatches == [], report.mismatches[:3]
         checked += report.specs_checked
     assert checked == 1365
-
-
-def _term_rank_reference(lie):
-    # augmenting paths by recursion, one free row at a time
-    adjacent = [[] for _ in range(lie.dimension)]
-    for i, j in lie.brackets:
-        adjacent[i].append(j)
-        adjacent[j].append(i)
-    col_mate = {}
-
-    def augment(r, seen):
-        for c in adjacent[r]:
-            if c not in seen:
-                seen.add(c)
-                if c not in col_mate or augment(col_mate[c], seen):
-                    col_mate[c] = r
-                    return True
-        return False
-
-    return sum(augment(r, set()) for r in range(lie.dimension))
-
-
-def test_term_rank_matches_augmenting_paths_on_random_patterns():
-    rng = random.Random(53)
-    deficient = 0
-    for _ in range(300):
-        m = rng.randint(1, 12)
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.2]
-        rng.shuffle(pairs)
-        lie = LieData(m, {pair: {0: 1} for pair in pairs})
-        expected = _term_rank_reference(lie)
-        assert oracle._term_rank(lie) == expected, pairs
-        deficient += expected < m
-    assert deficient > 100
-
-
-def test_term_rank_follows_long_augmenting_paths_without_recursion():
-    # a path 0 - 1 - ... - (m-1) listed from its far end: the greedy start
-    # matches row v to column v + 1, so the last row augments along a path
-    # through every vertex, far deeper than the recursion limit
-    m = 4000
-    lie = LieData(m, {(v, v + 1): {0: 1} for v in reversed(range(m - 1))})
-    assert oracle._term_rank(lie) == m
-    assert oracle._term_rank(LieData(m + 1, lie.brackets)) == m
-
-
-@pytest.mark.parametrize(
-    "algebra, n_max",
-    [(AlgebraType.GL, 6), (AlgebraType.A, 6), (AlgebraType.B, 5), (AlgebraType.C, 5), (AlgebraType.D, 5)],
-)
-def test_term_rank_floor_never_exceeds_the_index(algebra, n_max):
-    tight = 0
-    for n in range(1, n_max + 1):
-        for spec in enumerate_specs(algebra, n):
-            lie = seaweed_basis(spec)
-            floor = lie.dimension - 2 * (oracle._term_rank(lie) // 2)
-            index = index_combinatorial(spec).index
-            assert lie.dimension % 2 <= floor <= index, spec
-            tight += lie.dimension % 2 < floor == index
-    assert tight
+    assert len(kernels) == 1806
 
 
 def test_random_functional_draws_from_f_p():
