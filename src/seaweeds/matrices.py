@@ -325,9 +325,11 @@ def lie_from_structure_constants(
     negations of their (i, j) mates.  The dimension defaults to one more
     than the largest index seen; an index outside 0..dimension-1, in a
     key or a coefficient, is rejected.  Jacobi is checked only on the
-    triples that hold a pair with a nonzero bracket, since it holds
-    trivially on the rest, so its cost follows the table.  Messages name the basis
-    1-based, e_1, e_2, ..., as the text format does.
+    triples that hold a pair with a nonzero bracket and whose third
+    index some such pair names, since it holds trivially on the rest (an
+    index that no pair names brackets to zero with every element), so
+    its cost follows the table.  Messages name the basis 1-based, e_1,
+    e_2, ..., as the text format does.
     """
     seen = [k for pair in table for k in pair]
     seen.extend(k for coeffs in table.values() for k in coeffs)
@@ -362,12 +364,9 @@ def _check_jacobi(lie: LieData) -> None:
                 out[l] = out.get(l, 0) + coeff * c
         return {k: v for k, v in out.items() if v}
 
-    triples = {
-        tuple(sorted((a, b, c)))
-        for a, b in lie.brackets
-        for c in range(lie.dimension)
-        if c != a and c != b
-    }
+    # an index that no key names brackets to zero with everything: its triples hold
+    named = {k for pair in lie.brackets for k in pair}
+    triples = {tuple(sorted((a, b, c))) for a, b in lie.brackets for c in named if c != a and c != b}
     for i, j, k in sorted(triples):
         residual: dict[int, int | Fraction] = {}
         for term in (

@@ -23,13 +23,13 @@ bound.  The trials stop at the floor, or once two trials have read the
 current minimum.  So, with two trials or more, a result above the index
 needs two degenerate draws: probability at most ((m/2)/p)**2.
 
-A Kirillov form reaches F_p in the pass that builds it
-(``_kirillov_rows``): one scale, settled before the pass (the lcm of
-the denominators of f and of the table, 1 for a seaweed), and each value
-above the diagonal reduced once and its mirror written as p - v, so it
-stays skew; the principal element's system [B | f] is the same rows with
-f as column m at that scale.  Other matrices go through ``_mod_p``:
-ad(F) at one scale, and ``rank_exact`` each row of any matrix on its own.
+Every sparse row reaches F_p at a scale settled before it is reduced
+once.  A Kirillov form does so in the pass that builds it
+(``_kirillov_rows``): one scale, the lcm of the denominators of f and of
+the table (1 for a seaweed), each value above the diagonal reduced and
+its mirror written as p - v, so it stays skew; the principal element's
+system [B | f] takes f as column m at that scale.  Other rows go through
+``_reduced``: ad(F) at the table's scale, ``rank_exact`` each row at its own.
 Principal elements are solved by sparse Gaussian elimination, so they
 are the reductions mod p of the rational ones.  Their adjoint spectra
 (the obstruction test for embedding a Frobenius algebra as a seaweed)
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .matrices import LieData, matrix_dim
 from .meander import Meander, components, meander_of_valid
@@ -160,27 +160,9 @@ def _dense(rows: dict[int, dict[int, int | Fraction]], m: int) -> list[list[int 
     return out
 
 
-def _mod_p(rows: dict[int, dict[int, int | Fraction]]) -> int:
-    """Scale ``rows`` by the lcm of their denominators and reduce them mod p, in place; the scale.
-
-    One scale keeps a skew matrix skew and a system's solutions; mod p
-    it is a unit unless p divides it.  Entries and rows that vanish mod
-    p are deleted.
-    """
-    scale = 1
-    for row in rows.values():
-        for v in row.values():
-            if type(v) is not int:
-                scale = lcm(scale, v.denominator)
-    for r, row in list(rows.items()):
-        for c, v in row.items():
-            row[c] = (v * scale).numerator % P  # no key is added or removed while iterating
-        if not all(row.values()):
-            for c in [c for c, v in row.items() if not v]:
-                del row[c]
-        if not row:
-            del rows[r]
-    return scale
+def _reduced(entries: Iterable[tuple[int, int | Fraction]], scale: int) -> dict[int, int]:
+    """``{c: (v * scale) mod p}`` of ``(c, v)`` pairs, dropping zeros; each v * scale must be an integer."""
+    return {c: x for c, v in entries if (x := (v * scale).numerator % P)}
 
 
 def _kirillov_kernel(lie: LieData, f: Sequence[int | Fraction]) -> int:
@@ -243,13 +225,11 @@ def rank_exact(matrix: Sequence[Sequence[int | Fraction]]) -> int:
     Reduction mod p is a ring map from the p-integral rationals, so the
     result never exceeds the rank r over the rationals, and equals it
     unless p divides every nonzero r x r minor.  Each row is scaled to
-    integers on its own first.  There is no floating point and no
-    rounding.
+    integers by the lcm of its own denominators, then reduced
+    (``_reduced``).  There is no floating point and no rounding.
     """
-    singles = [{0: dict(enumerate(row))} for row in matrix]
-    for single in singles:
-        _mod_p(single)  # each row at its own scale
-    return len(_eliminate([row for single in singles for row in single.values()]))
+    rows = [_reduced(enumerate(row), lcm(*[v.denominator for v in row])) for row in matrix]
+    return len(_eliminate([row for row in rows if row]))
 
 
 def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
@@ -426,10 +406,8 @@ def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
     """
     m = lie.dimension
     rows, scaled = _kirillov_rows(lie, f)
-    for r, v in enumerate(scaled):
-        v = v.numerator % P
-        if v:
-            rows.setdefault(r, {})[m] = v
+    for r, v in _reduced(enumerate(scaled), 1).items():
+        rows.setdefault(r, {})[m] = v
     pivots = _eliminate([dict(row) for row in rows.values()])  # copies: the residual reads rows
     free = set(range(m + 1)).difference(col for col, _ in pivots)
     # Free columns are set to 1 and the pivot columns solved back up.
@@ -459,7 +437,8 @@ def _ad_rows(lie: LieData, element: Sequence[int | Fraction]) -> dict[int, dict[
     """The rows of ad(element) as ``{row: {col: value}}``, read off ``lie.brackets``.
 
     Each (i, j) -> {k: c} adds element_i c at (k, j) and subtracts
-    element_j c at (k, i).  Entries that cancel are kept as zeros.
+    element_j c at (k, i).  Entries that cancel are kept as zeros, which
+    only the dense ``ad_matrix`` shows: ``_reduced`` drops them.
     """
     rows: dict[int, dict[int, int | Fraction]] = {}
     for (i, j), coeffs in lie.brackets.items():
@@ -649,10 +628,13 @@ def _doubled_diagonal(spec: SeaweedSpec, meander: Meander, anchor: dict[int, int
 
 
 def _scanned_spectrum(lie: LieData, principal: Sequence[int]) -> dict[int, int]:
-    """Multiplicities as kernel dimensions of ad(F) - k, F a principal element mod p."""
+    """Multiplicities as kernel dimensions of ad(F) - k, F a principal element mod p.
+
+    F is integral, so the table's scale clears ad(F) (and k) of denominators.
+    """
     m = lie.dimension
-    rows = _ad_rows(lie, principal)
-    scale = _mod_p(rows)
+    scale = _table_scale(lie)
+    rows = {r: _reduced(row.items(), scale) for r, row in _ad_rows(lie, principal).items()}
     eigenvalues: dict[int, int] = {}
     total = 0
     for k in _spectrum_scan_order(-m, m + 1):

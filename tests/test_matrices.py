@@ -369,7 +369,6 @@ def test_jacobi_reports_the_smallest_failing_triple():
 
 def test_jacobi_examines_only_triples_with_a_bracket(monkeypatch):
     # each examined triple reads its three brackets from _check_jacobi itself
-    lie = lie_from_structure_constants(parse_structure_constants("1 60 -> 1:1\n"))
     reads = []
     original = LieData.bracket_coeffs
 
@@ -379,10 +378,18 @@ def test_jacobi_examines_only_triples_with_a_bracket(monkeypatch):
         return original(self, i, j)
 
     monkeypatch.setattr(LieData, "bracket_coeffs", counting)
-    matrices._check_jacobi(lie)
-    # the 58 triples that hold the pair (0, 59), within dimension x brackets;
-    # all C(60, 3) = 34220 before
-    assert len(reads) == 3 * (lie.dimension - 2)
+    # the triples that hold a listed pair and whose third index a listed pair
+    # names: none for one pair, (0, 1, 59) for two, none for one pair on a
+    # dimension of a million; an index no pair names brackets to zero
+    for text, triples in (
+        ("1 60 -> 1:1\n", 0),
+        ("1 60 -> 1:1\n2 60 -> 2:1\n", 1),
+        ("1 2 -> 1000000:1\n", 0),
+    ):
+        lie = lie_from_structure_constants(parse_structure_constants(text))
+        reads.clear()
+        matrices._check_jacobi(lie)
+        assert len(reads) == 3 * triples, text
 
 
 def test_parse_structure_constants_rejects_repeated_entries():

@@ -590,6 +590,18 @@ def test_spectrum_of_a_rational_table():
     assert report.integral
 
 
+@pytest.mark.parametrize("scale", [Fraction(1, 6), Fraction(5, 7), 3])
+def test_scanned_spectrum_ignores_the_table_scale(scale):
+    # scale * T has the principal element F / scale, whose ad in scale * T is
+    # ad(F) in T; the scans reduce it at the scaled table's own scale
+    tables = [epilogue_family(z).brackets for z in (0, -2, 1, 3)]
+    tables.append(parse_structure_constants("1 2 -> 2:1/2\n"))
+    for table in tables:
+        scaled = {pair: {k: scale * v for k, v in coeffs.items()} for pair, coeffs in table.items()}
+        expected = ad_spectrum(lie_from_structure_constants(table))
+        assert ad_spectrum(lie_from_structure_constants(scaled)) == expected, table
+
+
 def _fraction_solve(matrix, f):
     """Solve B^T c = f by Gauss-Jordan over the rationals; None if singular."""
     m = len(f)

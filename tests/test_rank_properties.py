@@ -1,6 +1,7 @@
 """Property checks of the exact ranks on random int and Fraction matrices."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -48,6 +49,7 @@ def test_skew_rank_equals_fraction_elimination(case):
     dense = [[0] * m for _ in range(m)]
     for (i, j), v in entries.items():
         dense[i][j], dense[j][i] = v, -v
-    rows = {i: dict(enumerate(row)) for i, row in enumerate(dense)}
-    oracle._mod_p(rows)
-    assert oracle._skew_rank(rows) == _fraction_rank(dense)
+    # one scale for the whole matrix keeps it skew
+    scale = lcm(*[v.denominator for v in entries.values()])
+    rows = {i: oracle._reduced(enumerate(row), scale) for i, row in enumerate(dense)}
+    assert oracle._skew_rank({i: row for i, row in rows.items() if row}) == _fraction_rank(dense)

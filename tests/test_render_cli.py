@@ -296,7 +296,7 @@ def test_cli_spectrum_accepts_a_consistent_mate(tmp_path, capsys):
 
 
 def test_cli_spectrum_jacobi_cost_follows_the_table(tmp_path, capsys):
-    # one bracket on index 300: the Jacobi check reads 298 triples, not C(300, 3)
+    # one bracket on index 300: the Jacobi check reads no triple, not C(300, 3)
     table = tmp_path / "wide.sc"
     table.write_text("1 300 -> 1:1\n")
     assert run_cli("spectrum", "--sc-file", str(table)) == 4
