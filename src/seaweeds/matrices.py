@@ -147,7 +147,6 @@ def _row_spans(spec: SeaweedSpec) -> list[tuple[int, int]]:
     return list(zip(firsts, lasts))
 
 
-@dataclass
 class LieData:
     """Basis plus structure constants.
 
@@ -155,13 +154,51 @@ class LieData:
     [x_i, x_j] over the basis, in no set order; the (j, i) entry is implied
     by antisymmetry.  ``basis`` and ``spec`` are None for abstract
     (structure-constant) input; ``seaweed_basis`` sets both, and its
-    coefficients are integers.
+    coefficients are integers.  A table of None is read off ``basis``
+    (``_bracket_table``) on the first read of ``brackets`` and kept, so
+    a caller that reads only the basis cells builds no table; the read
+    raises ClosureError if a bracket leaves the span.
     """
 
-    dimension: int
-    brackets: dict[tuple[int, int], dict[int, int | Fraction]]
-    basis: list[SparseIntMatrix] | None = None
-    spec: SeaweedSpec | None = None
+    __slots__ = ("dimension", "_brackets", "basis", "spec")
+
+    def __init__(
+        self,
+        dimension: int,
+        brackets: dict[tuple[int, int], dict[int, int | Fraction]] | None,
+        basis: list[SparseIntMatrix] | None = None,
+        spec: SeaweedSpec | None = None,
+    ):
+        if brackets is None and basis is None:
+            raise ValueError("a LieData with no basis needs its bracket table")
+        self.dimension = dimension
+        self._brackets = brackets
+        self.basis = basis
+        self.spec = spec
+
+    @property
+    def brackets(self) -> dict[tuple[int, int], dict[int, int | Fraction]]:
+        if self._brackets is None:
+            self._brackets = _bracket_table(self.spec, self.basis)
+        return self._brackets
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dimension, self.basis, self.spec, self.brackets) == (
+            other.dimension,
+            other.basis,
+            other.spec,
+            other.brackets,
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"LieData(dimension={self.dimension!r}, brackets={self.brackets!r}, "
+            f"basis={self.basis!r}, spec={self.spec!r})"
+        )
 
     def bracket_coeffs(self, i: int, j: int) -> dict[int, int | Fraction]:
         if i == j:
@@ -186,17 +223,17 @@ class JacobiError(ValueError):
 
 
 def seaweed_basis(spec: SeaweedSpec) -> LieData:
-    """Generate the seaweed's basis and structure constants.
+    """Generate the seaweed's basis; its structure constants follow on first read.
 
     The ambient standard basis is filtered by the admissible mask (an
     element is kept only if every cell it touches is admissible), read
     row by row off the mask's row spans (``_row_spans``), so the elements
     come in the order of their least cells, with type A's diagonal
-    elements last; no cell set is built.  The structure constants come
-    from one pass over the products of cells e_ab e_bd = e_ad that share
-    an index b, with no commutator matrix per pair; each bracket is then
-    reduced over the basis, and failure to reduce exactly is fatal since
-    the span would not be a subalgebra.
+    elements last; no cell set is built.  The bracket table is built by
+    ``_bracket_table`` on the first read of ``lie.brackets``, not here:
+    the oracle's meander trial and the spectrum certificate read only
+    the basis cells.  That read raises ClosureError if a bracket fails to
+    reduce exactly, since the span would not be a subalgebra.
     """
     require_valid(spec)
     spans = _row_spans(spec)
@@ -205,7 +242,7 @@ def seaweed_basis(spec: SeaweedSpec) -> LieData:
         basis = _gl_basis(spans, algebra is AlgebraType.A)
     else:
         basis = _symmetric_basis(algebra, spans)
-    return _lie_data_from_basis(spec, basis)
+    return LieData(len(basis), None, basis, spec)
 
 
 def _gl_basis(spans: list[tuple[int, int]], traceless: bool) -> list[SparseIntMatrix]:
@@ -245,7 +282,7 @@ def _symmetric_basis(algebra: AlgebraType, spans: list[tuple[int, int]]) -> list
     return basis
 
 
-def _lie_data_from_basis(spec, basis) -> LieData:
+def _bracket_table(spec, basis) -> dict[tuple[int, int], dict[int, int]]:
     """The bracket table of ``basis``; each element's lead cell must be its first entry.
 
     The lead is the element's least cell, which ``_gl_basis`` and
@@ -312,7 +349,7 @@ def _lie_data_from_basis(spec, basis) -> LieData:
             raise ClosureError(f"{spec}: bracket {entries} is not in the span of the basis")
         if coeffs:
             brackets[ids[pair // m], ids[pair % m]] = coeffs
-    return LieData(dimension=m, brackets=brackets, basis=basis, spec=spec)
+    return brackets
 
 
 def lie_from_structure_constants(

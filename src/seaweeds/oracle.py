@@ -38,6 +38,14 @@ of ad(F) - k; never the output of a numerical eigensolver.  The dense
 ``kirillov_matrix`` and ``ad_matrix`` are exact views of the same
 bracket table.
 
+A seaweed's table is built only on the first read of ``lie.brackets``
+(``seaweed_basis``), and that read raises ClosureError if a bracket
+leaves the span.  The meander trial and the spectrum certificate never
+read it: their functional is supported on a few lead cells, so their
+form is read off the basis cells (``_support_rows``), which assumes
+closure, a theorem for seaweeds.  The dense trials, the principal
+element, the scans and the dense views read the table.
+
 The meander functional of a seaweed is read off one meander and its
 tail (``_meander_functional``), which returns it with that meander and
 the tail's anchors.  The oracle's meander trial reads the functional
@@ -144,8 +152,9 @@ def _kirillov_rows(lie: LieData, f: Sequence[int | Fraction]) -> tuple[dict[int,
 def _table_scale(lie: LieData) -> int:
     """The lcm of the denominators of ``lie.brackets``; 1, unread, for a table read off a basis.
 
-    ``seaweed_basis`` divides each bracket exactly by lead entries, so a
-    table with a basis holds integers (ClosureError otherwise).
+    ``_bracket_table`` divides each bracket exactly by lead entries, so a
+    table with a basis holds integers (the first read of ``lie.brackets``
+    raises ClosureError otherwise).
     """
     if lie.basis is not None:
         return 1
@@ -169,11 +178,71 @@ def _kirillov_kernel(lie: LieData, f: Sequence[int | Fraction]) -> int:
     """Kernel dimension mod p of the Kirillov form of f, built sparse and ranked skew.
 
     The rows come reduced mod p from one pass over ``lie.brackets``
-    (``_kirillov_rows``).  It equals ``kernel_dimension(kirillov_matrix(lie, f))``
+    (``_kirillov_rows``), so on a seaweed this builds the table if it is
+    not built yet, and that first read raises ClosureError if a bracket
+    leaves the span.  It equals ``kernel_dimension(kirillov_matrix(lie, f))``
     unless p divides the form's scale, and bounds the rational kernel in
     any case.
     """
     return lie.dimension - _skew_rank(_kirillov_rows(lie, f)[0])
+
+
+def _support_rows(lie: LieData, f: Sequence[int]) -> dict[int, dict[int, int]]:
+    """The nonzero rows mod p of the Kirillov form of an integer f on a seaweed, read off its basis cells.
+
+    No bracket table is read.  Each element's lead (first) cell lies in
+    no other element and holds 1, and a bracket lies in the span of the
+    basis, so its coordinate along x_k is its entry at the lead (a, d)
+    of x_k.  Hence f([x_i, x_j]) = sum of f_k [x_i, x_j][a, d] over the
+    k with f_k != 0, and [x_i, x_j][a, d] = sum over b of
+    x_i[a, b] x_j[b, d] - x_j[a, b] x_i[b, d]: for each column b of row
+    a, the elements at (a, b) against those at (b, d), through one map
+    of cells by row and one of elements by cell.  The cost follows the
+    support of f times the matrix size.  Closure is assumed; the table
+    (``_bracket_table``) checks it.  The rows equal ``_kirillov_rows``'s,
+    in the same order: each pair i < j is reduced once, in ascending
+    order, and its mirror written as p - v.
+    """
+    _check_length(lie, f)
+    at_cell: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for idx, x in enumerate(lie.basis):
+        for cell, v in x.entries.items():
+            at_cell.setdefault(cell, []).append((idx, v))
+    in_row: dict[int, list[int]] = {}
+    for a, b in at_cell:
+        in_row.setdefault(a, []).append(b)
+    form: dict[tuple[int, int], int] = {}
+    for x, weight in zip(lie.basis, f):
+        if not weight:
+            continue
+        a, d = next(iter(x.entries))
+        for b in in_row[a]:
+            right = at_cell.get((b, d))
+            if right is None:
+                continue
+            for i, v in at_cell[a, b]:
+                for j, w in right:
+                    # x_i x_j adds to [x_i, x_j] and subtracts from [x_j, x_i]
+                    if i < j:
+                        form[i, j] = form.get((i, j), 0) + weight * v * w
+                    elif j < i:
+                        form[j, i] = form.get((j, i), 0) - weight * v * w
+    rows: dict[int, dict[int, int]] = {}
+    for i, j in sorted(form):
+        v = form[i, j] % P
+        if v:
+            rows.setdefault(i, {})[j] = v
+            rows.setdefault(j, {})[i] = P - v
+    return rows
+
+
+def _support_kernel(lie: LieData, f: Sequence[int]) -> int:
+    """Kernel dimension mod p of the Kirillov form of an integer f on a seaweed, with no bracket table.
+
+    The rows come from the basis cells (``_support_rows``), so the cost
+    follows the support of f; equal to ``_kirillov_kernel(lie, f)``.
+    """
+    return lie.dimension - _skew_rank(_support_rows(lie, f))
 
 
 def _skew_rank(rows: dict[int, dict[int, int]]) -> int:
@@ -322,11 +391,14 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
 
     A seaweed (``lie.spec`` set), GL included, first runs the meander
     trial: the 0/1 functional of ``_meander_functional``, whose form is
-    sparse.  Its kernel answers only at the floor; otherwise it is
-    discarded and counts toward nothing below.  Then at most ``trials``
-    seeded functionals are drawn, uniformly from F_p; they stop at the
-    floor, or once two of them have read the current minimum.  The
-    result exceeds the index only if every seeded trial run is
+    sparse and read off the basis cells (``_support_kernel``), so a spec
+    it answers builds no bracket table.  Its kernel answers only at the
+    floor; otherwise it is discarded and counts toward nothing below.
+    Then at most ``trials`` seeded functionals are drawn, uniformly from
+    F_p; their forms read ``lie.brackets``, so the first of them builds
+    the table and raises ClosureError if a bracket leaves the span.  They
+    stop at the floor, or once two of them have read the current minimum.
+    The result exceeds the index only if every seeded trial run is
     degenerate, and unless the floor stops them at least two run, so
     with trials >= 2 that has probability at most ((m/2)/p)**2.
     Deterministic for a given (trials, seed).
@@ -338,7 +410,7 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     c = _center_floor(lie)
     floor = c + (m - c) % 2
     meander = _meander_functional(lie)  # f alone: the trial runs no walk
-    if meander is not None and (kernel := _kirillov_kernel(lie, meander[0])) == floor:
+    if meander is not None and (kernel := _support_kernel(lie, meander[0])) == floor:
         return kernel
     best = m + 1  # above every kernel, so the first trial agrees with nothing
     for f in functionals:
@@ -527,7 +599,8 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     (a, b) read one H_a - H_b is an eigenvector of ad(F) with that
     eigenvalue.  The certificate: every element is one, with an integer
     eigenvalue; eigenvalue 1 on the support of f, so f([F, x]) = f(x)
-    for all x; and, checked last, a zero Kirillov kernel of f mod p, so f
+    for all x; and, checked last, a zero Kirillov kernel of f mod p, read
+    off the basis cells (``_support_kernel``) with no bracket table, so f
     is Frobenius over the rationals and F its only principal element.
     The result never rests on the walk being right.
     """
@@ -543,7 +616,7 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
         if values or value % 2 or (on and value != 2):
             return None
         doubled.append(value)
-    if _kirillov_kernel(lie, f):
+    if _support_kernel(lie, f):
         return None
     return Counter(value // 2 for value in doubled)
 

@@ -166,8 +166,9 @@ def test_criterion_6_spectrum_suite():
 def test_criterion_7_construction_properties():
     start = time.monotonic()
     built = 0
-    # Closure is asserted inside seaweed_basis; Jacobi is verified on the
-    # resulting structure constants here.
+    # Closure is asserted on the first read of lie.brackets, which
+    # _check_jacobi makes; Jacobi is verified on the resulting structure
+    # constants here.
     for algebra in AlgebraType:
         for n in range(1, 5):
             for spec in enumerate_specs(algebra, n):

@@ -306,7 +306,7 @@ def test_bracket_outside_the_span_raises(text, dropped):
     basis = seaweed_basis(spec).basis
     del basis[dropped]
     with pytest.raises(ClosureError):
-        matrices._lie_data_from_basis(spec, basis)
+        matrices._bracket_table(spec, basis)
 
 
 def test_non_integral_coefficient_raises():
@@ -316,7 +316,7 @@ def test_non_integral_coefficient_raises():
     assert basis[0] == sparse(2, {(1, 1): 1})
     basis[0] = sparse(2, {(1, 1): 2})
     with pytest.raises(ClosureError):
-        matrices._lie_data_from_basis(spec, basis)
+        matrices._bracket_table(spec, basis)
 
 
 def test_parse_structure_constants_rejects_indices_below_one():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from seaweeds import oracle
+from seaweeds import cli, matrices, oracle
 from seaweeds.formulas import index_combinatorial
 from seaweeds.matrices import (
     LieData,
@@ -226,18 +226,23 @@ def test_index_oracle_stops_at_the_parity_floor(monkeypatch, text, dimension, in
 
 
 def _count_kernels(monkeypatch, functionals=None):
-    # the kernel dimensions of the oracle's Kirillov kernels, in call order;
-    # the functionals too, if a list is given
+    # the kernel dimensions of the oracle's Kirillov kernels, in call order,
+    # whether built off the table (the seeded trials) or off the basis cells
+    # (the meander trial and the spectrum certificate); the functionals too,
+    # if a list is given
     counted = []
-    kernel = oracle._kirillov_kernel
 
-    def counting(lie, f):
-        if functionals is not None:
-            functionals.append(list(f))
-        counted.append(kernel(lie, f))
-        return counted[-1]
+    def counting(kernel):
+        def counted_kernel(lie, f):
+            if functionals is not None:
+                functionals.append(list(f))
+            counted.append(kernel(lie, f))
+            return counted[-1]
 
-    monkeypatch.setattr(oracle, "_kirillov_kernel", counting)
+        return counted_kernel
+
+    for name in ("_kirillov_kernel", "_support_kernel"):
+        monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
     return counted
 
 
@@ -415,7 +420,7 @@ def test_index_oracle_rejects_zero_trials_before_any_kernel(monkeypatch):
 def test_index_oracle_equals_the_meander_on_the_benchmark_ranges(monkeypatch):
     # the default oracle, meander trial and center floor included; the
     # kernel count pins how often the floor proves a kernel
-    kernels = _count_calls(monkeypatch, "_kirillov_kernel")
+    kernels = _count_kernels(monkeypatch)
     ranges = {
         AlgebraType.GL: (1, 5),
         AlgebraType.A: (2, 5),
@@ -692,7 +697,7 @@ def test_spectrum_rejects_an_odd_dimension_before_any_kernel(monkeypatch, lie):
     # a skew form on an odd-dimensional space is degenerate: no trial can solve
     assert lie.dimension % 2
     principals = _count_calls(monkeypatch, "principal_element")
-    kernels = _count_calls(monkeypatch, "_kirillov_kernel")
+    kernels = _count_kernels(monkeypatch)
     with pytest.raises(NotFrobeniusError, match=f"^no nondegenerate functional: dimension {lie.dimension} is odd$"):
         ad_spectrum(lie)
     with pytest.raises(ValueError, match="trials"):  # the trials check comes first
@@ -856,9 +861,7 @@ def test_the_kernel_check_rejects_a_walk_that_fits_a_degenerate_functional(monke
     # A2:1|1/1|1 has no arcs: f = 0 passes the eigenvalue checks vacuously,
     # and only its Kirillov kernel (the whole algebra) rejects it
     lie = seaweed_basis(parse_spec("A2:1|1/1|1"))
-    kernels = []
-    kernel = oracle._kirillov_kernel
-    monkeypatch.setattr(oracle, "_kirillov_kernel", lambda lie, f: kernels.append(kernel(lie, f)) or kernels[-1])
+    kernels = _count_kernels(monkeypatch)
     assert oracle._meander_spectrum(lie) is None
     assert kernels == [1]
 
@@ -867,7 +870,7 @@ def test_the_integrality_check_rejects_half_integer_eigenvalues(monkeypatch):
     # C2:1/ leaves vertex 2 off the tail: h_1 = 1/2 and h_2 = 0, so the
     # support reads 1 and the element at (1, 2) reads 1/2; with the kernel
     # check passed by force, integrality alone must reject the walk
-    monkeypatch.setattr(oracle, "_kirillov_kernel", lambda lie, f: 0)
+    monkeypatch.setattr(oracle, "_support_kernel", lambda lie, f: 0)
     assert oracle._meander_spectrum(seaweed_basis(parse_spec("C2:1/"))) is None
 
 
@@ -930,3 +933,86 @@ def test_kernel_dimension_even_rank_defect():
     lie = seaweed_basis(parse_spec("B3:2/1"))
     m = kirillov_matrix(lie, [7] * lie.dimension)
     assert (lie.dimension - kernel_dimension(m)) % 2 == 0
+
+
+def test_every_seaweed_lead_entry_is_one():
+    # _support_rows reads a bracket's coordinate along x_k as its entry at
+    # the lead of x_k, with no division
+    for algebra in AlgebraType:
+        for n in range(1, 5):
+            for spec in enumerate_specs(algebra, n):
+                assert all(next(iter(x.entries.values())) == 1 for x in seaweed_basis(spec).basis), spec
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max",
+    [(AlgebraType.GL, 6), (AlgebraType.A, 6), (AlgebraType.B, 5), (AlgebraType.C, 5), (AlgebraType.D, 5)],
+)
+def test_support_rows_equal_the_table_rows(algebra, n_max):
+    # the 0/1 meander functional and random nonzero values on its support,
+    # against _kirillov_rows on the same algebra given as a table alone
+    rng = random.Random(26)
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            lie = seaweed_basis(spec)
+            table = LieData(lie.dimension, lie.brackets)
+            meander = oracle._meander_functional(lie)[0]
+            weighted = [v and rng.randrange(1, oracle.P) for v in meander]
+            for f in (meander, weighted):
+                got = oracle._support_rows(lie, f)
+                expected = oracle._kirillov_rows(table, f)[0]
+                assert got == expected, (spec, f)
+                assert list(got) == list(expected), spec  # the same row order
+
+
+def _count_tables(monkeypatch):
+    built = []
+    table = matrices._bracket_table
+    monkeypatch.setattr(matrices, "_bracket_table", lambda spec, basis: built.append(spec) or table(spec, basis))
+    return built
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("index", "A40:13|27/40", "--method", "oracle"), ("spectrum", "A20:7|13/20")],
+)
+def test_the_meander_trial_and_the_certificate_build_no_table(monkeypatch, capsys, args):
+    built = _count_tables(monkeypatch)
+    assert cli.main(list(args)) == 0
+    assert built == []
+
+
+def test_the_benchmark_sweep_builds_247_tables(monkeypatch):
+    # only the specs that the meander trial leaves to the seeded trials
+    built = _count_tables(monkeypatch)
+    ranges = {
+        AlgebraType.GL: (1, 5),
+        AlgebraType.A: (2, 5),
+        AlgebraType.B: (1, 4),
+        AlgebraType.C: (1, 4),
+        AlgebraType.D: (1, 4),
+    }
+    for algebra, (n_min, n_max) in ranges.items():
+        run_sweep(algebra, n_max=n_max, n_min=n_min, trials=5, seed=1)
+    assert len(built) == 247
+
+
+def _ordered(table):
+    return [(pair, list(coeffs.items())) for pair, coeffs in table.items()]
+
+
+@pytest.mark.parametrize("text", ["A5:4|1/2|1|2", "GL4:1|3/1|1|2", "B3:1|2/3", "C4:2|2/3", "D5:1|4/2"])
+def test_the_table_is_built_once_on_first_read(monkeypatch, text):
+    spec = parse_spec(text)
+    built = _count_tables(monkeypatch)
+    lie = seaweed_basis(spec)
+    assert built == []
+    first, second = lie.brackets, lie.brackets
+    assert len(built) == 1 and first is second
+    eager = matrices._bracket_table(spec, seaweed_basis(spec).basis)
+    assert _ordered(first) == _ordered(eager)
+
+
+def test_a_lie_data_needs_a_table_or_a_basis():
+    with pytest.raises(ValueError, match="bracket table"):
+        LieData(3, None)
