@@ -59,6 +59,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -70,6 +71,8 @@ from .specs import AlgebraType, SeaweedSpec
 # The prime of the rank kernel: 2**61 - 1 (a Mersenne prime).
 P = (1 << 61) - 1
 DEFAULT_TRIALS = 5
+# Above this many rows _skew_rank takes its pivot rows from a heap, at or below it from a scan.
+_SCAN_ROWS = 16
 
 
 class NotFrobeniusFunctionalError(ValueError):
@@ -248,33 +251,67 @@ def _support_kernel(lie: LieData, f: Sequence[int]) -> int:
 def _skew_rank(rows: dict[int, dict[int, int]]) -> int:
     """Rank over F_p of a skew matrix given by its nonzero rows; consumes ``rows``.
 
-    Symplectic elimination: the sparsest row i is the pivot row and its
-    partner j is the sparsest row among i's columns, b = B[i][j].  By
-    skewness the rows to update are exactly the columns of rows i and j;
-    each becomes row_r - (B[r][j] / b) row_i + (B[r][i] / b) row_j, which
-    clears columns i and j and keeps the rest skew.  Rows i and j then
-    drop out with rank 2, for one modular inverse.
+    Symplectic elimination, two ranks per pivot pair (``_pivot_pair``).
+    Each pivot row i is the sparsest row left, ties going to the row
+    stored first: the row ``min`` returns in a scan of ``rows``.  While
+    more than ``_SCAN_ROWS`` rows remain, i comes from a heap of
+    (length, position in ``rows``, row) instead, so a pivot costs a
+    logarithm, not a pass over every row.  Entries are deleted lazily: a
+    popped entry whose row is gone or whose length has changed is
+    skipped, and every row an update keeps is pushed again.  Rows are
+    only deleted, never re-inserted, so the first position among the
+    shortest rows is the scan's choice and the pivot sequence is the
+    scan's.  Below the threshold the scan costs no more than the heap,
+    and most forms of small seaweeds never build one.
     """
     rank = 0
+    if len(rows) > _SCAN_ROWS:
+        position = {r: k for k, r in enumerate(rows)}
+        queue = [(len(row), k, r) for k, (r, row) in enumerate(rows.items())]
+        heapify(queue)
+        while len(rows) > _SCAN_ROWS:
+            length, _, i = heappop(queue)
+            row = rows.get(i)
+            if row is None or len(row) != length:
+                continue
+            for r in _pivot_pair(rows, i):
+                heappush(queue, (len(rows[r]), position[r], r))
+            rank += 2
     while rows:
-        i = min(rows, key=lambda r: len(rows[r]))
-        row_i = rows.pop(i)
-        j = min(row_i, key=lambda c: len(rows[c]))
-        row_j = rows.pop(j)
-        inverse = pow(row_i.pop(j), -1, P)
-        del row_j[i]
+        _pivot_pair(rows, min(rows, key=lambda r: len(rows[r])))
         rank += 2
-        for r in row_i.keys() | row_j.keys():
-            row = rows[r]
-            entry = row.pop(j, 0)
-            if entry:
-                _add_multiple(row, row_i, -entry * inverse % P)
-            entry = row.pop(i, 0)
-            if entry:
-                _add_multiple(row, row_j, entry * inverse % P)
-            if not row:
-                del rows[r]
     return rank
+
+
+def _pivot_pair(rows: dict[int, dict[int, int]], i: int) -> list[int]:
+    """Eliminate pivot row i and its partner j from a skew ``rows``; the updated rows that stay nonzero.
+
+    j is the sparsest row among i's columns, b = B[i][j].  By skewness
+    the rows to update are exactly the columns of rows i and j; each
+    becomes row_r - (B[r][j] / b) row_i + (B[r][i] / b) row_j, which
+    clears columns i and j and keeps the rest skew.  Rows i and j then
+    drop out with rank 2, for one modular inverse; rows that reach zero
+    are deleted.
+    """
+    row_i = rows.pop(i)
+    j = min(row_i, key=lambda c: len(rows[c]))
+    row_j = rows.pop(j)
+    inverse = pow(row_i.pop(j), -1, P)
+    del row_j[i]
+    kept = []
+    for r in row_i.keys() | row_j.keys():
+        row = rows[r]
+        entry = row.pop(j, 0)
+        if entry:
+            _add_multiple(row, row_i, -entry * inverse % P)
+        entry = row.pop(i, 0)
+        if entry:
+            _add_multiple(row, row_j, entry * inverse % P)
+        if row:
+            kept.append(r)
+        else:
+            del rows[r]
+    return kept
 
 
 def _add_multiple(row: dict[int, int], pivot: dict[int, int], factor: int) -> None:

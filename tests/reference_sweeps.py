@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from seaweeds import oracle
 from seaweeds.delta import DeltaReport, NotSinglePathError, TourError, delta_of_spec
 from seaweeds.formulas import classify_frobenius, index_closed_form, index_combinatorial, xi
 from seaweeds.matrices import SparseIntMatrix, bracket
@@ -111,6 +112,38 @@ def reference_brackets(basis: list[SparseIntMatrix]) -> dict[tuple[int, int], di
             if coeffs:
                 table[i, j] = coeffs
     return table
+
+
+def reference_skew_rank(rows: dict[int, dict[int, int]]) -> int:
+    """Rank over F_p of a skew matrix given by its nonzero rows, each pivot row found by a scan; consumes ``rows``.
+
+    The symplectic elimination of ``oracle._skew_rank`` as it was before
+    its pivot rows came from a heap: the sparsest row i, the first in
+    ``rows`` among equals, is the pivot row and its partner j is the
+    sparsest row among i's columns.  Updates go through
+    ``oracle._add_multiple``, so a test can record them.
+    """
+    P = oracle.P
+    rank = 0
+    while rows:
+        i = min(rows, key=lambda r: len(rows[r]))
+        row_i = rows.pop(i)
+        j = min(row_i, key=lambda c: len(rows[c]))
+        row_j = rows.pop(j)
+        inverse = pow(row_i.pop(j), -1, P)
+        del row_j[i]
+        rank += 2
+        for r in row_i.keys() | row_j.keys():
+            row = rows[r]
+            entry = row.pop(j, 0)
+            if entry:
+                oracle._add_multiple(row, row_i, -entry * inverse % P)
+            entry = row.pop(i, 0)
+            if entry:
+                oracle._add_multiple(row, row_j, entry * inverse % P)
+            if not row:
+                del rows[r]
+    return rank
 
 
 def reference_components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:

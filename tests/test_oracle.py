@@ -32,6 +32,8 @@ from seaweeds.oracle import (
 from seaweeds.specs import AlgebraType, enumerate_specs, format_spec, parse_spec
 from seaweeds.sweep import run_sweep
 
+from reference_sweeps import reference_skew_rank
+
 SL2 = lie_from_structure_constants({(0, 2): {1: 1}, (1, 0): {0: 2}, (1, 2): {2: -2}})
 
 
@@ -184,6 +186,56 @@ def test_kirillov_kernel_with_a_denominator_divisible_by_p_is_an_upper_bound():
     f = [0, 0, 0, 0, 1]
     assert _fraction_rank(kirillov_matrix(lie, f)) == 4
     assert oracle._kirillov_kernel(lie, f) == 3
+
+
+def _recorded(rank, rows, monkeypatch):
+    # the rank and every update of the elimination, (pivot row, factor) in order;
+    # a pivot row is left out of rows before it is used, so it no longer changes
+    updates = []
+    add = oracle._add_multiple
+
+    def record(row, pivot, factor):
+        updates.append((pivot, factor))
+        add(row, pivot, factor)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_add_multiple", record)
+        return rank(rows), updates
+
+
+def _skew_forms(spec):
+    # the 0/1 meander form and one seeded dense form of a seaweed
+    lie = seaweed_basis(spec)
+    f = oracle._meander_functional(lie)[0]
+    dense = random_functional(random.Random(5), lie.dimension)
+    return {"meander": oracle._support_rows(lie, f), "dense": oracle._kirillov_rows(lie, dense)[0]}
+
+
+def _check_the_queue_takes_the_scans_pivots(rows, monkeypatch):
+    expected = _recorded(reference_skew_rank, {r: dict(row) for r, row in rows.items()}, monkeypatch)
+    return _recorded(oracle._skew_rank, rows, monkeypatch) == expected
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max, queued",
+    [(AlgebraType.GL, 5, 44), (AlgebraType.A, 5, 30), (AlgebraType.B, 4, 34), (AlgebraType.C, 4, 34), (AlgebraType.D, 4, 24)],
+)
+def test_the_pivot_queue_takes_the_scans_pivots(monkeypatch, algebra, n_max, queued):
+    # queued counts the forms whose first pivots come from the heap
+    above = 0
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            for name, rows in _skew_forms(spec).items():
+                above += len(rows) > oracle._SCAN_ROWS
+                assert _check_the_queue_takes_the_scans_pivots(rows, monkeypatch), (spec, name)
+    assert above == queued
+
+
+@pytest.mark.parametrize("text, form, rows", [("C14:7|7/11", "meander", 120), ("A8:4|4/8", "dense", 47)])
+def test_the_pivot_queue_takes_the_scans_pivots_on_larger_forms(monkeypatch, text, form, rows):
+    skew = _skew_forms(parse_spec(text))[form]
+    assert len(skew) == rows
+    assert _check_the_queue_takes_the_scans_pivots(skew, monkeypatch)
 
 
 def test_kirillov_matrix_rejects_a_functional_of_the_wrong_length():

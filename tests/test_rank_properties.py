@@ -27,6 +27,21 @@ SKEW = st.integers(1, 8).flatmap(
         st.sets(st.integers(0, m - 1)),
     )
 )
+# Sparse skew matrices of 17 to 32 rows, past the row count at which
+# _skew_rank takes its pivot rows from a heap: m to 3m entries above the
+# diagonal, and up to four indices whose rows and columns are zero.
+SPARSE_SKEW = st.integers(17, 32).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.dictionaries(
+            st.sampled_from([(i, j) for i in range(m) for j in range(i + 1, m)]),
+            ENTRIES.filter(bool),
+            min_size=m,
+            max_size=3 * m,
+        ),
+        st.sets(st.integers(0, m - 1), max_size=4),
+    )
+)
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -50,6 +65,20 @@ def test_skew_rank_equals_fraction_elimination(case):
     for (i, j), v in entries.items():
         dense[i][j], dense[j][i] = v, -v
     # one scale for the whole matrix keeps it skew
+    scale = lcm(*[v.denominator for v in entries.values()])
+    rows = {i: oracle._reduced(enumerate(row), scale) for i, row in enumerate(dense)}
+    assert oracle._skew_rank({i: row for i, row in rows.items() if row}) == _fraction_rank(dense)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@hypothesis.given(SPARSE_SKEW)
+def test_skew_rank_past_the_pivot_queue_equals_fraction_elimination(case):
+    # built as in test_skew_rank_equals_fraction_elimination, on larger and sparser draws
+    m, values, zero = case
+    entries = {(i, j): v for (i, j), v in values.items() if i not in zero and j not in zero}
+    dense = [[0] * m for _ in range(m)]
+    for (i, j), v in entries.items():
+        dense[i][j], dense[j][i] = v, -v
     scale = lcm(*[v.denominator for v in entries.values()])
     rows = {i: oracle._reduced(enumerate(row), scale) for i, row in enumerate(dense)}
     assert oracle._skew_rank({i: row for i, row in rows.items() if row}) == _fraction_rank(dense)
