@@ -28,7 +28,6 @@ from .specs import (
     SpecSyntaxError,
     format_spec,
     parse_spec,
-    require_valid,
 )
 from .sweep import run_sweep
 
@@ -214,10 +213,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_delta(args) -> int:
     spec = parse_spec(args.spec)
-    require_valid(spec)
-    if spec.algebra is not AlgebraType.A:
-        print("error: the delta construction needs a type-A seaweed", file=sys.stderr)
-        return EXIT_PRECONDITION
     try:
         report = delta_of_spec(spec)
     except NotSinglePathError as exc:

@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import mod, sub
 
 from .meander import build_meander, components
-from .specs import SeaweedSpec
+from .specs import AlgebraType, SeaweedSpec
 
 
 class NotSinglePathError(ValueError):
@@ -41,10 +41,12 @@ class DeltaReport:
 def delta_of_spec(spec: SeaweedSpec) -> DeltaReport:
     """The t(b(.)) tour on the meander of a type-A spec, from the path's lower endpoint.
 
-    On a single path only the endpoints miss a side (an isolated vertex,
-    the n=1 meander, misses both), so filling each endpoint's missing
-    partner with the vertex itself adds exactly the endpoint self-loops.
-    Meanders that are not a single path are rejected.
+    The spec is validated first (InvalidSpecError); a spec of another
+    family, GL included, then raises NotSinglePathError, and so does a
+    meander that is not a single path.  On a single path only the
+    endpoints miss a side (an isolated vertex, the n=1 meander, misses
+    both), so filling each endpoint's missing partner with the vertex
+    itself adds exactly the endpoint self-loops.
 
     Let p_0 .. p_{n-1} be the path walked from p_0.  If p_0 misses its
     top arc, t∘b runs p_0, p_2, p_4, ... out and the odd-indexed
@@ -57,8 +59,8 @@ def delta_of_spec(spec: SeaweedSpec) -> DeltaReport:
     starting point.
     """
     meander = build_meander(spec)
-    if meander.tail:
-        raise NotSinglePathError("loop augmentation needs a tailless (type A) meander")
+    if spec.algebra is not AlgebraType.A:
+        raise NotSinglePathError("the delta construction needs a type-A seaweed")
     summary, comps = components(meander)
     if summary.cycles or summary.paths != 1:
         raise NotSinglePathError(

@@ -10,7 +10,7 @@ kernel dimension is an upper bound on the index, exact for generic
 functionals.  A lower bound (a floor) turns a kernel into a proof: a
 kernel equal to it is the index.  The oracle reads one floor,
 c + ((m - c) mod 2), c the dimension of the diagonal center read off the
-basis cells (``_center_floor``): every central element is in every
+two compositions (``_center_floor``): every central element is in every
 kernel, and a skew form has even rank, over the rationals and over F_p
 alike.  The floor has the parity of m and is at least m mod 2, so it
 also answers wherever the parity bound m mod 2 would.  A seaweed of any
@@ -60,6 +60,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -380,19 +381,10 @@ def random_functional(rng: random.Random, dimension: int) -> list[int]:
 
     A degenerate draw is a zero of a nonzero Pfaffian of degree at most
     m/2, so by Schwartz-Zippel it has probability at most (m/2)/p.
-
-    The stream is the one ``[rng.randrange(P) for _ in range(dimension)]``
-    gives: CPython's randrange(P) draws getrandbits(61) and redraws every
-    value >= P, and 2**61 - 1 = P is the only such value.
+    CPython's randrange(P) draws getrandbits(61) and redraws every value
+    >= P, and 2**61 - 1 = P is the only such value.
     """
-    draw = rng.getrandbits
-    f = []
-    for _ in range(dimension):
-        value = draw(61)
-        while value == P:
-            value = draw(61)
-        f.append(value)
-    return f
+    return [rng.randrange(P) for _ in range(dimension)]
 
 
 def _trial_functionals(lie: LieData, trials: int, seed: int):
@@ -420,7 +412,7 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     above: kernel mod p >= kernel over the rationals >= index.  Any kernel
     that equals a lower bound on the index (a floor) therefore proves
     the index and is returned at once.  The floor is c + ((m - c) mod 2),
-    c the dimension of the diagonal center read off the basis cells
+    c the dimension of the diagonal center read off the two compositions
     (``_center_floor``, 0 for a table), since every form's rank is even
     and at most m - c.  It is computed once per call, before any kernel.
     It has the parity of m and is at least m mod 2, so a kernel at
@@ -459,45 +451,40 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
 
 
 def _center_floor(lie: LieData) -> int:
-    """The dimension of a central subspace of a seaweed, read off ``lie.basis``; 0 for a table.
+    """The dimension of a central subspace of a seaweed, read off its compositions ``lie.spec``; 0 for a table.
 
-    Merge the intervals [min(a, b), max(a, b)] of the cells (a, b) of
-    every basis element.  A diagonal matrix d that is constant on each
-    merged interval commutes with every basis element, since
+    A cut is a partial sum of a composition, and c counts the cuts that
+    top and bottom share, one fewer in type A.  Every basis element lies
+    inside one block between shared cuts: its cells lie in the lower
+    triangle of a top block or the upper triangle of a bottom block, and
+    neither crosses a cut of its own side (nor, in types B, C and D, the
+    mirror N - k of a cut k).  In type D a side that sums to n - 1 also
+    cuts at n: its middle block is the 2 x 2 one of so(2n), where
+    X = -antitranspose(X) forces X[n, n+1] = 0, so it holds no
+    off-diagonal element.  A diagonal matrix d that is constant on each
+    block commutes with every basis element, since
     [d, e_ab] = (d_a - d_b) e_ab, so it is central once it lies in the
-    algebra.  GL holds every such d: one per interval.  Type A holds the
-    traceless ones: one fewer, since the identity is among them.  Types
-    B, C and D hold those with d_{N+1-a} = -d_a: the cell set is mirror
-    symmetric, so the intervals are too; an interval that is its own
-    mirror reads 0 and each other pair one value, so they count the
-    intervals that end at v <= N/2.
+    algebra.  GL holds every such d: one per block, and the blocks end at
+    the shared cuts, n among them.  Type A holds the traceless ones: one
+    fewer.  Types B, C and D hold those with d_{N+1-a} = -d_a: the block
+    that ends at a shared cut k <= n and its mirror take one value, and a
+    middle block, its own mirror, reads 0, so one per shared cut.
 
     A central z satisfies f([z, y]) = 0 for every y, so it lies in the
     kernel of every Kirillov form, over the rationals and over F_p alike:
     each form has rank at most m - c, and even.  So with c this
     dimension, c + ((m - c) mod 2) is a floor on the index.
     """
-    if not lie.basis:
+    spec = lie.spec
+    if spec is None:
         return 0
-    reach: dict[int, int] = {}  # each interval's start -> its farthest end
-    for x in lie.basis:
-        for a, b in x.entries:
-            lo, hi = (a, b) if a < b else (b, a)
-            if reach.get(lo, 0) < hi:
-                reach[lo] = hi
-    ends: list[int] = []
-    for lo in sorted(reach):
-        if ends and lo <= ends[-1]:
-            ends[-1] = max(ends[-1], reach[lo])
-        else:
-            ends.append(reach[lo])
-    algebra = lie.spec.algebra
-    if algebra is AlgebraType.GL:
-        return len(ends)
-    if algebra is AlgebraType.A:
-        return len(ends) - 1
-    size = lie.basis[0].dim
-    return sum(2 * v <= size for v in ends)
+    top, bottom = (set(accumulate(parts)) for parts in (spec.top, spec.bottom))
+    if spec.algebra is AlgebraType.D:  # the middle 2 x 2 block holds no off-diagonal element
+        for cuts, parts in ((top, spec.top), (bottom, spec.bottom)):
+            if sum(parts) == spec.n - 1:
+                cuts.add(spec.n)
+    shared = len(top & bottom)
+    return shared - 1 if spec.algebra is AlgebraType.A else shared
 
 
 def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:

@@ -146,6 +146,38 @@ def reference_skew_rank(rows: dict[int, dict[int, int]]) -> int:
     return rank
 
 
+def reference_center_floor(lie) -> int:
+    """``oracle._center_floor`` read off the basis cells, as it was before it read the compositions; 0 for a table.
+
+    Merge the intervals [min(a, b), max(a, b)] of the cells (a, b) of
+    every basis element.  A diagonal matrix constant on each merged
+    interval is central once it lies in the algebra: GL holds one per
+    interval, type A one fewer (traceless), and types B, C and D the
+    mirror-odd ones, one per interval that ends at v <= N/2.
+    """
+    if not lie.basis:
+        return 0
+    reach: dict[int, int] = {}  # each interval's start -> its farthest end
+    for x in lie.basis:
+        for a, b in x.entries:
+            lo, hi = (a, b) if a < b else (b, a)
+            if reach.get(lo, 0) < hi:
+                reach[lo] = hi
+    ends: list[int] = []
+    for lo in sorted(reach):
+        if ends and lo <= ends[-1]:
+            ends[-1] = max(ends[-1], reach[lo])
+        else:
+            ends.append(reach[lo])
+    algebra = lie.spec.algebra
+    if algebra is AlgebraType.GL:
+        return len(ends)
+    if algebra is AlgebraType.A:
+        return len(ends) - 1
+    size = lie.basis[0].dim
+    return sum(2 * v <= size for v in ends)
+
+
 def reference_components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:
     """The component walk one vertex at a time, with a side flag and a seen mark.
 
@@ -192,8 +224,8 @@ def reference_delta(spec: SeaweedSpec) -> DeltaReport:
     meander is read through ``reference_components``.
     """
     meander = build_meander(spec)
-    if meander.tail:
-        raise NotSinglePathError("loop augmentation needs a tailless (type A) meander")
+    if spec.algebra is not AlgebraType.A:
+        raise NotSinglePathError("the delta construction needs a type-A seaweed")
     summary, comps = reference_components(meander)
     if summary.cycles or summary.paths != 1:
         raise NotSinglePathError(f"meander is not a single path ({summary.total} components)")

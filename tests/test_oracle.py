@@ -32,7 +32,7 @@ from seaweeds.oracle import (
 from seaweeds.specs import AlgebraType, enumerate_specs, format_spec, parse_spec
 from seaweeds.sweep import run_sweep
 
-from reference_sweeps import reference_skew_rank
+from reference_sweeps import reference_center_floor, reference_skew_rank
 
 SL2 = lie_from_structure_constants({(0, 2): {1: 1}, (1, 0): {0: 2}, (1, 2): {2: -2}})
 
@@ -337,8 +337,8 @@ def test_index_oracle_decides_a_frobenius_seaweed_with_one_sparse_kernel(monkeyp
 
 
 def test_index_oracle_stops_a_gl_seaweed_at_the_center_floor(monkeypatch):
-    # GL runs the meander trial under A's support rule; the merged cell
-    # intervals {1} and {2, 3, 4} give a center of dimension 2, and with
+    # GL runs the meander trial under A's support rule; the shared cuts 1
+    # and 4 (blocks {1} and {2, 3, 4}) give a center of dimension 2, and with
     # dimension 8 the floor 2 + 0 is the index, so the one sparse 0/1
     # kernel proves it
     functionals = []
@@ -420,6 +420,19 @@ def test_center_floor_equals_the_center_dimension():
     assert checked == 341 and central
     assert oracle._center_floor(SL2) == 0
     assert oracle._center_floor(lie_from_structure_constants({}, dimension=4)) == 0
+
+
+def test_center_floor_equals_the_cell_interval_reference():
+    # the shared cuts of the compositions against the merged intervals of the basis cells
+    checked = 0
+    families = [(AlgebraType.GL, 6), (AlgebraType.A, 6), (AlgebraType.B, 5), (AlgebraType.C, 5), (AlgebraType.D, 5)]
+    for algebra, n_max in families:
+        for n in range(1, n_max + 1):
+            for spec in enumerate_specs(algebra, n):
+                lie = seaweed_basis(spec)
+                assert oracle._center_floor(lie) == reference_center_floor(lie), spec
+                checked += 1
+    assert checked == 5463
 
 
 @pytest.mark.parametrize(
@@ -505,15 +518,22 @@ def test_random_functional_is_the_randrange_stream(seed, dimension):
 
 
 def test_random_functional_redraws_the_value_p():
-    class Stub:
-        def __init__(self, values):
-            self.values = iter(values)
+    # a generator whose first 61-bit draw is P: that draw is dropped and
+    # the rest of the stream is the unstubbed generator's
+    class PFirst(random.Random):
+        drew_p = False
 
         def getrandbits(self, k):
             assert k == 61
-            return next(self.values)
+            if not self.drew_p:
+                self.drew_p = True
+                return oracle.P
+            return super().getrandbits(k)
 
-    assert random_functional(Stub([5, oracle.P, 6, 7]), 3) == [5, 6, 7]
+    rng = PFirst(3)
+    reference = random.Random(3)
+    assert random_functional(rng, 3) == [reference.randrange(oracle.P) for _ in range(3)]
+    assert rng.drew_p
 
 
 @pytest.fixture

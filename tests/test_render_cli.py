@@ -145,7 +145,10 @@ def test_cli_delta(capsys):
 
 def test_cli_delta_rejects_non_frobenius(capsys):
     assert run_cli("delta", "A8:4|4/8") == 4
-    assert run_cli("delta", "C5:1|4/3") == 4
+    capsys.readouterr()
+    for text in ("C5:1|4/3", "GL3:2|1/3"):
+        assert run_cli("delta", text) == 4
+        assert capsys.readouterr().err == "error: the delta construction needs a type-A seaweed\n"
 
 
 def test_cli_spectrum(capsys):

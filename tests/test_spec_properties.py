@@ -2,12 +2,13 @@
 
 import pytest
 
+from seaweeds import oracle
 from seaweeds.formulas import classify_frobenius, index_closed_form, index_combinatorial
 from seaweeds.matrices import seaweed_basis
 from seaweeds.oracle import index_oracle
 from seaweeds.specs import AlgebraType, SeaweedSpec, format_spec, parse_spec, validate
 
-from reference_sweeps import reference_brackets
+from reference_sweeps import reference_brackets, reference_center_floor
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -80,3 +81,23 @@ def test_classifier_rules_never_contradict_the_meander(spec):
 def test_bracket_table_equals_the_commutator_reference_on_random_specs(spec):
     lie = seaweed_basis(spec)
     assert lie.brackets == reference_brackets(lie.basis)
+
+
+@st.composite
+def near_full_specs(draw):
+    """A valid spec with n <= 24 whose B/C/D sides often sum to n - 1 or n, where type D also cuts at n."""
+    algebra = draw(st.sampled_from(tuple(AlgebraType)))
+    n = draw(st.integers(1, 24))
+    if algebra.full_compositions_required:
+        top_sum = bottom_sum = n
+    else:
+        top_sum = draw(st.sampled_from((n - 1, n)) | st.integers(0, n))
+        bottom_sum = draw(st.sampled_from((n - 1, top_sum)).filter(lambda s: s <= top_sum) | st.integers(0, top_sum))
+    return SeaweedSpec(algebra, n, draw(_composition(top_sum)), draw(_composition(bottom_sum)))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@hypothesis.given(near_full_specs())
+def test_center_floor_equals_the_cell_interval_reference_on_random_specs(spec):
+    lie = seaweed_basis(spec)
+    assert oracle._center_floor(lie) == reference_center_floor(lie)
