@@ -4,11 +4,12 @@ The index of a Lie algebra is the minimum over linear functionals f of
 the kernel dimension of the skew form f([x, y]).  One kernel computes
 every such dimension: the form is built as sparse skew rows from the
 pairs the bracket table lists, reduced mod p = 2**61 - 1 and ranked by
-symplectic elimination, two ranks per pivot pair.  There is no floating
-point.  The rank mod p never exceeds the rank over the rationals, so a
-kernel dimension is an upper bound on the index, exact for generic
-functionals.  A lower bound (a floor) turns a kernel into a proof: a
-kernel equal to it is the index.  The oracle reads one floor,
+symplectic elimination: rank 2 per pivot pair, for one mirrored rank-2
+update of the rows it touches, each pair of them reduced once.  There is
+no floating point.  The rank mod p never exceeds the rank over the
+rationals, so a kernel dimension is an upper bound on the index, exact
+for generic functionals.  A lower bound (a floor) turns a kernel into a
+proof: a kernel equal to it is the index.  The oracle reads one floor,
 c + ((m - c) mod 2), c the dimension of the diagonal center read off the
 two compositions (``_center_floor``): every central element is in every
 kernel, and a skew form has even rank, over the rationals and over F_p
@@ -252,9 +253,10 @@ def _support_kernel(lie: LieData, f: Sequence[int]) -> int:
 def _skew_rank(rows: dict[int, dict[int, int]]) -> int:
     """Rank over F_p of a skew matrix given by its nonzero rows; consumes ``rows``.
 
-    Symplectic elimination, two ranks per pivot pair (``_pivot_pair``).
-    Each pivot row i is the sparsest row left, ties going to the row
-    stored first: the row ``min`` returns in a scan of ``rows``.  While
+    Symplectic elimination: each pivot pair takes rank 2 and one mirrored
+    rank-2 update of the rows it touches (``_pivot_pair``).  Each pivot
+    row i is the sparsest row left, ties going to the row stored first: a
+    scan reads every row's length and takes the first least one.  While
     more than ``_SCAN_ROWS`` rows remain, i comes from a heap of
     (length, position in ``rows``, row) instead, so a pivot costs a
     logarithm, not a pass over every row.  Entries are deleted lazily: a
@@ -279,7 +281,8 @@ def _skew_rank(rows: dict[int, dict[int, int]]) -> int:
                 heappush(queue, (len(rows[r]), position[r], r))
             rank += 2
     while rows:
-        _pivot_pair(rows, min(rows, key=lambda r: len(rows[r])))
+        lengths = list(map(len, rows.values()))
+        _pivot_pair(rows, list(rows)[lengths.index(min(lengths))])
         rank += 2
     return rank
 
@@ -288,26 +291,49 @@ def _pivot_pair(rows: dict[int, dict[int, int]], i: int) -> list[int]:
     """Eliminate pivot row i and its partner j from a skew ``rows``; the updated rows that stay nonzero.
 
     j is the sparsest row among i's columns, b = B[i][j].  By skewness
-    the rows to update are exactly the columns of rows i and j; each
-    becomes row_r - (B[r][j] / b) row_i + (B[r][i] / b) row_j, which
-    clears columns i and j and keeps the rest skew.  Rows i and j then
-    drop out with rank 2, for one modular inverse; rows that reach zero
-    are deleted.
+    the rows to update are exactly the columns of rows i and j, and
+    B[r][i] = -B[i][r], B[r][j] = -B[j][r].  With u = row_i / b and
+    v = row_j, each unordered pair r, c of them takes one rank-2 update,
+    B[r][c] += v_r u_c - u_r v_c, reduced once, and its mirror is written
+    as p minus the sum; a sum that cancels deletes both halves, so the
+    rows stay skew with no stored zero.  Columns i and j are cleared and
+    rows i and j drop out with rank 2, for one modular inverse.  A leaf,
+    a row i whose only entry is j, has u = 0: it takes no inverse and no
+    product, and only column j leaves j's neighbours.  Rows that reach
+    zero are deleted.
     """
     row_i = rows.pop(i)
     j = min(row_i, key=lambda c: len(rows[c]))
     row_j = rows.pop(j)
-    inverse = pow(row_i.pop(j), -1, P)
+    b = row_i.pop(j)
     del row_j[i]
     kept = []
+    if not row_i:  # a leaf: no row but j has column i, and the update is zero
+        for r in row_j:
+            row = rows[r]
+            del row[j]
+            if row:
+                kept.append(r)
+            else:
+                del rows[r]
+        return kept
+    inverse = pow(b, -1, P)
+    touched = []
     for r in row_i.keys() | row_j.keys():
         row = rows[r]
-        entry = row.pop(j, 0)
-        if entry:
-            _add_multiple(row, row_i, -entry * inverse % P)
-        entry = row.pop(i, 0)
-        if entry:
-            _add_multiple(row, row_j, entry * inverse % P)
+        # row r has column i exactly where row i has column r, and so for j
+        u = row.pop(i, 0) and row_i[r] * inverse % P
+        v = row.pop(j, 0) and row_j[r]
+        touched.append((r, row, u, v))
+    for k, (r, row, u_r, v_r) in enumerate(touched):
+        get = row.get
+        for c, col, u_c, v_c in touched[k + 1 :]:
+            x = (get(c, 0) + v_r * u_c - u_r * v_c) % P
+            if x:
+                row[c] = x
+                col[r] = P - x
+            elif c in row:
+                del row[c], col[r]
         if row:
             kept.append(r)
         else:

@@ -118,10 +118,12 @@ def reference_skew_rank(rows: dict[int, dict[int, int]]) -> int:
     """Rank over F_p of a skew matrix given by its nonzero rows, each pivot row found by a scan; consumes ``rows``.
 
     The symplectic elimination of ``oracle._skew_rank`` as it was before
-    its pivot rows came from a heap: the sparsest row i, the first in
-    ``rows`` among equals, is the pivot row and its partner j is the
-    sparsest row among i's columns.  Updates go through
-    ``oracle._add_multiple``, so a test can record them.
+    its pivot rows came from a heap and each pivot pair took one mirrored
+    rank-2 update: the sparsest row i, the first in ``rows`` among equals,
+    is the pivot row and its partner j is the sparsest row among i's
+    columns.  Each touched row takes two ``oracle._add_multiple`` passes,
+    one by row i and one by row j, so every entry is reduced on its own,
+    with no use of skewness.
     """
     P = oracle.P
     rank = 0
@@ -143,6 +145,21 @@ def reference_skew_rank(rows: dict[int, dict[int, int]]) -> int:
                 oracle._add_multiple(row, row_j, entry * inverse % P)
             if not row:
                 del rows[r]
+    return rank
+
+
+def scan_skew_rank(rows: dict[int, dict[int, int]]) -> int:
+    """``oracle._skew_rank`` with every pivot row found by a scan; consumes ``rows``.
+
+    The sparsest row, the first in ``rows`` among equals, is each pivot
+    row, eliminated with its partner by ``oracle._pivot_pair``, read from
+    the module at each call so a test can record the pivot rows.  This is
+    what ``oracle._skew_rank`` does below ``oracle._SCAN_ROWS`` rows.
+    """
+    rank = 0
+    while rows:
+        oracle._pivot_pair(rows, min(rows, key=lambda r: len(rows[r])))
+        rank += 2
     return rank
 
 

@@ -32,7 +32,7 @@ from seaweeds.oracle import (
 from seaweeds.specs import AlgebraType, enumerate_specs, format_spec, parse_spec
 from seaweeds.sweep import run_sweep
 
-from reference_sweeps import reference_center_floor, reference_skew_rank
+from reference_sweeps import reference_center_floor, reference_skew_rank, scan_skew_rank
 
 SL2 = lie_from_structure_constants({(0, 2): {1: 1}, (1, 0): {0: 2}, (1, 2): {2: -2}})
 
@@ -188,19 +188,44 @@ def test_kirillov_kernel_with_a_denominator_divisible_by_p_is_an_upper_bound():
     assert oracle._kirillov_kernel(lie, f) == 3
 
 
-def _recorded(rank, rows, monkeypatch):
-    # the rank and every update of the elimination, (pivot row, factor) in order;
-    # a pivot row is left out of rows before it is used, so it no longer changes
-    updates = []
-    add = oracle._add_multiple
+def _pivot_rows(rank, rows):
+    # the rank and the pivot rows passed to oracle._pivot_pair, in order
+    pivots = []
+    pivot_pair = oracle._pivot_pair
 
-    def record(row, pivot, factor):
-        updates.append((pivot, factor))
-        add(row, pivot, factor)
+    def record(rows, i):
+        pivots.append(i)
+        return pivot_pair(rows, i)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_add_multiple", record)
-        return rank(rows), updates
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_pivot_pair", record)
+        return rank(rows), pivots
+
+
+def _assert_skew_mod_p(rows):
+    # skew mod p with no stored zero and no empty row: B[r][c] + B[c][r] = p, each in 1..p-1
+    for r, row in rows.items():
+        assert row, r
+        for c, v in row.items():
+            assert 0 < v < oracle.P, (r, c, v)
+            assert c in rows and rows[c].get(r, 0) + v == oracle.P, (r, c)
+
+
+def _skew_checked_rank(rows):
+    # oracle._skew_rank with the rows checked skew after every pivot pair, and
+    # every row the pair returns as kept still stored
+    pivot_pair = oracle._pivot_pair
+
+    def checked(rows, i):
+        kept = pivot_pair(rows, i)
+        _assert_skew_mod_p(rows)
+        assert all(r in rows for r in kept), (i, kept)
+        return kept
+
+    _assert_skew_mod_p(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_pivot_pair", checked)
+        return oracle._skew_rank(rows)
 
 
 def _skew_forms(spec):
@@ -211,31 +236,48 @@ def _skew_forms(spec):
     return {"meander": oracle._support_rows(lie, f), "dense": oracle._kirillov_rows(lie, dense)[0]}
 
 
-def _check_the_queue_takes_the_scans_pivots(rows, monkeypatch):
-    expected = _recorded(reference_skew_rank, {r: dict(row) for r, row in rows.items()}, monkeypatch)
-    return _recorded(oracle._skew_rank, rows, monkeypatch) == expected
+def _small_skew_forms(algebra, n_max):
+    # (spec, form name) and the rows of both forms of every seaweed of the family with n <= n_max
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            for name, rows in _skew_forms(spec).items():
+                yield (spec, name), rows
+
+
+def _check_the_queue_takes_the_scans_pivots(rows):
+    expected = _pivot_rows(scan_skew_rank, {r: dict(row) for r, row in rows.items()})
+    return _pivot_rows(oracle._skew_rank, rows) == expected
 
 
 @pytest.mark.parametrize(
     "algebra, n_max, queued",
     [(AlgebraType.GL, 5, 44), (AlgebraType.A, 5, 30), (AlgebraType.B, 4, 34), (AlgebraType.C, 4, 34), (AlgebraType.D, 4, 24)],
 )
-def test_the_pivot_queue_takes_the_scans_pivots(monkeypatch, algebra, n_max, queued):
+def test_the_pivot_queue_takes_the_scans_pivots(algebra, n_max, queued):
     # queued counts the forms whose first pivots come from the heap
     above = 0
-    for n in range(1, n_max + 1):
-        for spec in enumerate_specs(algebra, n):
-            for name, rows in _skew_forms(spec).items():
-                above += len(rows) > oracle._SCAN_ROWS
-                assert _check_the_queue_takes_the_scans_pivots(rows, monkeypatch), (spec, name)
+    for form, rows in _small_skew_forms(algebra, n_max):
+        above += len(rows) > oracle._SCAN_ROWS
+        assert _check_the_queue_takes_the_scans_pivots(rows), form
     assert above == queued
 
 
 @pytest.mark.parametrize("text, form, rows", [("C14:7|7/11", "meander", 120), ("A8:4|4/8", "dense", 47)])
-def test_the_pivot_queue_takes_the_scans_pivots_on_larger_forms(monkeypatch, text, form, rows):
+def test_the_pivot_queue_takes_the_scans_pivots_on_larger_forms(text, form, rows):
     skew = _skew_forms(parse_spec(text))[form]
     assert len(skew) == rows
-    assert _check_the_queue_takes_the_scans_pivots(skew, monkeypatch)
+    assert _check_the_queue_takes_the_scans_pivots(skew)
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max", [(AlgebraType.GL, 5), (AlgebraType.A, 5), (AlgebraType.B, 4), (AlgebraType.C, 4), (AlgebraType.D, 4)]
+)
+def test_skew_rank_equals_the_two_pass_reference_and_stays_skew(algebra, n_max):
+    # the rank-2 update against the two _add_multiple passes per row, on
+    # every meander and seeded dense form, with the rows checked after every pivot pair
+    for form, rows in _small_skew_forms(algebra, n_max):
+        expected = reference_skew_rank({r: dict(row) for r, row in rows.items()})
+        assert _skew_checked_rank(rows) == expected, form
 
 
 def test_kirillov_matrix_rejects_a_functional_of_the_wrong_length():

@@ -8,7 +8,7 @@ import pytest
 from seaweeds import oracle
 from seaweeds.oracle import P, rank_exact
 
-from test_oracle import _fraction_rank
+from test_oracle import _fraction_rank, _skew_checked_rank
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -67,7 +67,8 @@ def test_skew_rank_equals_fraction_elimination(case):
     # one scale for the whole matrix keeps it skew
     scale = lcm(*[v.denominator for v in entries.values()])
     rows = {i: oracle._reduced(enumerate(row), scale) for i, row in enumerate(dense)}
-    assert oracle._skew_rank({i: row for i, row in rows.items() if row}) == _fraction_rank(dense)
+    # the rows stay skew mod p, with no stored zero, after every pivot pair
+    assert _skew_checked_rank({i: row for i, row in rows.items() if row}) == _fraction_rank(dense)
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -81,4 +82,4 @@ def test_skew_rank_past_the_pivot_queue_equals_fraction_elimination(case):
         dense[i][j], dense[j][i] = v, -v
     scale = lcm(*[v.denominator for v in entries.values()])
     rows = {i: oracle._reduced(enumerate(row), scale) for i, row in enumerate(dense)}
-    assert oracle._skew_rank({i: row for i, row in rows.items() if row}) == _fraction_rank(dense)
+    assert _skew_checked_rank({i: row for i, row in rows.items() if row}) == _fraction_rank(dense)
