@@ -35,7 +35,10 @@ Principal elements are solved by sparse Gaussian elimination, so they
 are the reductions mod p of the rational ones.  Their adjoint spectra
 (the obstruction test for embedding a Frobenius algebra as a seaweed)
 are integer eigenvalue multiplicities read as kernel dimensions over F_p
-of ad(F) - k; never the output of a numerical eigensolver.  The dense
+of ad(F) - k; never the output of a numerical eigensolver.  Once a shift
+misses (kernel 0), the characteristic polynomial chi of ad(F) is computed
+mod p, by one Hessenberg reduction, and only the k that are roots of chi
+are ranked: every other kernel is 0.  The dense
 ``kirillov_matrix`` and ``ad_matrix`` are exact views of the same
 bracket table.
 
@@ -615,7 +618,11 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
 
     For each integer k in [-m, m+1] the geometric multiplicity is the
     kernel dimension of ad(F) - k*I; the scan stops once the
-    multiplicities account for the whole dimension.  A defect
+    multiplicities account for the whole dimension.  After the first k
+    whose kernel is 0, the characteristic polynomial chi of ad(F) is
+    computed once mod p and only the roots of chi are ranked, since every
+    other kernel is 0 (``_scanned_spectrum``); a spectrum that never
+    misses computes no chi.  A defect
     is reported, not raised: it signals eigenvalues outside the integers
     (the obstruction to realizing the algebra as a seaweed) or a
     non-semisimple ad(F).  Multiplicities summing past m cannot be exact
@@ -753,15 +760,30 @@ def _doubled_diagonal(spec: SeaweedSpec, meander: Meander, anchor: dict[int, int
 def _scanned_spectrum(lie: LieData, principal: Sequence[int]) -> dict[int, int]:
     """Multiplicities as kernel dimensions of ad(F) - k, F a principal element mod p.
 
-    F is integral, so the table's scale clears ad(F) (and k) of denominators.
+    F is integral, so the table's scale s clears ad(F) (and k) of
+    denominators: A is ad(F) reduced at s, and k is scanned as s k.  The
+    scan ranks every shift until one misses (kernel 0).  Then it computes
+    chi(t) = det(tI - A) mod p once (``_charpoly``) and ranks only the
+    shifts with chi(s k) = 0 mod p: at any other, A - s k is invertible
+    mod p, so its kernel is exactly 0 and ranking it would add nothing.
+    The multiplicities, the stop at m and the overcount check are those
+    of ranking every shift.  An unbroken integral spectrum, as every
+    Frobenius seaweed has, reaches m before a miss and computes no chi; a
+    non-integral one pays one O(m**3) reduction instead of up to 2m + 2
+    kernels (``A16:7|9/16``'s table with the z = 1 table, m = 196: 39 s
+    to 1.7 s in process, ``BENCH_scan_roots.json``).
     """
     m = lie.dimension
     scale = _table_scale(lie)
     rows = {r: _reduced(row.items(), scale) for r, row in _ad_rows(lie, principal).items()}
     eigenvalues: dict[int, int] = {}
     total = 0
+    chi = None  # computed at the first miss
     for k in _spectrum_scan_order(-m, m + 1):
-        mult = _shifted_kernel(rows, m, scale * k % P)
+        shift = scale * k % P
+        if chi is not None and _evaluate(chi, shift):
+            continue  # not a root of chi: A - shift is invertible mod p
+        mult = _shifted_kernel(rows, m, shift)
         if mult:
             eigenvalues[k] = mult
             total += mult
@@ -771,7 +793,76 @@ def _scanned_spectrum(lie: LieData, principal: Sequence[int]) -> dict[int, int]:
                 )
             if total == m:
                 break
+        elif chi is None:
+            chi = _charpoly(rows, m)
     return eigenvalues
+
+
+def _charpoly(rows: dict[int, dict[int, int]], m: int) -> list[int]:
+    """The coefficients mod p of det(tI - A), A the m x m matrix ``rows``, constant term first.
+
+    A is reduced to upper Hessenberg form H by similarity over F_p: for
+    each column j, a row below j + 1 with a nonzero entry in column j is
+    swapped into row j + 1 (with the matching column swap), and each row
+    r below it takes away u_r times row j + 1 while column j + 1 takes
+    u_r times column r, which clears column j below the subdiagonal
+    (those entries are never read again, so they are not written).
+    Then, with p_0 = 1 and indices 1-based, the recurrence
+    p_k = (t - h_kk) p_(k-1) - sum over i < k of h_ik h_(i+1,i) ... h_(k,k-1) p_(i-1)
+    gives det(tI - H) = p_m, the product stopping at a zero subdiagonal
+    entry.  ``rows`` is not modified; the dense H holds m**2 values.
+    """
+    h = [[0] * m for _ in range(m)]
+    for r, row in rows.items():
+        for c, v in row.items():
+            h[r][c] = v
+    for j in range(m - 2):
+        below = j + 1
+        pivot = next((r for r in range(below, m) if h[r][j]), None)
+        if pivot is None:
+            continue
+        if pivot != below:
+            h[pivot], h[below] = h[below], h[pivot]
+            for row in h:
+                row[pivot], row[below] = row[below], row[pivot]
+        pivot_row = h[below]
+        inverse = pow(pivot_row[j], -1, P)
+        cleared, factors = [], []
+        for r in range(below + 1, m):
+            row = h[r]
+            if row[j]:
+                u = row[j] * inverse % P
+                # columns before j are zero in both rows; column j is never read again
+                row[j + 1 :] = [(x - u * y) % P for x, y in zip(row[j + 1 :], pivot_row[j + 1 :])]
+                cleared.append(r)
+                factors.append(u)
+        if cleared:
+            for row in h:
+                row[below] = (row[below] + sum(map(mul, factors, [row[r] for r in cleared]))) % P
+    polys = [[1]]
+    for k in range(m):
+        prev = polys[-1]
+        diagonal = h[k][k]
+        nxt = [0, *prev]
+        nxt[:-1] = [x - diagonal * y for x, y in zip(nxt, prev)]
+        product = 1
+        for i in range(k, 0, -1):
+            product = product * h[i][i - 1] % P
+            if not product:
+                break
+            w = h[i - 1][k] * product % P
+            if w:
+                nxt[:i] = [x - w * y for x, y in zip(nxt, polys[i - 1])]
+        polys.append([x % P for x in nxt])
+    return polys[m]
+
+
+def _evaluate(coeffs: list[int], t: int) -> int:
+    """The polynomial with ``coeffs`` (constant term first) at t, mod p, by Horner's rule."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * t + c) % P
+    return value
 
 
 def _spectrum_report(eigenvalues: dict[int, int], m: int) -> SpectrumReport:

@@ -163,6 +163,56 @@ def scan_skew_rank(rows: dict[int, dict[int, int]]) -> int:
     return rank
 
 
+def reference_scanned_spectrum(lie, principal) -> dict[int, int]:
+    """``oracle._scanned_spectrum`` as it was before it skipped the shifts that are not roots of chi.
+
+    Every shift k of the scan order is ranked (``oracle._shifted_kernel``)
+    until the multiplicities reach m; a sum past m raises
+    ``SpectrumOvercountError``.
+    """
+    m = lie.dimension
+    scale = oracle._table_scale(lie)
+    rows = {r: oracle._reduced(row.items(), scale) for r, row in oracle._ad_rows(lie, principal).items()}
+    eigenvalues: dict[int, int] = {}
+    total = 0
+    for k in oracle._spectrum_scan_order(-m, m + 1):
+        mult = oracle._shifted_kernel(rows, m, scale * k % oracle.P)
+        if mult:
+            eigenvalues[k] = mult
+            total += mult
+            if total > m:
+                raise oracle.SpectrumOvercountError(
+                    f"eigenvalue multiplicities {eigenvalues} sum to {total} > dimension {m}"
+                )
+            if total == m:
+                break
+    return eigenvalues
+
+
+def reference_charpoly(matrix: list[list[int]]) -> list[int]:
+    """det(tI - A) mod p of a square integer matrix by Faddeev-LeVerrier, constant term first.
+
+    M_0 = 0 and c_m = 1; for k = 1, ..., m, M_k = A M_(k-1) + c_(m-k+1) I
+    and c_(m-k) = -tr(A M_k) / k, the division by k < p done mod p.
+    """
+    P = oracle.P
+    m = len(matrix)
+    a = [[v % P for v in row] for row in matrix]
+
+    def times_a(b):
+        return [[sum(a[i][l] * b[l][j] for l in range(m)) % P for j in range(m)] for i in range(m)]
+
+    coeffs = [0] * m + [1]
+    current = [[0] * m for _ in range(m)]
+    for k in range(1, m + 1):
+        current = times_a(current)
+        for i in range(m):
+            current[i][i] = (current[i][i] + coeffs[m - k + 1]) % P
+        trace = sum(times_a(current)[i][i] for i in range(m))
+        coeffs[m - k] = -trace * pow(k, -1, P) % P
+    return coeffs
+
+
 def reference_center_floor(lie) -> int:
     """``oracle._center_floor`` read off the basis cells, as it was before it read the compositions; 0 for a table.
 

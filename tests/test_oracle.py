@@ -32,7 +32,12 @@ from seaweeds.oracle import (
 from seaweeds.specs import AlgebraType, enumerate_specs, format_spec, parse_spec
 from seaweeds.sweep import run_sweep
 
-from reference_sweeps import reference_center_floor, reference_skew_rank, scan_skew_rank
+from reference_sweeps import (
+    reference_center_floor,
+    reference_scanned_spectrum,
+    reference_skew_rank,
+    scan_skew_rank,
+)
 
 SL2 = lie_from_structure_constants({(0, 2): {1: 1}, (1, 0): {0: 2}, (1, 2): {2: -2}})
 
@@ -249,17 +254,20 @@ def _check_the_queue_takes_the_scans_pivots(rows):
     return _pivot_rows(oracle._skew_rank, rows) == expected
 
 
+# The forms of each family whose first pivots come from the heap at _SCAN_ROWS = 16;
+# kept out of the test ids, so retuning the threshold renames no test.
+_QUEUED_FORMS = {AlgebraType.GL: 44, AlgebraType.A: 30, AlgebraType.B: 34, AlgebraType.C: 34, AlgebraType.D: 24}
+
+
 @pytest.mark.parametrize(
-    "algebra, n_max, queued",
-    [(AlgebraType.GL, 5, 44), (AlgebraType.A, 5, 30), (AlgebraType.B, 4, 34), (AlgebraType.C, 4, 34), (AlgebraType.D, 4, 24)],
+    "algebra, n_max", [(AlgebraType.GL, 5), (AlgebraType.A, 5), (AlgebraType.B, 4), (AlgebraType.C, 4), (AlgebraType.D, 4)]
 )
-def test_the_pivot_queue_takes_the_scans_pivots(algebra, n_max, queued):
-    # queued counts the forms whose first pivots come from the heap
+def test_the_pivot_queue_takes_the_scans_pivots(algebra, n_max):
     above = 0
     for form, rows in _small_skew_forms(algebra, n_max):
         above += len(rows) > oracle._SCAN_ROWS
         assert _check_the_queue_takes_the_scans_pivots(rows), form
-    assert above == queued
+    assert above == _QUEUED_FORMS[algebra]
 
 
 @pytest.mark.parametrize("text, form, rows", [("C14:7|7/11", "meander", 120), ("A8:4|4/8", "dense", 47)])
@@ -1006,6 +1014,97 @@ def test_spectrum_scans_only_tables(monkeypatch):
     for z in (0, -2, 1):
         ad_spectrum(epilogue_family(z))
     assert len(scans) == 3
+
+
+def _principal(lie):
+    # the principal element ad_spectrum scans: the first seeded trial that solves
+    for f in oracle._trial_functionals(lie, oracle.DEFAULT_TRIALS, 0):
+        try:
+            return principal_element(lie, f)
+        except NotFrobeniusFunctionalError:
+            continue
+    raise AssertionError("no trial solves")
+
+
+def _direct_sum(*lies):
+    # the bracket table of the direct sum, each summand's indices shifted past the ones before it
+    table, offset = {}, 0
+    for lie in lies:
+        for (i, j), coeffs in lie.brackets.items():
+            table[i + offset, j + offset] = {k + offset: c for k, c in coeffs.items()}
+        offset += lie.dimension
+    return lie_from_structure_constants(table)
+
+
+def _check_gated_scan(lie, element):
+    # the gated scan against the ungated reference
+    assert oracle._scanned_spectrum(lie, element) == reference_scanned_spectrum(lie, element)
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 6), Fraction(5, 7), 3])
+def test_the_gated_scan_equals_the_ungated_reference_on_the_z_family(monkeypatch, scale):
+    # z in -3..3 and the table [e1, e2] = e2 / 2, each scaled as in
+    # test_scanned_spectrum_ignores_the_table_scale; every z off 0 and -2 misses
+    tables = [epilogue_family(z).brackets for z in range(-3, 4)]
+    tables.append(parse_structure_constants("1 2 -> 2:1/2\n"))
+    charpolys = _count_calls(monkeypatch, "_charpoly")
+    for table in tables:
+        scaled = {pair: {k: scale * v for k, v in coeffs.items()} for pair, coeffs in table.items()}
+        lie = lie_from_structure_constants(scaled)
+        _check_gated_scan(lie, _principal(lie))
+    assert len(charpolys) == 5
+
+
+@pytest.mark.parametrize("text, z", [("A4:2|2/1|3", 1), ("A4:2|2/1|3", -2), ("A8:3|5/8", 3), ("C5:1|4/3", -1)])
+def test_the_gated_scan_equals_the_ungated_reference_on_a_seaweed_plus_a_z_table(monkeypatch, text, z):
+    lie = _direct_sum(seaweed_basis(parse_spec(text)), epilogue_family(z))
+    charpolys = _count_calls(monkeypatch, "_charpoly")
+    _check_gated_scan(lie, _principal(lie))
+    assert len(charpolys) == (z != -2)
+
+
+@pytest.mark.parametrize(
+    "algebra, n_max", [(AlgebraType.GL, 4), (AlgebraType.A, 4), (AlgebraType.B, 3), (AlgebraType.C, 3), (AlgebraType.D, 3)]
+)
+def test_the_gated_scan_equals_the_ungated_reference_on_random_elements(monkeypatch, algebra, n_max):
+    # a seeded random element in place of F: small integer entries give
+    # broken spectra, entries drawn from F_p non-integral ones, so chi runs
+    rng = random.Random(30)
+    charpolys = _count_calls(monkeypatch, "_charpoly")
+    cases = 0
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            lie = seaweed_basis(spec)
+            m = lie.dimension
+            for element in ([rng.randint(-2, 2) for _ in range(m)], random_functional(rng, m)):
+                _check_gated_scan(lie, element)
+                cases += 1
+    assert len(charpolys) > cases // 2
+
+
+@pytest.mark.parametrize("algebra, n_max", [(AlgebraType.A, 6), (AlgebraType.B, 5), (AlgebraType.C, 5), (AlgebraType.D, 5)])
+def test_the_scans_of_a_frobenius_seaweed_compute_no_charpoly(monkeypatch, algebra, n_max):
+    # an unbroken integral spectrum reaches m before any shift misses
+    charpolys = _count_calls(monkeypatch, "_charpoly")
+    scans = _count_calls(monkeypatch, "_scanned_spectrum")
+    for n in range(1, n_max + 1):
+        for spec in enumerate_specs(algebra, n):
+            if index_combinatorial(spec).index:
+                continue
+            lie = seaweed_basis(spec)
+            if lie.dimension:
+                assert _scanned(lie).integral, spec
+    assert scans and charpolys == []
+
+
+def test_a_missed_shift_computes_chi_once(monkeypatch):
+    # z = 1: eigenvalues 0 and 1 and two non-integral ones; the scan misses
+    # at -1 and then ranks only the roots of chi among the 8 shifts left
+    charpolys = _count_calls(monkeypatch, "_charpoly")
+    shifts = _count_calls(monkeypatch, "_shifted_kernel")
+    assert ad_spectrum(epilogue_family(1)).eigenvalues == {0: 1, 1: 1}
+    assert len(charpolys) == 1
+    assert [args[2] for args in shifts] == [0, 1, oracle.P - 1]
 
 
 def _ad_reference(lie, element):
