@@ -2,10 +2,11 @@
 
 The index of a Lie algebra is the minimum over linear functionals f of
 the kernel dimension of the skew form f([x, y]).  One kernel computes
-every such dimension: the form is built as sparse skew rows from the
-pairs the bracket table lists, reduced mod p = 2**61 - 1 and ranked by
-symplectic elimination: rank 2 per pivot pair, for one mirrored rank-2
-update of the rows it touches, each pair of them reduced once.  There is
+every such dimension: the form is built as sparse skew rows, off the
+basis cells for a seaweed and off the bracket table otherwise, reduced
+mod p = 2**61 - 1 and ranked by symplectic elimination: rank 2 per
+pivot pair, for one mirrored rank-2 update of the rows it touches, each
+pair of them reduced once.  There is
 no floating point.  The rank mod p never exceeds the rank over the
 rationals, so a kernel dimension is an upper bound on the index, exact
 for generic functionals.  A lower bound (a floor) turns a kernel into a
@@ -44,11 +45,11 @@ bracket table.
 
 A seaweed's table is built only on the first read of ``lie.brackets``
 (``seaweed_basis``), and that read raises ClosureError if a bracket
-leaves the span.  The meander trial and the spectrum certificate never
-read it: their functional is supported on a few lead cells, so their
-form is read off the basis cells (``_support_rows``), which assumes
-closure, a theorem for seaweeds.  The dense trials, the principal
-element, the scans and the dense views read the table.
+leaves the span.  One rule says who reads it: every Kirillov form of a
+seaweed (the meander trial, the seeded trials, the spectrum certificate
+and the principal element) is read off its basis cells
+(``_support_rows``), which assumes closure, a theorem for seaweeds, and
+only ad(F) in the scans and the dense views read its table.
 
 The meander functional of a seaweed is read off one meander and its
 tail (``_meander_functional``), which returns it with that meander and
@@ -134,19 +135,24 @@ def _check_length(lie: LieData, f: Sequence[int | Fraction]) -> None:
         raise ValueError(f"functional has length {len(f)}, expected {lie.dimension}")
 
 
-def _kirillov_rows(lie: LieData, f: Sequence[int | Fraction]) -> tuple[dict[int, dict[int, int]], list]:
+def _kirillov_rows(lie: LieData, f: Sequence[int | Fraction]) -> tuple[dict[int, dict[int, int]], Sequence]:
     """The nonzero rows mod p of the Kirillov form of s f, s its one scale; and s f.
 
     The scale is settled before the pass: the lcm of the denominators of
     f times that of the table (``_table_scale``, 1 for a seaweed), so
     every s f([x_i, x_j]) is an integer, and mod p s is a unit unless p
-    divides it.  One pass over ``lie.brackets`` reduces each value above
-    the diagonal once and writes its mirror as p - v, so the rows stay
-    skew.  The principal element's system [B | f] takes s f as column m.
+    divides it.  The input kind chooses the pass: a seaweed (``lie.basis``
+    set) is read off its basis cells (``_support_rows``) and builds no
+    table; an abstract table is read off ``lie.brackets``.  Either pass
+    reduces each value above the diagonal once, in the same order, and
+    writes its mirror as p - v, so the rows stay skew.  The principal
+    element's system [B | f] takes s f as column m.
     """
     _check_length(lie, f)
-    scale = _table_scale(lie) * lcm(*[v.denominator for v in f])
-    scaled = [v * scale for v in f]
+    scale = _table_scale(lie) * lcm(*{v.denominator for v in f})
+    scaled = [v * scale for v in f] if scale != 1 else f
+    if lie.basis is not None:
+        return _support_rows(lie, scaled), scaled
     coordinate = scaled.__getitem__
     rows: dict[int, dict[int, int]] = {}
     for (i, j), coeffs in lie.brackets.items():
@@ -185,33 +191,32 @@ def _reduced(entries: Iterable[tuple[int, int | Fraction]], scale: int) -> dict[
 def _kirillov_kernel(lie: LieData, f: Sequence[int | Fraction]) -> int:
     """Kernel dimension mod p of the Kirillov form of f, built sparse and ranked skew.
 
-    The rows come reduced mod p from one pass over ``lie.brackets``
-    (``_kirillov_rows``), so on a seaweed this builds the table if it is
-    not built yet, and that first read raises ClosureError if a bracket
-    leaves the span.  It equals ``kernel_dimension(kirillov_matrix(lie, f))``
+    The rows come reduced mod p from ``_kirillov_rows``: off the basis
+    cells for a seaweed, which builds no table, and off ``lie.brackets``
+    for an abstract table.  It equals ``kernel_dimension(kirillov_matrix(lie, f))``
     unless p divides the form's scale, and bounds the rational kernel in
     any case.
     """
     return lie.dimension - _skew_rank(_kirillov_rows(lie, f)[0])
 
 
-def _support_rows(lie: LieData, f: Sequence[int]) -> dict[int, dict[int, int]]:
-    """The nonzero rows mod p of the Kirillov form of an integer f on a seaweed, read off its basis cells.
+def _support_rows(lie: LieData, f: Sequence[int | Fraction]) -> dict[int, dict[int, int]]:
+    """The nonzero rows mod p of the Kirillov form of an integral f on a seaweed, read off its basis cells.
 
-    No bracket table is read.  Each element's lead (first) cell lies in
-    no other element and holds 1, and a bracket lies in the span of the
-    basis, so its coordinate along x_k is its entry at the lead (a, d)
-    of x_k.  Hence f([x_i, x_j]) = sum of f_k [x_i, x_j][a, d] over the
+    Every Kirillov form of a seaweed is built here (``_kirillov_rows``
+    checks the length of f and scales it); no bracket table is read.
+    Each element's lead (first) cell lies in no other element and holds
+    1, and a bracket lies in the span of the basis, so its coordinate
+    along x_k is its entry at the lead (a, d) of x_k.  Hence f([x_i, x_j]) = sum of f_k [x_i, x_j][a, d] over the
     k with f_k != 0, and [x_i, x_j][a, d] = sum over b of
     x_i[a, b] x_j[b, d] - x_j[a, b] x_i[b, d]: for each column b of row
     a, the elements at (a, b) against those at (b, d), through one map
     of cells by row and one of elements by cell.  The cost follows the
     support of f times the matrix size.  Closure is assumed; the table
-    (``_bracket_table``) checks it.  The rows equal ``_kirillov_rows``'s,
-    in the same order: each pair i < j is reduced once, in ascending
-    order, and its mirror written as p - v.
+    (``_bracket_table``) checks it.  The rows equal those of the same
+    algebra given as a table alone, in the same order: each pair i < j is
+    reduced once, in ascending order, and its mirror written as p - v.
     """
-    _check_length(lie, f)
     at_cell: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for idx, x in enumerate(lie.basis):
         for cell, v in x.entries.items():
@@ -237,20 +242,11 @@ def _support_rows(lie: LieData, f: Sequence[int]) -> dict[int, dict[int, int]]:
                         form[j, i] = form.get((j, i), 0) - weight * v * w
     rows: dict[int, dict[int, int]] = {}
     for i, j in sorted(form):
-        v = form[i, j] % P
+        v = form[i, j].numerator % P
         if v:
             rows.setdefault(i, {})[j] = v
             rows.setdefault(j, {})[i] = P - v
     return rows
-
-
-def _support_kernel(lie: LieData, f: Sequence[int]) -> int:
-    """Kernel dimension mod p of the Kirillov form of an integer f on a seaweed, with no bracket table.
-
-    The rows come from the basis cells (``_support_rows``), so the cost
-    follows the support of f; equal to ``_kirillov_kernel(lie, f)``.
-    """
-    return lie.dimension - _skew_rank(_support_rows(lie, f))
 
 
 def _skew_rank(rows: dict[int, dict[int, int]]) -> int:
@@ -447,15 +443,14 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     It has the parity of m and is at least m mod 2, so a kernel at
     m mod 2 is at the floor too.
 
-    A seaweed (``lie.spec`` set), GL included, first runs the meander
-    trial: the 0/1 functional of ``_meander_functional``, whose form is
-    sparse and read off the basis cells (``_support_kernel``), so a spec
-    it answers builds no bracket table.  Its kernel answers only at the
-    floor; otherwise it is discarded and counts toward nothing below.
-    Then at most ``trials`` seeded functionals are drawn, uniformly from
-    F_p; their forms read ``lie.brackets``, so the first of them builds
-    the table and raises ClosureError if a bracket leaves the span.  They
-    stop at the floor, or once two of them have read the current minimum.
+    Every form of a seaweed is read off its basis cells, so a seaweed
+    builds no bracket table here; an abstract table's forms read
+    ``lie.brackets`` (``_kirillov_rows``).  A seaweed (``lie.spec`` set),
+    GL included, first runs the meander trial: the sparse 0/1 functional
+    of ``_meander_functional``.  Its kernel answers only at the floor;
+    otherwise it is discarded and counts toward nothing below.  Then at
+    most ``trials`` seeded functionals are drawn, uniformly from F_p.
+    They stop at the floor, or once two of them have read the current minimum.
     The result exceeds the index only if every seeded trial run is
     degenerate, and unless the floor stops them at least two run, so
     with trials >= 2 that has probability at most ((m/2)/p)**2.
@@ -468,7 +463,7 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     c = _center_floor(lie)
     floor = c + (m - c) % 2
     meander = _meander_functional(lie)  # f alone: the trial runs no walk
-    if meander is not None and (kernel := _support_kernel(lie, meander[0])) == floor:
+    if meander is not None and (kernel := _kirillov_kernel(lie, meander[0])) == floor:
         return kernel
     best = m + 1  # above every kernel, so the first trial agrees with nothing
     for f in functionals:
@@ -522,11 +517,12 @@ def principal_element(lie: LieData, f: Sequence[int | Fraction]) -> list[int]:
     F = sum c_i x_i with sum_i c_i B[i][j] = f_j (B the Kirillov matrix).
     B is skew, so that is B c + f = 0, and (c, 1) spans the kernel of
     [B | f], read back from the pivots of the rank kernel's elimination.
-    The rows of B are the kernel's own (``_kirillov_rows``), and f joins
-    them as column m at the same scale, which covers the denominators of
-    both.  The Kirillov form must be nondegenerate mod p (NotFrobeniusFunctionalError
-    otherwise); then F is the reduction mod p of the rational principal
-    element.  A residual row B c + f that does not vanish mod p raises
+    The rows of B are the kernel's own (``_kirillov_rows``: a seaweed's
+    off its basis cells, with no bracket table), and f joins them as
+    column m at the same scale, which covers the denominators of both.
+    The Kirillov form must be nondegenerate mod p
+    (NotFrobeniusFunctionalError otherwise); then F is the reduction mod
+    p of the rational principal element.  A residual row B c + f that does not vanish mod p raises
     PrincipalElementError.
     """
     m = lie.dimension
@@ -656,9 +652,9 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
     (a, b) read one H_a - H_b is an eigenvector of ad(F) with that
     eigenvalue.  The certificate: every element is one, with an integer
     eigenvalue; eigenvalue 1 on the support of f, so f([F, x]) = f(x)
-    for all x; and, checked last, a zero Kirillov kernel of f mod p, read
-    off the basis cells (``_support_kernel``) with no bracket table, so f
-    is Frobenius over the rationals and F its only principal element.
+    for all x; and, checked last, a zero Kirillov kernel of f mod p
+    (``_kirillov_kernel``, off the basis cells like every seaweed form),
+    so f is Frobenius over the rationals and F its only principal element.
     The result never rests on the walk being right.
     """
     found = _meander_functional(lie)
@@ -673,7 +669,7 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
         if values or value % 2 or (on and value != 2):
             return None
         doubled.append(value)
-    if _support_kernel(lie, f):
+    if _kirillov_kernel(lie, f):
         return None
     return Counter(value // 2 for value in doubled)
 

@@ -328,23 +328,19 @@ def test_index_oracle_stops_at_the_parity_floor(monkeypatch, text, dimension, in
 
 
 def _count_kernels(monkeypatch, functionals=None):
-    # the kernel dimensions of the oracle's Kirillov kernels, in call order,
-    # whether built off the table (the seeded trials) or off the basis cells
-    # (the meander trial and the spectrum certificate); the functionals too,
-    # if a list is given
+    # the kernel dimensions of the oracle's Kirillov kernels, in call order:
+    # the meander trial, the seeded trials and the spectrum certificate all
+    # rank through the one kernel; the functionals too, if a list is given
     counted = []
+    kernel = oracle._kirillov_kernel
 
-    def counting(kernel):
-        def counted_kernel(lie, f):
-            if functionals is not None:
-                functionals.append(list(f))
-            counted.append(kernel(lie, f))
-            return counted[-1]
+    def counted_kernel(lie, f):
+        if functionals is not None:
+            functionals.append(list(f))
+        counted.append(kernel(lie, f))
+        return counted[-1]
 
-        return counted_kernel
-
-    for name in ("_kirillov_kernel", "_support_kernel"):
-        monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "_kirillov_kernel", counted_kernel)
     return counted
 
 
@@ -992,7 +988,7 @@ def test_the_integrality_check_rejects_half_integer_eigenvalues(monkeypatch):
     # C2:1/ leaves vertex 2 off the tail: h_1 = 1/2 and h_2 = 0, so the
     # support reads 1 and the element at (1, 2) reads 1/2; with the kernel
     # check passed by force, integrality alone must reject the walk
-    monkeypatch.setattr(oracle, "_support_kernel", lambda lie, f: 0)
+    monkeypatch.setattr(oracle, "_kirillov_kernel", lambda lie, f: 0)
     assert oracle._meander_spectrum(seaweed_basis(parse_spec("C2:1/"))) is None
 
 
@@ -1162,8 +1158,10 @@ def test_every_seaweed_lead_entry_is_one():
     [(AlgebraType.GL, 6), (AlgebraType.A, 6), (AlgebraType.B, 5), (AlgebraType.C, 5), (AlgebraType.D, 5)],
 )
 def test_support_rows_equal_the_table_rows(algebra, n_max):
-    # the 0/1 meander functional and random nonzero values on its support,
-    # against _kirillov_rows on the same algebra given as a table alone
+    # the 0/1 meander functional, random nonzero values on its support and
+    # the first draw of the seeded trials at seeds 0 and 1 (full support),
+    # read off the cells against _kirillov_rows on the same algebra given
+    # as a table alone
     rng = random.Random(26)
     for n in range(1, n_max + 1):
         for spec in enumerate_specs(algebra, n):
@@ -1171,11 +1169,13 @@ def test_support_rows_equal_the_table_rows(algebra, n_max):
             table = LieData(lie.dimension, lie.brackets)
             meander = oracle._meander_functional(lie)[0]
             weighted = [v and rng.randrange(1, oracle.P) for v in meander]
-            for f in (meander, weighted):
-                got = oracle._support_rows(lie, f)
+            seeded = [random_functional(random.Random(seed), lie.dimension) for seed in (0, 1)]
+            for f in (meander, weighted, *seeded):
+                got = oracle._kirillov_rows(lie, f)[0]
                 expected = oracle._kirillov_rows(table, f)[0]
                 assert got == expected, (spec, f)
-                assert list(got) == list(expected), spec  # the same row order
+                ordered = [(r, list(row.items())) for r, row in got.items()]
+                assert ordered == [(r, list(row.items())) for r, row in expected.items()], spec  # the same order
 
 
 def _count_tables(monkeypatch):
@@ -1187,7 +1187,12 @@ def _count_tables(monkeypatch):
 
 @pytest.mark.parametrize(
     "args",
-    [("index", "A40:13|27/40", "--method", "oracle"), ("spectrum", "A20:7|13/20")],
+    [
+        ("index", "A40:13|27/40", "--method", "oracle"),
+        ("spectrum", "A20:7|13/20"),
+        # m = 47, floor 1, meander kernel 7: the seeded trials answer
+        ("index", "A8:4|4/8", "--method", "oracle"),
+    ],
 )
 def test_the_meander_trial_and_the_certificate_build_no_table(monkeypatch, capsys, args):
     built = _count_tables(monkeypatch)
@@ -1195,8 +1200,8 @@ def test_the_meander_trial_and_the_certificate_build_no_table(monkeypatch, capsy
     assert built == []
 
 
-def test_the_benchmark_sweep_builds_247_tables(monkeypatch):
-    # only the specs that the meander trial leaves to the seeded trials
+def test_the_benchmark_sweep_builds_no_table(monkeypatch):
+    # the seeded trials, like the meander trial, read their forms off the cells
     built = _count_tables(monkeypatch)
     ranges = {
         AlgebraType.GL: (1, 5),
@@ -1207,7 +1212,7 @@ def test_the_benchmark_sweep_builds_247_tables(monkeypatch):
     }
     for algebra, (n_min, n_max) in ranges.items():
         run_sweep(algebra, n_max=n_max, n_min=n_min, trials=5, seed=1)
-    assert len(built) == 247
+    assert built == []
 
 
 def _ordered(table):
