@@ -18,6 +18,7 @@ structure constants are exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,7 +156,8 @@ class LieData:
     by antisymmetry.  ``basis`` and ``spec`` are None for abstract
     (structure-constant) input; ``seaweed_basis`` sets both, and its
     coefficients are integers.  A table of None is read off ``basis``
-    (``_bracket_table``) on the first read of ``brackets`` and kept, so
+    on the first read of ``brackets``, one element at a time off the
+    cell index the Kirillov forms read (``_bracket_table``), and kept, so
     a caller that reads only the basis cells builds no table; the read
     raises ClosureError if a bracket leaves the span.
     """
@@ -282,73 +284,67 @@ def _symmetric_basis(algebra: AlgebraType, spans: list[tuple[int, int]]) -> list
     return basis
 
 
-def _bracket_table(spec, basis) -> dict[tuple[int, int], dict[int, int]]:
-    """The bracket table of ``basis``; each element's lead cell must be its first entry.
+def _cell_index(basis) -> tuple[dict[Cell, list[tuple[int, int]]], dict[int, list[int]]]:
+    """The cell index of ``basis``, read by ``_bracket_table`` and ``oracle._support_rows``.
 
-    The lead is the element's least cell, which ``_gl_basis`` and
-    ``_symmetric_basis`` insert first, so it is read off the entries'
-    order with no sort.  ClosureError when a bracket leaves the span.
+    ``at_cell`` maps a cell to its [(element, entry)], elements ascending;
+    ``in_row`` maps a row to the columns that hold a cell.
     """
-    # e_ab e_bd = e_ad and other products of matrix units vanish, so one pass
-    # over cells (a, b) of x_i and (b, d) of x_j adds x_i x_j to [x_i, x_j]
-    # (i < j) or to -[x_j, x_i] (i > j); cells are coded a * width + d, pairs
-    # i * m + j.  An element's lead (first) cell lies in no other element, so
-    # it gives the coefficient, whose multiples must account for every cell.
-    # A pair's product stays one (cell, term) until a term at a second cell
-    # arrives; a lone term on a one-cell element's lead is read off directly.
-    m, width = len(basis), (basis[0].dim + 1 if basis else 1)
-    ids = list(range(m))  # one int per element, shared by every key that names it
-    lead: dict[int, tuple[int, int, list[tuple[int, int]]]] = {}
-    with_row: dict[int, list[tuple[int, int, int]]] = {}
-    with_col: dict[int, list[tuple[int, int, int]]] = {}
-    for idx, elt in zip(ids, basis):
-        ((a, d), unit), *rest = elt.entries.items()
-        lead[a * width + d] = (idx, unit, [(r * width + c, v) for (r, c), v in rest])
-        for (a, d), v in elt.entries.items():
-            with_row.setdefault(a, []).append((idx, d, v))
-            with_col.setdefault(d, []).append((idx, a * width, v))
-    products: dict[int, tuple[int, int] | dict[int, int]] = {}
-    for b, left in with_col.items():
-        right = with_row.get(b, ())
-        for i, a, v in left:
-            for j, d, w in right:
-                if i != j:
-                    pair, term = (i * m + j, v * w) if i < j else (j * m + i, -v * w)
-                    cell = a + d
-                    product = products.get(pair)
-                    if product is None:
-                        products[pair] = (cell, term)
-                    elif type(product) is dict:
-                        product[cell] = product.get(cell, 0) + term
-                    elif product[0] == cell:
-                        products[pair] = (cell, product[1] + term)
-                    else:
-                        products[pair] = {product[0]: product[1], cell: term}
+    at_cell: dict[Cell, list[tuple[int, int]]] = {}
+    for idx, x in enumerate(basis):
+        for cell, v in x.entries.items():
+            at_cell.setdefault(cell, []).append((idx, v))
+    in_row: dict[int, list[int]] = {}
+    for a, b in at_cell:
+        in_row.setdefault(a, []).append(b)
+    return at_cell, in_row
+
+
+def _bracket_table(spec, basis) -> dict[tuple[int, int], dict[int, int]]:
+    """The bracket table of ``basis``, one element at a time; each element's lead cell must be its first entry.
+
+    For x_i, a cell (a, b) against a cell (b, d) of x_j, j > i, adds x_i x_j
+    at (a, d), and against a cell (c, a) of x_j subtracts x_j x_i at (c, b),
+    read off the cell index (``_cell_index``) and its column map; only x_i's
+    products are held.  The lead, the least cell, which ``_gl_basis`` and
+    ``_symmetric_basis`` insert first, lies in no other element, so each
+    product is divided at lead cells by the lead entry; ClosureError if
+    anything is left, since the bracket then leaves the span.
+    """
+    at_cell, in_row = _cell_index(basis)
+    in_col: dict[int, list[int]] = {}
+    for c, a in at_cell:
+        in_col.setdefault(a, []).append(c)
+    lead = {next(iter(x.entries)): idx for idx, x in enumerate(basis)}
     brackets: dict[tuple[int, int], dict[int, int]] = {}
-    for pair in sorted(products):
-        product = products[pair]
-        if type(product) is tuple:
-            cell, value = product
-            found = lead.get(cell)
-            if found is not None and not found[2] and not value % found[1]:
-                if value:
-                    brackets[ids[pair // m], ids[pair % m]] = {found[0]: value // found[1]}
-                continue
-            product = {cell: value}
-        coeffs: dict[int, int] = {}
-        residual = dict(product)
-        for cell, value in product.items():
-            if value and cell in lead:
-                idx, unit, rest = lead[cell]
-                q = coeffs[idx] = value // unit
-                residual[cell] -= q * unit
-                for c, v in rest:
-                    residual[c] = residual.get(c, 0) - q * v
-        if any(residual.values()):
-            entries = {divmod(c, width): v for c, v in product.items() if v}
-            raise ClosureError(f"{spec}: bracket {entries} is not in the span of the basis")
-        if coeffs:
-            brackets[ids[pair // m], ids[pair % m]] = coeffs
+    for i, x in enumerate(basis):
+        products: dict[int, dict[Cell, int]] = {}
+        for (a, b), v in x.entries.items():
+            for d in in_row.get(b, ()):
+                for j, w in at_cell[b, d]:
+                    if j > i:
+                        product = products.setdefault(j, {})
+                        product[a, d] = product.get((a, d), 0) + v * w
+            for c in in_col.get(a, ()):
+                for j, w in at_cell[c, a]:
+                    if j > i:
+                        product = products.setdefault(j, {})
+                        product[c, b] = product.get((c, b), 0) - w * v
+        for j, product in sorted(products.items()):
+            coeffs: dict[int, int] = {}
+            residual = dict(product)
+            for cell, value in product.items():
+                k = lead.get(cell)
+                if value and k is not None:
+                    entries = basis[k].entries
+                    q = coeffs[k] = value // entries[cell]
+                    for c, u in entries.items():
+                        residual[c] = residual.get(c, 0) - q * u
+            if any(residual.values()):
+                terms = {c: v for c, v in product.items() if v}
+                raise ClosureError(f"{spec}: bracket {terms} is not in the span of the basis")
+            if coeffs:
+                brackets[i, j] = coeffs
     return brackets
 
 
@@ -421,18 +417,27 @@ def _check_jacobi(lie: LieData) -> None:
 def parse_structure_constants(text: str) -> dict[tuple[int, int], dict[int, Fraction]]:
     """Parse the bracket-table format: one line ``i j -> k:coeff[,k:coeff...]``.
 
-    Indices are 1-based in the text (matching written bases e_1, e_2, ...)
-    and 0-based in the returned table; an index below 1 is rejected, as
-    is a pair listed twice in the same order or an index repeated within
-    one line.  Coefficients are integers or p/q with q nonzero.  Blank
-    lines and '#' comments are ignored.
+    Indices are 1-based ASCII digits in the text (matching written bases
+    e_1, e_2, ...) and 0-based in the returned table; an index below 1 is
+    rejected, as is a pair listed twice in the same order or an index
+    repeated within one line.  A coefficient is an optional sign and ASCII
+    digits, or p/q with q nonzero, so no exponent, point, underscore or
+    non-ASCII digit reaches ``int`` or ``Fraction``.  Blank lines and '#'
+    comments are ignored.
     """
 
     def index(text: str) -> int:
+        if not re.fullmatch("[0-9]+", text.strip()):
+            raise ValueError(f"index {text.strip()!r} is not ASCII digits")
         value = int(text)
         if value < 1:
             raise ValueError(f"index {value} is below 1")
         return value - 1
+
+    def coefficient(text: str) -> Fraction:
+        if not re.fullmatch("[-+]?[0-9]+(/[0-9]+)?", text.strip()):
+            raise ValueError(f"coefficient {text.strip()!r} is not an integer or p/q")
+        return Fraction(text.strip())
 
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -448,7 +453,7 @@ def parse_structure_constants(text: str) -> dict[tuple[int, int], dict[int, Frac
                 k = index(k_text)
                 if k in coeffs:
                     raise ValueError(f"e_{k + 1} appears twice")
-                coeffs[k] = Fraction(coeff_text.strip())
+                coeffs[k] = coefficient(coeff_text)
             pair = (index(i_text), index(j_text))
             if pair in table:
                 raise ValueError(f"[e_{pair[0] + 1}, e_{pair[1] + 1}] is already given")

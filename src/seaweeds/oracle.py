@@ -70,7 +70,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .matrices import LieData, matrix_dim
+from .matrices import LieData, _cell_index, matrix_dim
 from .meander import Meander, components, meander_of_valid
 from .specs import AlgebraType, SeaweedSpec
 
@@ -210,20 +210,14 @@ def _support_rows(lie: LieData, f: Sequence[int | Fraction]) -> dict[int, dict[i
     along x_k is its entry at the lead (a, d) of x_k.  Hence f([x_i, x_j]) = sum of f_k [x_i, x_j][a, d] over the
     k with f_k != 0, and [x_i, x_j][a, d] = sum over b of
     x_i[a, b] x_j[b, d] - x_j[a, b] x_i[b, d]: for each column b of row
-    a, the elements at (a, b) against those at (b, d), through one map
-    of cells by row and one of elements by cell.  The cost follows the
+    a, the elements at (a, b) against those at (b, d), through the cell
+    index (``_cell_index``) the table is built from.  The cost follows the
     support of f times the matrix size.  Closure is assumed; the table
     (``_bracket_table``) checks it.  The rows equal those of the same
     algebra given as a table alone, in the same order: each pair i < j is
     reduced once, in ascending order, and its mirror written as p - v.
     """
-    at_cell: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for idx, x in enumerate(lie.basis):
-        for cell, v in x.entries.items():
-            at_cell.setdefault(cell, []).append((idx, v))
-    in_row: dict[int, list[int]] = {}
-    for a, b in at_cell:
-        in_row.setdefault(a, []).append(b)
+    at_cell, in_row = _cell_index(lie.basis)
     form: dict[tuple[int, int], int] = {}
     for x, weight in zip(lie.basis, f):
         if not weight:
