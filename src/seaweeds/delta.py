@@ -14,9 +14,9 @@ shapes a|b/c|d it is congruent to a+d mod n.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mod, sub
+from typing import NamedTuple
 
 from .meander import build_meander, components
 from .specs import AlgebraType, SeaweedSpec
@@ -30,8 +30,7 @@ class TourError(ArithmeticError):
     """The t∘b tour of a single-path meander is not one n-cycle (construction bug)."""
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     sigma: tuple[int, ...]
     differences: tuple[int, ...]
     distinct_values: tuple[tuple[int, int], ...]  # (value, cardinality)

@@ -156,13 +156,13 @@ class LieData:
     by antisymmetry.  ``basis`` and ``spec`` are None for abstract
     (structure-constant) input; ``seaweed_basis`` sets both, and its
     coefficients are integers.  A table of None is read off ``basis``
-    on the first read of ``brackets``, one element at a time off the
-    cell index the Kirillov forms read (``_bracket_table``), and kept, so
-    a caller that reads only the basis cells builds no table; the read
-    raises ClosureError if a bracket leaves the span.
+    on the first read of ``brackets`` (``_bracket_table``) and kept, as
+    is the cell index ``cells`` the Kirillov forms read, so a caller
+    that reads only the basis cells builds no table; the read raises
+    ClosureError if a bracket leaves the span.
     """
 
-    __slots__ = ("dimension", "_brackets", "basis", "spec")
+    __slots__ = ("dimension", "_brackets", "basis", "spec", "_cells")
 
     def __init__(
         self,
@@ -177,12 +177,19 @@ class LieData:
         self._brackets = brackets
         self.basis = basis
         self.spec = spec
+        self._cells = None
 
     @property
     def brackets(self) -> dict[tuple[int, int], dict[int, int | Fraction]]:
         if self._brackets is None:
             self._brackets = _bracket_table(self.spec, self.basis)
         return self._brackets
+
+    @property
+    def cells(self) -> tuple[dict[Cell, list[tuple[int, int]]], dict[int, list[int]]]:
+        if self._cells is None:
+            self._cells = _cell_index(self.basis)
+        return self._cells
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -285,7 +292,7 @@ def _symmetric_basis(algebra: AlgebraType, spans: list[tuple[int, int]]) -> list
 
 
 def _cell_index(basis) -> tuple[dict[Cell, list[tuple[int, int]]], dict[int, list[int]]]:
-    """The cell index of ``basis``, read by ``_bracket_table`` and ``oracle._support_rows``.
+    """The cell index of ``basis``, read by ``_bracket_table`` and kept as ``LieData.cells``.
 
     ``at_cell`` maps a cell to its [(element, entry)], elements ascending;
     ``in_row`` maps a row to the columns that hold a cell.

@@ -126,13 +126,7 @@ def build_meander(spec: SeaweedSpec) -> Meander:
 def meander_of_valid(spec: SeaweedSpec) -> Meander:
     """The meander of a spec that has been validated already, as ``LieData.spec`` has."""
     tail_set, config = _tail(spec)
-    return Meander(
-        n_vertices=spec.n,
-        top=block_partners(spec.top, spec.n),
-        bottom=block_partners(spec.bottom, spec.n),
-        tail=tail_set,
-        tail_config=config,
-    )
+    return Meander(spec.n, block_partners(spec.top, spec.n), block_partners(spec.bottom, spec.n), tail_set, config)
 
 
 def components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:

@@ -62,15 +62,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .matrices import LieData, _cell_index, matrix_dim
+from .matrices import LieData, matrix_dim
 from .meander import Meander, components, meander_of_valid
 from .specs import AlgebraType, SeaweedSpec
 
@@ -101,8 +100,7 @@ class SpectrumOvercountError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Integer eigenvalue multiplicities of ad applied to a principal element.
 
     ``integral`` records whether the multiplicities account for the whole
@@ -210,14 +208,14 @@ def _support_rows(lie: LieData, f: Sequence[int | Fraction]) -> dict[int, dict[i
     along x_k is its entry at the lead (a, d) of x_k.  Hence f([x_i, x_j]) = sum of f_k [x_i, x_j][a, d] over the
     k with f_k != 0, and [x_i, x_j][a, d] = sum over b of
     x_i[a, b] x_j[b, d] - x_j[a, b] x_i[b, d]: for each column b of row
-    a, the elements at (a, b) against those at (b, d), through the cell
-    index (``_cell_index``) the table is built from.  The cost follows the
-    support of f times the matrix size.  Closure is assumed; the table
+    a, the elements at (a, b) against those at (b, d), through the kept
+    cell index (``lie.cells``).  The cost follows the support of f times
+    the matrix size.  Closure is assumed; the table
     (``_bracket_table``) checks it.  The rows equal those of the same
     algebra given as a table alone, in the same order: each pair i < j is
     reduced once, in ascending order, and its mirror written as p - v.
     """
-    at_cell, in_row = _cell_index(lie.basis)
+    at_cell, in_row = lie.cells
     form: dict[tuple[int, int], int] = {}
     for x, weight in zip(lie.basis, f):
         if not weight:
@@ -671,19 +669,19 @@ def _meander_spectrum(lie: LieData) -> dict[int, int] | None:
 def _meander_functional(lie: LieData) -> tuple[list[int], Meander, dict[int, int]] | None:
     """The meander functional f of a seaweed, with its meander and tail anchors.
 
-    f is a 0/1 vector on the basis: 1 on each element with a cell in the
-    support.  A support cell lies off the diagonal and, in types B, C and
-    D, above the antidiagonal or (type C) on it; an element of GL has one
-    cell, and the second cell of an element lies on the diagonal in type
-    A and below the antidiagonal otherwise, so a support cell is a cell
-    of one element only, its lead (least) cell.  GL takes A's support
-    rule: a GL seaweed is the A seaweed plus the central identity, on
-    which f vanishes, so its kernel is A's plus the identity.  None for
-    tables (no ``lie.spec``).  The meander and the anchors are what
-    ``_doubled_diagonal`` walks to give 2H of the F that is the principal
-    element of f whenever the certificate of ``_meander_spectrum`` holds,
-    which a GL seaweed never passes (its identity is in every kernel);
-    the meander trial reads f alone.
+    f is a 0/1 vector on the basis: 1 on the element ``lie.cells`` lists
+    at each support cell.  A support cell lies off the diagonal and, in
+    types B, C and D, above the antidiagonal or (type C) on it; an
+    element of GL has one cell, and the second cell of an element lies
+    on the diagonal in type A and below the antidiagonal otherwise, so a
+    support cell is a cell of one element only, its lead (least) cell.
+    GL takes A's support rule: a GL seaweed is the A seaweed plus the
+    central identity, on which f vanishes, so its kernel is A's plus the
+    identity.  None for tables (no ``lie.spec``).  The meander and the
+    anchors are what ``_doubled_diagonal`` walks to give 2H of the F
+    that is the principal element of f whenever the certificate of
+    ``_meander_spectrum`` holds, which a GL seaweed never passes (its
+    identity is in every kernel); the meander trial reads f alone.
 
     Each arc gives its arc cell: (j, i) for a top arc i < j and (i, j)
     for a bottom arc.  The tail gives support cells, each with the anchor
@@ -715,7 +713,9 @@ def _meander_functional(lie: LieData) -> tuple[list[int], Meander, dict[int, int
             anchor[tail[-1]] = 2
     support.update((top[v], v) for v in range(1, n + 1) if v < top[v])
     support.update((v, bottom[v]) for v in range(1, n + 1) if v < bottom[v])
-    f = [0 if support.isdisjoint(x.entries) else 1 for x in lie.basis]
+    f, at_cell = [0] * lie.dimension, lie.cells[0]
+    for cell in support:
+        f[at_cell[cell][0][0]] = 1  # the one element with this cell
     return f, meander, anchor
 
 

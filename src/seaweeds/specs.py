@@ -14,9 +14,8 @@ after or before the slash (``D5:1|4/``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class AlgebraType(Enum):
@@ -33,8 +32,7 @@ class AlgebraType(Enum):
 Composition = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SeaweedSpec:
+class SeaweedSpec(NamedTuple):
     """Algebra family plus the two defining (partial) compositions.
 
     ``n`` is the matrix size for GL/A and the rank parameter for B/C/D
@@ -50,8 +48,7 @@ class SeaweedSpec:
         return format_spec(self)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...] = ()
 
     @property
@@ -80,6 +77,7 @@ _TAGS = ("GL", "A", "B", "C", "D")
 # Decimal means ASCII digits: str.isdigit also accepts superscript and
 # fullwidth digits, which int() then rejects or reads as ASCII.
 _DIGITS = "0123456789"
+_VALID = ValidationReport()  # the one report of every valid spec
 
 
 def parse_spec(text: str) -> SeaweedSpec:
@@ -153,24 +151,25 @@ def format_spec(spec: SeaweedSpec) -> str:
 
 
 def validate(spec: SeaweedSpec) -> ValidationReport:
-    """Check the structural rules; violations are data, not failures."""
+    """Check the structural rules; violations are data, not failures, and a valid spec gets ``_VALID``."""
+    algebra, n, top, bottom = spec
     violations = []
-    if spec.n < 1:
+    if n < 1:
         violations.append("n-positive")
-    if min(spec.top + spec.bottom, default=1) < 1:
+    if min(top + bottom, default=1) < 1:
         violations.append("parts-positive")
-    r, s = sum(spec.top), sum(spec.bottom)
-    if spec.algebra.full_compositions_required:
-        if r != spec.n or s != spec.n:
+    r, s = sum(top), sum(bottom)
+    if algebra.full_compositions_required:
+        if r != n or s != n:
             violations.append("A-sums-equal-n")
     else:
-        if r > spec.n:
+        if r > n:
             violations.append("top-sum-le-n")
-        if s > spec.n:
+        if s > n:
             violations.append("bottom-sum-le-n")
         if r < s:
             violations.append("top-sum-ge-bottom-sum")
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations)) if violations else _VALID
 
 
 def require_valid(spec: SeaweedSpec) -> None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from seaweeds import oracle
 from seaweeds.delta import DeltaReport, NotSinglePathError, TourError, delta_of_spec
 from seaweeds.formulas import classify_frobenius, index_closed_form, index_combinatorial, xi
-from seaweeds.matrices import SparseIntMatrix, bracket
+from seaweeds.matrices import SparseIntMatrix, bracket, matrix_dim
 from seaweeds.meander import (
     Component,
     ComponentSummary,
@@ -243,6 +243,27 @@ def reference_center_floor(lie) -> int:
         return len(ends) - 1
     size = lie.basis[0].dim
     return sum(2 * v <= size for v in ends)
+
+
+def reference_support_cells(spec: SeaweedSpec, meander: Meander) -> list[tuple[int, int]]:
+    """The support cells of the meander functional, as the docstring of ``oracle._meander_functional`` lists them."""
+    size = matrix_dim(spec)
+    cells = [(w, v) for v, w in meander.top_edges] + meander.bottom_edges
+    tail = meander.tail
+    if spec.algebra is AlgebraType.C:
+        cells += [(v, size + 1 - v) for v in tail]
+    else:
+        for v, w in zip(tail[::2], tail[1::2]):
+            cells += [(v, w), (v, size + 1 - w)]
+        if len(tail) % 2:
+            cells.append((tail[-1], spec.n + 1))
+    return cells
+
+
+def reference_meander_functional(lie, meander: Meander) -> list[int]:
+    """The meander functional as ``oracle._meander_functional`` read it before the cell index: 1 on each element that meets the support."""
+    support = set(reference_support_cells(lie.spec, meander))
+    return [0 if support.isdisjoint(x.entries) else 1 for x in lie.basis]
 
 
 def reference_components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:

@@ -11,7 +11,6 @@ from seaweeds.formulas import index_combinatorial
 from seaweeds.matrices import (
     LieData,
     lie_from_structure_constants,
-    matrix_dim,
     parse_structure_constants,
     seaweed_basis,
 )
@@ -34,8 +33,10 @@ from seaweeds.sweep import run_sweep
 
 from reference_sweeps import (
     reference_center_floor,
+    reference_meander_functional,
     reference_scanned_spectrum,
     reference_skew_rank,
+    reference_support_cells,
     scan_skew_rank,
 )
 
@@ -847,33 +848,21 @@ def test_the_meander_trial_reads_f_alone(monkeypatch, text):
     assert (len(walks), len(built)) == (1, 2)
 
 
-def _support_reference(spec, meander):
-    # the support cells as the docstring of _meander_functional lists them
-    size = matrix_dim(spec)
-    cells = [(w, v) for v, w in meander.top_edges] + meander.bottom_edges
-    tail = meander.tail
-    if spec.algebra is AlgebraType.C:
-        cells += [(v, size + 1 - v) for v in tail]
-    else:
-        for v, w in zip(tail[::2], tail[1::2]):
-            cells += [(v, w), (v, size + 1 - w)]
-        if len(tail) % 2:
-            cells.append((tail[-1], spec.n + 1))
-    return cells
-
-
 def _check_meander_functional(spec):
     # each support cell is a cell of one element only, and that element's
-    # lead; f equals the lead-map rule, one 1 per arc and per tail vertex
+    # lead; f, read off the kept cell index, equals the rule that marks
+    # every element meeting the support and the lead-map rule, one 1 per
+    # arc and per tail vertex
     lie = seaweed_basis(spec)
     f, meander, _ = oracle._meander_functional(lie)
+    assert f == reference_meander_functional(lie, meander), spec
     holders = {}
     for k, x in enumerate(lie.basis):
         for cell in x.entries:
             holders.setdefault(cell, []).append(k)
     lead = {min(x.entries): k for k, x in enumerate(lie.basis)}
     expected = [0] * lie.dimension
-    for cell in _support_reference(spec, meander):
+    for cell in reference_support_cells(spec, meander):
         assert len(holders.get(cell, ())) == 1, (spec, cell)
         assert lead.get(cell) == holders[cell][0], (spec, cell)
         expected[lead[cell]] = 1
@@ -884,7 +873,13 @@ def _check_meander_functional(spec):
 
 @pytest.mark.parametrize(
     "algebra, n_max, count",
-    [(AlgebraType.A, 6, 1365), (AlgebraType.B, 5, 911), (AlgebraType.C, 5, 911), (AlgebraType.D, 5, 911)],
+    [
+        (AlgebraType.A, 6, 1365),
+        (AlgebraType.B, 5, 911),
+        (AlgebraType.C, 5, 911),
+        (AlgebraType.D, 5, 911),
+        (AlgebraType.GL, 6, 1365),
+    ],
 )
 def test_the_meander_functional_reads_one_lead_per_support_cell(algebra, n_max, count):
     specs = [spec for n in range(1, n_max + 1) for spec in enumerate_specs(algebra, n)]
@@ -896,6 +891,19 @@ def test_the_meander_functional_reads_one_lead_per_support_cell(algebra, n_max, 
 @pytest.mark.parametrize("text", ["A60:23|37/60", "B60:30|30/59", "C60:30|30/59", "D60:30|30/57"])
 def test_the_meander_functional_reads_one_lead_per_support_cell_at_scale(text):
     _check_meander_functional(parse_spec(text))
+
+
+def test_the_oracle_builds_one_cell_index_per_seaweed(monkeypatch):
+    # the meander trial and both seeded trials read the one kept index
+    built = []
+    index = matrices._cell_index
+    monkeypatch.setattr(matrices, "_cell_index", lambda basis: built.append(basis) or index(basis))
+    counted = _count_kernels(monkeypatch)
+    lie = seaweed_basis(parse_spec("A8:4|4/8"))
+    assert index_oracle(lie, trials=5, seed=0) == 3
+    assert counted == [7, 3, 3]
+    assert len(built) == 1 and built[0] is lie.basis
+    assert lie.cells is lie.cells and len(built) == 1
 
 
 def test_spectra_of_the_frobenius_seaweeds_up_to_n_5_are_pinned():

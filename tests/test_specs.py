@@ -2,15 +2,17 @@
 
 import pytest
 
-from seaweeds.delta import delta_of_spec
+from seaweeds.delta import DeltaReport, delta_of_spec
 from seaweeds.formulas import classify_frobenius, index_closed_form, index_combinatorial
 from seaweeds.matrices import admissible_mask, seaweed_basis
 from seaweeds.meander import build_meander, tail
+from seaweeds.oracle import SpectrumReport, ad_spectrum
 from seaweeds.specs import (
     AlgebraType,
     InvalidSpecError,
     SeaweedSpec,
     SpecSyntaxError,
+    ValidationReport,
     compositions,
     enumerate_specs,
     format_spec,
@@ -114,6 +116,49 @@ def test_validate_flags_oversized_partial_sums():
     report = validate(SeaweedSpec(AlgebraType.B, 2, (3,), (3,)))
     assert "top-sum-le-n" in report.violations
     assert "bottom-sum-le-n" in report.violations
+
+
+def test_spec_records_keep_their_reprs_classes_and_refuse_assignment():
+    # the reprs are the parent's, when these records were frozen dataclasses
+    spec = parse_spec("D9:4|3|2/2|3|1")
+    records = [
+        (spec, SeaweedSpec, "SeaweedSpec(algebra=<AlgebraType.D: 'D'>, n=9, top=(4, 3, 2), bottom=(2, 3, 1))"),
+        (validate(spec), ValidationReport, "ValidationReport(violations=())"),
+        (
+            validate(SeaweedSpec(AlgebraType.A, 3, (1,), (4,))),
+            ValidationReport,
+            "ValidationReport(violations=('A-sums-equal-n',))",
+        ),
+        (
+            delta_of_spec(parse_spec("A5:4|1/2|1|2")),
+            DeltaReport,
+            "DeltaReport(sigma=(3, 2, 4, 5, 1), differences=(4, 2, 1, 1, 2), "
+            "distinct_values=((4, 1), (1, 2), (2, 2)), canonical_delta=None)",
+        ),
+        (
+            ad_spectrum(seaweed_basis(parse_spec("A4:2|2/1|3"))),
+            SpectrumReport,
+            "SpectrumReport(eigenvalues={-1: 1, 0: 3, 1: 3, 2: 1}, integral=True, "
+            "unbroken=True, symmetric_about_half=True, defect=0)",
+        ),
+    ]
+    for record, cls, expected in records:
+        assert type(record) is cls and repr(record) == expected
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert str(spec) == "D9:4|3|2/2|3|1"
+    assert hash(spec) == hash((AlgebraType.D, 9, (4, 3, 2), (2, 3, 1)))
+    assert all(type(spec) is SeaweedSpec for spec in enumerate_specs(AlgebraType.C, 3))
+
+
+def test_validate_returns_the_one_empty_report_for_every_valid_spec():
+    shared = validate(parse_spec("A1:1/1"))
+    assert shared.ok and shared == ValidationReport()
+    for n in range(1, 5):
+        for spec in enumerate_specs(AlgebraType.GL, n):
+            for algebra in (AlgebraType.GL, AlgebraType.A):
+                assert validate(spec._replace(algebra=algebra)) is shared, spec
 
 
 def test_enumerate_a2_order():
