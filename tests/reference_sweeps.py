@@ -14,9 +14,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from seaweeds import oracle
+from seaweeds import formulas, oracle
 from seaweeds.delta import DeltaReport, NotSinglePathError, TourError, delta_of_spec
-from seaweeds.formulas import classify_frobenius, index_closed_form, index_combinatorial, xi
+from seaweeds.formulas import IndexReport, classify_frobenius, index_closed_form, index_combinatorial, xi
 from seaweeds.matrices import SparseIntMatrix, bracket, matrix_dim
 from seaweeds.meander import (
     Component,
@@ -305,6 +305,12 @@ def reference_components(meander: Meander) -> tuple[ComponentSummary, list[Compo
     return ComponentSummary(cycles, len(comps) - cycles, tailed), comps
 
 
+def reference_index_combinatorial(spec: SeaweedSpec) -> IndexReport:
+    """``index_combinatorial`` as it was before the winding-down moves: the component walk of the built meander."""
+    summary, _ = components(build_meander(spec))
+    return formulas._index_report(spec.algebra, summary)
+
+
 def reference_delta(spec: SeaweedSpec) -> DeltaReport:
     """``delta_of_spec`` by iterating t(b(.)) n times from the path's lower endpoint.
 
@@ -537,10 +543,11 @@ def combinatorial_sweep(
     """The combinatorial routes on every spec of GL/A up to ``gl_a_n_max`` and B/C/D up to ``bcd_n_max``.
 
     ``classify_frobenius`` raises ``RuleDisagreement`` where a rule
-    contradicts the meander.  Beside it, ``index_closed_form`` must equal
-    the verdict's closed form, and a closed value must equal the meander
-    index.  Returns the spec and Frobenius counts per (family, n), and
-    the failures.
+    contradicts the meander.  Beside it, ``index_combinatorial`` (the
+    winding-down moves) must equal the verdict's report (the component
+    walk), ``index_closed_form`` must equal the verdict's closed form,
+    and a closed value must equal the meander index.  Returns the spec
+    and Frobenius counts per (family, n), and the failures.
     """
     counts = {}
     failures = []
@@ -550,6 +557,9 @@ def combinatorial_sweep(
             specs = frobenius = 0
             for spec in enumerate_specs(algebra, n):
                 verdict = classify_frobenius(spec)
+                report = index_combinatorial(spec)
+                if report != verdict.report:
+                    failures.append({"spec": format_spec(spec), "winding": report, "walk": verdict.report})
                 closed = index_closed_form(spec)
                 if closed != verdict.closed_form or (closed is not None and closed[0] != verdict.report.index):
                     failures.append({"spec": format_spec(spec), "closed_form": closed, "index": verdict.report.index})

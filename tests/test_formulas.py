@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from seaweeds import formulas, meander
 from seaweeds.formulas import (
+    IndexReport,
     classify_frobenius,
     euler_phi,
     index_closed_form,
@@ -12,11 +14,12 @@ from seaweeds.formulas import (
     xi,
 )
 from seaweeds.meander import build_meander, components
-from seaweeds.specs import AlgebraType, SeaweedSpec, enumerate_specs, parse_spec
+from seaweeds.specs import AlgebraType, SeaweedSpec, enumerate_specs, format_spec, parse_spec
 
 from reference_sweeps import (
     combinatorial_sweep,
     forest_criterion_sweep,
+    reference_index_combinatorial,
     split_top_gcd_sweep,
     xi_tail2_sweep,
     xi_tail4_sweep,
@@ -47,6 +50,40 @@ PAPER_INDEX_FIXTURES = {
 @pytest.mark.parametrize("text, expected", sorted(PAPER_INDEX_FIXTURES.items()))
 def test_index_fixtures(text, expected):
     assert index_combinatorial(parse_spec(text)).index == expected
+
+
+def test_winding_down_equals_the_component_walk_exhaustively():
+    checked = 0
+    for algebra in AlgebraType:
+        n_max = 8 if algebra.full_compositions_required else 6
+        for n in range(1, n_max + 1):
+            for spec in enumerate_specs(algebra, n):
+                assert index_combinatorial(spec) == reference_index_combinatorial(spec), format_spec(spec)
+                checked += 1
+    assert checked == 54616
+
+
+def test_index_combinatorial_builds_no_meander(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("index_combinatorial built or walked a meander")
+
+    for module in (meander, formulas):
+        monkeypatch.setattr(module, "build_meander", refuse)
+        monkeypatch.setattr(module, "components", refuse)
+    for text in ("C14:7|7/11", "D9:4|3|2/2|3|1", "GL26:5|7|4|10/8|6|6|6"):
+        assert index_combinatorial(parse_spec(text)).index == PAPER_INDEX_FIXTURES[text], text
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("A1000000000000000000:377|999999999999999623/1000000000000000000", IndexReport(0, 0, 1, 1)),
+        ("GL1000000000000000000:1000000000000000000/999999999999999999|1", IndexReport(1, 0, 1, 1)),
+    ],
+    ids=["A", "GL"],
+)
+def test_winding_down_reaches_n_of_ten_to_the_eighteen(text, expected):
+    assert index_combinatorial(parse_spec(text)) == expected
 
 
 def test_euler_phi():

@@ -1,0 +1,47 @@
+"""Property checks of the winding-down moves against the component walk, with n up to 10**4."""
+
+import pytest
+
+from seaweeds.formulas import index_combinatorial
+from seaweeds.specs import AlgebraType, SeaweedSpec, parse_spec
+
+from reference_sweeps import reference_index_combinatorial
+from test_spec_properties import _composition, valid_specs
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+N_MAX = 10**4
+
+
+@st.composite
+def odd_type_d(draw, full_top):
+    """Type D with r - s odd: configuration III if ``full_top`` (r = n), else II (r < n).
+
+    About half of them end the top in a part of size 1.  It lies past
+    the bottom sum s, so it is the last block the moves leave, which
+    sets the configuration-III parity.
+    """
+    n = draw(st.integers(2, N_MAX))
+    r = n if full_top else draw(st.integers(1, n - 1))
+    s = r - 1 - 2 * draw(st.integers(0, (r - 1) // 2))
+    if r > 1 and draw(st.booleans()):
+        top = draw(_composition(r - 1)) + (1,)
+    else:
+        top = draw(_composition(r))
+    return SeaweedSpec(AlgebraType.D, n, top, draw(_composition(s)))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@hypothesis.given(valid_specs(n_max=N_MAX))
+def test_winding_down_equals_the_walk(spec):
+    assert index_combinatorial(spec) == reference_index_combinatorial(spec)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@hypothesis.given(st.one_of(odd_type_d(full_top=False), odd_type_d(full_top=True)))
+@hypothesis.example(parse_spec("D2:2/1"))  # III, one block of size 1 left from a top part of size 2
+@hypothesis.example(parse_spec("D3:3/"))  # III, one block of size 3 left
+@hypothesis.example(parse_spec("D4:1/"))  # II
+def test_winding_down_equals_the_walk_on_odd_type_d(spec):
+    assert index_combinatorial(spec) == reference_index_combinatorial(spec)
