@@ -3,9 +3,10 @@
 Subcommands: index, meander, sweep, delta, spectrum.  A seaweed is named
 by its compact spec string ("C14:7|7/11").
 Exit codes: 0 success, 1 cross-validation mismatch, 2 parse/validation
-error, 3 I/O error, 4 precondition failure (non-Frobenius input where a
-Frobenius one is required).  Sweeps refuse n_max beyond the SEAWEED_MAX_N
-budget (default 8) so an exhaustive run cannot be started by accident.
+error, 3 I/O error (a closed stdout too), 4 precondition failure
+(non-Frobenius input where a Frobenius one is required).  Sweeps refuse
+n_max beyond the SEAWEED_MAX_N budget (default 8) so an exhaustive run
+cannot be started by accident.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from .delta import NotSinglePathError, delta_of_spec
 from .formulas import RuleDisagreement, classify_frobenius
 from .matrices import lie_from_structure_constants, parse_structure_constants, seaweed_basis
-from .meander import build_meander
+from .meander import build_meander, components
 from .oracle import DEFAULT_TRIALS, NotFrobeniusError, ad_spectrum, index_oracle
 from .render import FORMATS, RenderSpec, component_payload, render_meander
 from .specs import (
@@ -44,7 +45,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # Whatever stays buffered goes to devnull, so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_IO
     except (SpecSyntaxError, InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
@@ -157,7 +167,7 @@ def cmd_index(args) -> int:
         "justification": verdict.justification,
     }
     if args.explain:
-        payload["components"] = component_payload(verdict.components)
+        payload["components"] = component_payload(components(build_meander(spec))[1])
     if args.as_json:
         print(json.dumps(payload, indent=2))
     else:

@@ -10,15 +10,17 @@ Three layers live here:
   no meander.  In B/C/D the blocks the moves leave lie on the tail; a
   type-D spec with r - s odd moves one vertex into or out of it, by
   whether r < n and by the size of the last block left.  The counts
-  equal the component walk's (``components(build_meander(spec))``);
-  the tests check all four on every GL/A spec with n <= 8 and every
-  B/C/D spec with n <= 6;
+  equal the component walk's (``components(build_meander(spec))``),
+  which stays the test reference: the tests check all four on every
+  GL/A spec with n <= 8 and every B/C/D spec with n <= 6;
 * ``index_closed_form`` evaluates the gcd/floor formulas on the shapes
   whose hypotheses they cover, returning None elsewhere;
-* ``classify_frobenius`` returns the meander verdict together with the
-  strongest classification rule whose hypotheses hold, carrying gcd,
-  delta and xi certificates, and the closed form evaluated on the
-  meander's own tail configuration.
+* ``classify_frobenius`` returns the verdict of ``index_combinatorial``
+  together with the strongest classification rule whose hypotheses
+  hold, carrying gcd, delta and xi certificates, and the closed form
+  evaluated on the type-D configuration read off the two sums.  Only
+  the ``GCD3_PATH`` rule builds and walks the meander, to ask whether
+  two vertices share a component.
 
 The xi criterion compares the exact rational
 xi(n, d) = (d**(phi(n)-1) mod n) / n against one half; no floating
@@ -31,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .meander import TAIL_I, TAIL_II, TAIL_III, Component, ComponentSummary, build_meander, components
+from .meander import TAIL_I, TAIL_II, TAIL_III, TAIL_NONE, components, d_tail_config, meander_of_valid
 from .meander import tail as meander_tail
 from .specs import AlgebraType, SeaweedSpec, require_valid
 
@@ -49,16 +51,14 @@ class IndexReport(NamedTuple):
 
 class FrobeniusVerdict(NamedTuple):
     """One analysis of a spec: the verdict, its rule and certificate, the
-    meander index it rests on, the meander's components, and the closed
-    form (``index_closed_form``: a (value, rule) pair, or None where no
-    formula applies).  ``report`` holds the component walk's counts,
-    which equal ``index_combinatorial``'s winding-down counts."""
+    meander index it rests on, and the closed form (``index_closed_form``:
+    a (value, rule) pair, or None where no formula applies).  ``report``
+    is ``index_combinatorial``'s, read off the winding-down moves."""
 
     frobenius: bool
     justification: str
     report: IndexReport
     certificate: dict
-    components: tuple[Component, ...] = ()
     closed_form: tuple[int, str] | None = None
 
 
@@ -172,16 +172,6 @@ def _wind_down(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[int, int,
     left = a or b
     left.reverse()
     return cycles, paths, left
-
-
-def _index_report(algebra: AlgebraType, summary: ComponentSummary) -> IndexReport:
-    if algebra is _GL:
-        value = 2 * summary.cycles + summary.paths
-    elif algebra is _A:
-        value = 2 * summary.cycles + summary.paths - 1
-    else:
-        value = 2 * summary.cycles + summary.tailed_paths
-    return IndexReport(value, summary.cycles, summary.paths, summary.tailed_paths)
 
 
 # --- closed forms ---------------------------------------------------------
@@ -331,27 +321,28 @@ class RuleDisagreement(AssertionError):
 
 
 def classify_frobenius(spec: SeaweedSpec) -> FrobeniusVerdict:
-    """Meander-based verdict with the strongest applicable rule attached.
+    """Meander-index verdict with the strongest applicable rule attached.
 
-    The verdict itself always comes from the component count; whenever a
-    closed rule decides the same question its answer is checked against
-    the meander and a disagreement raises.  The spec is validated and its
-    meander built once; the count and the closed form are read off it.
+    The verdict itself always comes from ``index_combinatorial``, which
+    validates the spec; whenever a closed rule decides the same question
+    its answer is checked against the index and a disagreement raises.
+    The type-D configuration is read off the two sums, so no meander is
+    built, except by the ``GCD3_PATH`` rule, which walks one.
     """
-    meander = build_meander(spec)
-    summary, comps = components(meander)
-    report = _index_report(spec.algebra, summary)
-    closed = _closed_form(spec, meander.tail_config)
+    report = index_combinatorial(spec)
+    algebra, n, top, bottom = spec
+    config = d_tail_config(sum(top), sum(bottom), n) if algebra is _D else TAIL_NONE
+    closed = _closed_form(spec, config)
     frobenius = report.index == 0
-    tag, certificate, decided = _justification(spec, report, meander.tail_config, comps, closed)
+    tag, certificate, decided = _justification(spec, report, config, closed)
     if decided is not None and decided != frobenius:
         raise RuleDisagreement(
             f"{tag} predicts frobenius={decided} but meander index is {report.index} for {spec}"
         )
-    return FrobeniusVerdict(frobenius, tag, report, certificate, tuple(comps), closed)
+    return FrobeniusVerdict(frobenius, tag, report, certificate, closed)
 
 
-def _justification(spec: SeaweedSpec, report: IndexReport, config: str, comps: list[Component], closed):
+def _justification(spec: SeaweedSpec, report: IndexReport, config: str, closed):
     """Return (tag, certificate, decided) where decided is the rule's own
     verdict when its hypotheses fully determine one, else None.  The type-D
     CONFIG_II and TAIL_GAP_MATCH rules read their index off ``closed``."""
@@ -363,7 +354,7 @@ def _justification(spec: SeaweedSpec, report: IndexReport, config: str, comps: l
         return TAG_MEANDER_PATH, {"cycles": report.cycles, "paths": report.paths}, None
     if algebra is _B or algebra is _C:
         return _justify_bc(spec.n, spec.top, spec.bottom)
-    return _justify_d(spec, config, comps, closed)
+    return _justify_d(spec, config, closed)
 
 
 def _justify_bc(n: int, top: tuple[int, ...], bottom: tuple[int, ...]):
@@ -382,7 +373,7 @@ def _justify_bc(n: int, top: tuple[int, ...], bottom: tuple[int, ...]):
     return TAG_MEANDER_FOREST, {}, None
 
 
-def _justify_d(spec: SeaweedSpec, config: str, comps: list[Component], closed: tuple[int, str] | None):
+def _justify_d(spec: SeaweedSpec, config: str, closed: tuple[int, str] | None):
     n, top, bottom = spec.n, spec.top, spec.bottom
     if config == TAIL_I:
         tag, cert, decided = _justify_bc(n, top, bottom)
@@ -408,7 +399,8 @@ def _justify_d(spec: SeaweedSpec, config: str, comps: list[Component], closed: t
             return TAG_SHORT_TAIL_BLOCK, {"b": b, "c": c}, ok
         # b > n - c: tail of size two (c = n-3) or four (c = n-5), else never.
         if c == n - 3:
-            if _same_component(comps, n - 2, n):
+            _, comps = components(meander_of_valid(spec))
+            if any(n - 2 in comp.vertices and n in comp.vertices for comp in comps):
                 return TAG_GCD3_PATH, {"gcd": g}, g == 3
             if g == 1:
                 delta = (a + d) % n
@@ -433,10 +425,3 @@ def _justify_d(spec: SeaweedSpec, config: str, comps: list[Component], closed: t
         if last < n - sum(bottom) and last not in (2, 3):
             return TAG_DETACHED_BLOCK_SIZE, {"last_top_part": last}, False
     return TAG_MEANDER_FOREST, {}, None
-
-
-def _same_component(comps: list[Component], u: int, v: int) -> bool:
-    for comp in comps:
-        if u in comp.vertices:
-            return v in comp.vertices
-    return False

@@ -102,19 +102,21 @@ def tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
     return _tail(spec)
 
 
+def d_tail_config(r: int, s: int, n: int) -> str:
+    """Type-D configuration of a top summing to r over a bottom summing to s <= r, in D_n."""
+    if (r - s) % 2 == 0:
+        return TAIL_I
+    return TAIL_II if r < n else TAIL_III
+
+
 def _tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
     if spec.algebra.full_compositions_required:
         return (), TAIL_NONE
     r, s = sum(spec.top), sum(spec.bottom)
-    tail_c = tuple(range(s + 1, r + 1))
-    if spec.algebra is not _D:
-        return tail_c, TAIL_NONE
-    t = r - s  # the D tail has even length: t (I), t + 1 (II) or t - 1 (III)
-    if t % 2 == 0:
-        return tail_c, TAIL_I
-    if r < spec.n:
-        return tail_c + (r + 1,), TAIL_II
-    return tail_c[:-1], TAIL_III
+    config = d_tail_config(r, s, spec.n) if spec.algebra is _D else TAIL_NONE
+    # The D tail has even length: s+1..r (I), with r + 1 (II) or without r (III).
+    r += (config == TAIL_II) - (config == TAIL_III)
+    return tuple(range(s + 1, r + 1)), config
 
 
 def build_meander(spec: SeaweedSpec) -> Meander:

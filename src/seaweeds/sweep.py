@@ -4,7 +4,8 @@ A sweep enumerates every seaweed of a family up to a size bound and
 compares the meander count against the closed forms (where applicable)
 and against the exact rank oracle, and checks that the Frobenius
 classifier agrees with index zero.  Each spec is analysed once: the
-classifier's verdict carries the meander count and the closed form.
+classifier's verdict carries the meander count, read off the
+winding-down moves, and the closed form.
 """
 
 from __future__ import annotations

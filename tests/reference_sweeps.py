@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from seaweeds import formulas, oracle
+from seaweeds import oracle
 from seaweeds.delta import DeltaReport, NotSinglePathError, TourError, delta_of_spec
 from seaweeds.formulas import IndexReport, classify_frobenius, index_closed_form, index_combinatorial, xi
 from seaweeds.matrices import SparseIntMatrix, bracket, matrix_dim
@@ -307,8 +307,12 @@ def reference_components(meander: Meander) -> tuple[ComponentSummary, list[Compo
 
 def reference_index_combinatorial(spec: SeaweedSpec) -> IndexReport:
     """``index_combinatorial`` as it was before the winding-down moves: the component walk of the built meander."""
-    summary, _ = components(build_meander(spec))
-    return formulas._index_report(spec.algebra, summary)
+    (cycles, paths, tailed), _ = components(build_meander(spec))
+    if spec.algebra is AlgebraType.GL:
+        return IndexReport(2 * cycles + paths, cycles, paths, tailed)
+    if spec.algebra is AlgebraType.A:
+        return IndexReport(2 * cycles + paths - 1, cycles, paths, tailed)
+    return IndexReport(2 * cycles + tailed, cycles, paths, tailed)
 
 
 def reference_delta(spec: SeaweedSpec) -> DeltaReport:
@@ -543,11 +547,12 @@ def combinatorial_sweep(
     """The combinatorial routes on every spec of GL/A up to ``gl_a_n_max`` and B/C/D up to ``bcd_n_max``.
 
     ``classify_frobenius`` raises ``RuleDisagreement`` where a rule
-    contradicts the meander.  Beside it, ``index_combinatorial`` (the
-    winding-down moves) must equal the verdict's report (the component
-    walk), ``index_closed_form`` must equal the verdict's closed form,
-    and a closed value must equal the meander index.  Returns the spec
-    and Frobenius counts per (family, n), and the failures.
+    contradicts the meander index.  Beside it, ``index_combinatorial``
+    (the winding-down moves) must equal ``reference_index_combinatorial``
+    (the component walk), the verdict must be index zero by the walk,
+    ``index_closed_form`` must equal the verdict's closed form, and a
+    closed value must equal the walk's index.  Returns the spec and
+    Frobenius counts per (family, n), and the failures.
     """
     counts = {}
     failures = []
@@ -558,11 +563,12 @@ def combinatorial_sweep(
             for spec in enumerate_specs(algebra, n):
                 verdict = classify_frobenius(spec)
                 report = index_combinatorial(spec)
-                if report != verdict.report:
-                    failures.append({"spec": format_spec(spec), "winding": report, "walk": verdict.report})
+                walk = reference_index_combinatorial(spec)
+                if report != walk or verdict.frobenius != (walk.index == 0):
+                    failures.append({"spec": format_spec(spec), "winding": report, "walk": walk})
                 closed = index_closed_form(spec)
-                if closed != verdict.closed_form or (closed is not None and closed[0] != verdict.report.index):
-                    failures.append({"spec": format_spec(spec), "closed_form": closed, "index": verdict.report.index})
+                if closed != verdict.closed_form or (closed is not None and closed[0] != walk.index):
+                    failures.append({"spec": format_spec(spec), "closed_form": closed, "index": walk.index})
                 specs += 1
                 frobenius += verdict.frobenius
             counts[algebra.value, n] = (specs, frobenius)

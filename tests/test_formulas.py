@@ -63,15 +63,59 @@ def test_winding_down_equals_the_component_walk_exhaustively():
     assert checked == 54616
 
 
-def test_index_combinatorial_builds_no_meander(monkeypatch):
-    def refuse(*args):
-        raise RuntimeError("index_combinatorial built or walked a meander")
+def refuse_meanders(monkeypatch, who):
+    """Make every name that builds or walks a meander raise, in ``meander`` and where ``formulas`` imports it."""
 
-    for module in (meander, formulas):
-        monkeypatch.setattr(module, "build_meander", refuse)
-        monkeypatch.setattr(module, "components", refuse)
+    def refuse(*args):
+        raise RuntimeError(f"{who} built or walked a meander")
+
+    for name in ("build_meander", "meander_of_valid", "components"):
+        monkeypatch.setattr(meander, name, refuse)
+    for name in ("meander_of_valid", "components"):
+        monkeypatch.setattr(formulas, name, refuse)
+
+
+def test_index_combinatorial_builds_no_meander(monkeypatch):
+    refuse_meanders(monkeypatch, "index_combinatorial")
     for text in ("C14:7|7/11", "D9:4|3|2/2|3|1", "GL26:5|7|4|10/8|6|6|6"):
         assert index_combinatorial(parse_spec(text)).index == PAPER_INDEX_FIXTURES[text], text
+
+
+def asks_gcd3_path(spec):
+    """D config III, a|b over n-3 with b > 3: the shapes where the GCD3_PATH rule walks the meander."""
+    n, top = spec.n, spec.top
+    return spec.algebra is AlgebraType.D and sum(top) == n and len(top) == 2 and spec.bottom == (n - 3,) and top[1] > 3
+
+
+def test_classifier_builds_no_meander_outside_the_gcd3_path_rule(monkeypatch):
+    refuse_meanders(monkeypatch, "classify_frobenius")
+    fixtures = [parse_spec(text) for text in PAPER_INDEX_FIXTURES]
+    small = [spec for algebra in AlgebraType for n in range(1, 7) for spec in enumerate_specs(algebra, n)]
+    walked = 0
+    for spec in fixtures + small:
+        if asks_gcd3_path(spec):
+            walked += 1
+            with pytest.raises(RuntimeError, match="built or walked"):
+                classify_frobenius(spec)
+        else:
+            classify_frobenius(spec)
+    assert walked == 7
+    verdict = classify_frobenius(parse_spec("C1000000000000000000:1000000000000000000/"))
+    assert verdict.report.index == 5 * 10**17 and verdict.closed_form == (5 * 10**17, "TWO_PART")
+
+
+def test_gcd3_path_rule_walks_once(monkeypatch):
+    walked = []
+    original = formulas.components
+
+    def counting(meander):
+        walked.append(meander)
+        return original(meander)
+
+    monkeypatch.setattr(formulas, "components", counting)
+    verdict = classify_frobenius(parse_spec("D9:3|6/6"))
+    assert (verdict.frobenius, verdict.justification, verdict.certificate) == (True, "GCD3_PATH", {"gcd": 3})
+    assert len(walked) == 1
 
 
 @pytest.mark.parametrize(
@@ -196,12 +240,9 @@ def test_classifier_certificates():
 VERDICT_REPRS = {
     "A5:4|1/2|1|2": "FrobeniusVerdict(frobenius=True, justification='MEANDER_SINGLE_PATH', "
     "report=IndexReport(index=0, cycles=0, paths=1, tailed_paths=1), certificate={'cycles': 0, 'paths': 1}, "
-    "components=(Component(vertices=(3, 2, 1, 4, 5), kind='path', tail_count=0),), closed_form=None)",
+    "closed_form=None)",
     "D9:4|3|2/2|3|1": "FrobeniusVerdict(frobenius=False, justification='MEANDER_FOREST', "
-    "report=IndexReport(index=1, cycles=0, paths=3, tailed_paths=1), certificate={}, "
-    "components=(Component(vertices=(4, 1, 2, 3, 5, 7), kind='path', tail_count=1), "
-    "Component(vertices=(6,), kind='path', tail_count=0), "
-    "Component(vertices=(8, 9), kind='path', tail_count=1)), closed_form=None)",
+    "report=IndexReport(index=1, cycles=0, paths=3, tailed_paths=1), certificate={}, closed_form=None)",
 }
 
 
@@ -230,7 +271,7 @@ def test_classifier_matches_index_exhaustively():
         for n in range(1, n_max + 1):
             for spec in enumerate_specs(algebra, n):
                 verdict = classify_frobenius(spec)
-                report = index_combinatorial(spec)
+                report = reference_index_combinatorial(spec)
                 assert verdict.report == report, spec
                 assert verdict.frobenius == (report.index == 0), spec
                 assert verdict.closed_form == index_closed_form(spec), spec

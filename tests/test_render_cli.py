@@ -1,6 +1,7 @@
 """Renderer golden files and the command-line interface."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -315,21 +316,20 @@ def test_cli_spectrum_kirillov_cost_follows_the_table(tmp_path, capsys):
 
 
 def test_cli_index_explain_builds_one_meander(monkeypatch, capsys):
-    built = []
-    original = formulas.build_meander
-
-    def counting(spec):
-        built.append(spec)
-        return original(spec)
-
-    monkeypatch.setattr(formulas, "build_meander", counting)
-    monkeypatch.setattr(cli, "build_meander", counting)
+    built, walked = [], []
+    build, walk = cli.build_meander, formulas.meander_of_valid
+    monkeypatch.setattr(cli, "build_meander", lambda spec: built.append(spec) or build(spec))
+    monkeypatch.setattr(formulas, "meander_of_valid", lambda spec: walked.append(spec) or walk(spec))
     for text in ("A5:4|1/2|1|2", "C14:7|7/11", "D5:1|4/2", "D9:4|3|2/2|3|1"):
-        built.clear()
-        assert run_cli("index", text, "--method", "meander", "--explain", "--json") == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["components"] == json.loads(golden_name(text, "json").read_text())["components"]
-        assert len(built) == 1, text
+        for explain in ([], ["--explain"]):
+            built.clear()
+            walked.clear()
+            assert run_cli("index", text, "--method", "meander", *explain, "--json") == 0
+            payload = json.loads(capsys.readouterr().out)
+            if explain:
+                assert payload["components"] == json.loads(golden_name(text, "json").read_text())["components"]
+            assert len(built) == len(explain), text  # the CLI's own build, for --explain only
+            assert len(walked) == (text == "D5:1|4/2"), text  # D5:1|4/2 is a GCD3_PATH shape
 
 
 def test_cli_sweep_small(capsys):
@@ -468,6 +468,22 @@ def test_cli_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "index: 0" in proc.stdout
+
+
+def test_cli_closed_stdout_exits_3_with_one_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "seaweeds.cli", "index", "A1000000:377|999623/1000000", "--method", "meander", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_IO
+    assert proc.stderr.splitlines() == ["error: stdout was closed before the output was written"]
 
 
 def test_json_payloads_conform_to_shipped_schemas(capsys):

@@ -1,6 +1,6 @@
 """The exhaustive sweep: serial and process-pool runs agree."""
 
-from seaweeds import formulas, specs, sweep
+from seaweeds import formulas, meander, specs, sweep
 from seaweeds.formulas import index_closed_form
 from seaweeds.specs import AlgebraType, enumerate_specs, format_spec, parse_spec
 from seaweeds.sweep import check_spec, run_sweep
@@ -47,20 +47,20 @@ def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
     assert pools == [4, 3, 2]
 
 
-def test_check_spec_builds_one_meander(monkeypatch):
-    built = []
-    original = formulas.build_meander
-
-    def counting(spec):
-        built.append(spec)
-        return original(spec)
-
-    monkeypatch.setattr(formulas, "build_meander", counting)
-    for text in ("A5:4|1/2|1|2", "C4:2|2/3", "D5:1|4/2", "GL3:1|2/3"):
-        built.clear()
+def test_check_spec_builds_no_meander(monkeypatch):
+    # The oracle's meander trial keeps its own bindings; only the classifier's route is counted.
+    calls = []
+    for module in (meander, formulas):
+        for name in ("build_meander", "meander_of_valid", "components"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
+    walk = ["meander_of_valid", "components"]  # D5:1|4/2 is a GCD3_PATH shape
+    for text, expected in (("A5:4|1/2|1|2", []), ("C4:2|2/3", []), ("D5:1|4/3", []), ("GL3:1|2/3", []), ("D5:1|4/2", walk)):
+        calls.clear()
         record = check_spec(parse_spec(text))
         assert record["combinatorial"] == record["oracle"]
-        assert len(built) == 1, text
+        assert calls == expected, text
 
 
 def test_check_spec_validates_at_most_twice(monkeypatch):
