@@ -7,20 +7,16 @@ Three layers live here:
   off the winding-down moves on the two compositions (flip, component
   and block elimination, batched rotation, pure contraction), which
   reduce one block pair at a time as Euclid's algorithm does and build
-  no meander.  In B/C/D the blocks the moves leave lie on the tail; a
-  type-D spec with r - s odd moves one vertex into or out of it, by
-  whether r < n and by the size of the last block left.  The counts
-  equal the component walk's (``components(build_meander(spec))``),
-  which stays the test reference: the tests check all four on every
-  GL/A spec with n <= 8 and every B/C/D spec with n <= 6;
+  no meander.  The counts equal the component walk's, which stays the
+  test reference: the tests check all four on every GL/A spec with
+  n <= 8 and every B/C/D spec with n <= 6;
 * ``index_closed_form`` evaluates the gcd/floor formulas on the shapes
   whose hypotheses they cover, returning None elsewhere;
 * ``classify_frobenius`` returns the verdict of ``index_combinatorial``
   together with the strongest classification rule whose hypotheses
   hold, carrying gcd, delta and xi certificates, and the closed form
-  evaluated on the type-D configuration read off the two sums.  Only
-  the ``GCD3_PATH`` rule builds and walks the meander, to ask whether
-  two vertices share a component.
+  evaluated on the type-D configuration read off the two sums.  No
+  rule builds or walks the meander: ``GCD3_PATH`` asks the moves too.
 
 The xi criterion compares the exact rational
 xi(n, d) = (d**(phi(n)-1) mod n) / n against one half; no floating
@@ -33,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .meander import TAIL_I, TAIL_II, TAIL_III, TAIL_NONE, components, d_tail_config, meander_of_valid
+from .meander import TAIL_I, TAIL_II, TAIL_III, TAIL_NONE, d_tail_config
 from .meander import tail as meander_tail
 from .specs import AlgebraType, SeaweedSpec, require_valid
 
@@ -326,8 +322,7 @@ def classify_frobenius(spec: SeaweedSpec) -> FrobeniusVerdict:
     The verdict itself always comes from ``index_combinatorial``, which
     validates the spec; whenever a closed rule decides the same question
     its answer is checked against the index and a disagreement raises.
-    The type-D configuration is read off the two sums, so no meander is
-    built, except by the ``GCD3_PATH`` rule, which walks one.
+    The type-D configuration is read off the two sums; no meander is built.
     """
     report = index_combinatorial(spec)
     algebra, n, top, bottom = spec
@@ -354,7 +349,7 @@ def _justification(spec: SeaweedSpec, report: IndexReport, config: str, closed):
         return TAG_MEANDER_PATH, {"cycles": report.cycles, "paths": report.paths}, None
     if algebra is _B or algebra is _C:
         return _justify_bc(spec.n, spec.top, spec.bottom)
-    return _justify_d(spec, config, closed)
+    return _justify_d(spec, report, config, closed)
 
 
 def _justify_bc(n: int, top: tuple[int, ...], bottom: tuple[int, ...]):
@@ -373,7 +368,13 @@ def _justify_bc(n: int, top: tuple[int, ...], bottom: tuple[int, ...]):
     return TAG_MEANDER_FOREST, {}, None
 
 
-def _justify_d(spec: SeaweedSpec, config: str, closed: tuple[int, str] | None):
+def _justify_d(spec: SeaweedSpec, report: IndexReport, config: str, closed: tuple[int, str] | None):
+    """The type-D rules.  ``GCD3_PATH`` (a|b over c = n - 3, a + b = n,
+    b > 3) asks if n - 2 and n share a path.  The type-A meander of a|b
+    over c|3 adds the bottom arc (n - 2, n) to this one, where both lack
+    a bottom arc and so end paths: the arc closes a cycle exactly when
+    they end the same path, and joins two paths otherwise.  So the moves
+    count more cycles on a|b over c|3 than ``report`` exactly then."""
     n, top, bottom = spec.n, spec.top, spec.bottom
     if config == TAIL_I:
         tag, cert, decided = _justify_bc(n, top, bottom)
@@ -399,8 +400,7 @@ def _justify_d(spec: SeaweedSpec, config: str, closed: tuple[int, str] | None):
             return TAG_SHORT_TAIL_BLOCK, {"b": b, "c": c}, ok
         # b > n - c: tail of size two (c = n-3) or four (c = n-5), else never.
         if c == n - 3:
-            _, comps = components(meander_of_valid(spec))
-            if any(n - 2 in comp.vertices and n in comp.vertices for comp in comps):
+            if _wind_down(top, (c, 3))[0] > report.cycles:
                 return TAG_GCD3_PATH, {"gcd": g}, g == 3
             if g == 1:
                 delta = (a + d) % n

@@ -315,6 +315,17 @@ def reference_index_combinatorial(spec: SeaweedSpec) -> IndexReport:
     return IndexReport(2 * cycles + tailed, cycles, paths, tailed)
 
 
+def reference_gcd3_path(spec: SeaweedSpec) -> bool:
+    """Whether vertices n - 2 and n lie on one component of the built meander, by the component walk.
+
+    This is the question the ``GCD3_PATH`` rule (type D, a|b over n - 3
+    with a + b = n and b > 3) answers off the winding-down moves.
+    """
+    n = spec.n
+    _, comps = components(build_meander(spec))
+    return any(n - 2 in comp.vertices and n in comp.vertices for comp in comps)
+
+
 def reference_delta(spec: SeaweedSpec) -> DeltaReport:
     """``delta_of_spec`` by iterating t(b(.)) n times from the path's lower endpoint.
 

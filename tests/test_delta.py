@@ -4,9 +4,9 @@ from collections import Counter
 
 import pytest
 
-from seaweeds import delta
+from seaweeds import delta, meander
 from seaweeds.delta import NotSinglePathError, TourError, delta_of_spec
-from seaweeds.meander import Meander, build_meander, components
+from seaweeds.meander import build_meander, components
 from seaweeds.specs import AlgebraType, SeaweedSpec, compositions, parse_spec
 
 from reference_sweeps import (
@@ -114,7 +114,7 @@ def outcome(function, spec):
 
 
 def test_sliced_tour_matches_iteration():
-    # The tour sliced from the path equals n steps of t∘b, errors included.
+    # The tour equals n steps of t∘b from the walk's lower endpoint, errors included.
     specs = (SeaweedSpec(AlgebraType.A, n, top, bottom)
              for n in range(1, 10) for top in compositions(n) for bottom in compositions(n))
     assert [spec for spec in specs if outcome(delta_of_spec, spec) != outcome(reference_delta, spec)] == []
@@ -136,14 +136,35 @@ def test_cardinality_probe_reports():
 @pytest.mark.parametrize(
     "n, top, bottom",
     [
-        (3, (0, 2, 2, 0), (0, 0, 3, 2)),  # top is no involution: t∘b never returns to 1
-        (4, (0, 0, 0, 0, 2), (0, 4, 3, 1, 0)),  # t∘b closes after three steps, short of n
+        # A3:1|2/3 fills top[1] = 1 and bottom[2] = 2; the forged top is no
+        # involution, and t∘b runs 1, 3, 3, ... without returning to 1.
+        (3, (0, 0, 3, 3), (0, 3, 2, 2)),
+        # A4:1|3/4 fills top[1] = 1 and top[3] = 3; t∘b closes after two steps, short of n.
+        (4, (0, 0, 4, 0, 2), (0, 3, 4, 1, 2)),
     ],
 )
 def test_forged_tour_raises(monkeypatch, n, top, bottom):
-    forged = Meander(n, top, bottom, tail=(), tail_config="NONE")
-    summary, _ = components(forged)
-    assert (summary.cycles, summary.paths) == (0, 1)
-    monkeypatch.setattr(delta, "build_meander", lambda spec: forged)
+    spec = parse_spec(f"A{n}:1|{n - 1}/{n}")  # a single path
+    forged = {spec.top: top, spec.bottom: bottom}
+    monkeypatch.setattr(delta, "block_partners", lambda parts, size: forged[parts])
     with pytest.raises(TourError):
-        delta_of_spec(parse_spec(f"A{n}:{n}/{n}"))
+        delta_of_spec(spec)
+
+
+def test_delta_builds_and_walks_no_meander(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("delta_of_spec built or walked a meander")
+
+    for name in ("build_meander", "meander_of_valid", "components"):
+        monkeypatch.setattr(meander, name, refuse)
+        assert not hasattr(delta, name), name
+    answered = 0
+    for n in range(1, 8):
+        for top in compositions(n):
+            for bottom in compositions(n):
+                try:
+                    delta_of_spec(SeaweedSpec(AlgebraType.A, n, top, bottom))
+                except NotSinglePathError:
+                    continue
+                answered += 1
+    assert answered == 1 + 2 + 6 + 14 + 34 + 68 + 150  # the Frobenius type-A specs

@@ -19,6 +19,7 @@ from seaweeds.specs import AlgebraType, SeaweedSpec, enumerate_specs, format_spe
 from reference_sweeps import (
     combinatorial_sweep,
     forest_criterion_sweep,
+    reference_gcd3_path,
     reference_index_combinatorial,
     split_top_gcd_sweep,
     xi_tail2_sweep,
@@ -64,15 +65,14 @@ def test_winding_down_equals_the_component_walk_exhaustively():
 
 
 def refuse_meanders(monkeypatch, who):
-    """Make every name that builds or walks a meander raise, in ``meander`` and where ``formulas`` imports it."""
+    """Make every name that builds or walks a meander raise; ``formulas`` binds none of them."""
 
     def refuse(*args):
         raise RuntimeError(f"{who} built or walked a meander")
 
     for name in ("build_meander", "meander_of_valid", "components"):
         monkeypatch.setattr(meander, name, refuse)
-    for name in ("meander_of_valid", "components"):
-        monkeypatch.setattr(formulas, name, refuse)
+        assert not hasattr(formulas, name), name
 
 
 def test_index_combinatorial_builds_no_meander(monkeypatch):
@@ -82,40 +82,48 @@ def test_index_combinatorial_builds_no_meander(monkeypatch):
 
 
 def asks_gcd3_path(spec):
-    """D config III, a|b over n-3 with b > 3: the shapes where the GCD3_PATH rule walks the meander."""
+    """D config III, a|b over n-3 with b > 3: the shapes where the GCD3_PATH rule asks whether n-2 and n share a path."""
     n, top = spec.n, spec.top
     return spec.algebra is AlgebraType.D and sum(top) == n and len(top) == 2 and spec.bottom == (n - 3,) and top[1] > 3
 
 
-def test_classifier_builds_no_meander_outside_the_gcd3_path_rule(monkeypatch):
+def test_classifier_builds_no_meander(monkeypatch):
     refuse_meanders(monkeypatch, "classify_frobenius")
     fixtures = [parse_spec(text) for text in PAPER_INDEX_FIXTURES]
     small = [spec for algebra in AlgebraType for n in range(1, 7) for spec in enumerate_specs(algebra, n)]
-    walked = 0
     for spec in fixtures + small:
-        if asks_gcd3_path(spec):
-            walked += 1
-            with pytest.raises(RuntimeError, match="built or walked"):
-                classify_frobenius(spec)
-        else:
-            classify_frobenius(spec)
-    assert walked == 7
+        classify_frobenius(spec)
+    assert sum(map(asks_gcd3_path, fixtures + small)) == 7
     verdict = classify_frobenius(parse_spec("C1000000000000000000:1000000000000000000/"))
     assert verdict.report.index == 5 * 10**17 and verdict.closed_form == (5 * 10**17, "TWO_PART")
 
 
-def test_gcd3_path_rule_walks_once(monkeypatch):
-    walked = []
-    original = formulas.components
+def test_gcd3_path_rule_reads_the_moves(monkeypatch):
+    refuse_meanders(monkeypatch, "the GCD3_PATH rule")
+    for text, index, gcd in (
+        ("D9:3|6/6", 0, 3),
+        ("D1000000000000000000:1|999999999999999999/999999999999999997", 1, 4),
+        ("D999999999999999999:999999999999999993|6/999999999999999996", 0, 3),
+    ):
+        spec = parse_spec(text)
+        assert asks_gcd3_path(spec), text
+        verdict = classify_frobenius(spec)
+        got = (verdict.justification, verdict.report.index, verdict.frobenius, verdict.certificate)
+        assert got == ("GCD3_PATH", index, index == 0, {"gcd": gcd}), text
 
-    def counting(meander):
-        walked.append(meander)
-        return original(meander)
 
-    monkeypatch.setattr(formulas, "components", counting)
-    verdict = classify_frobenius(parse_spec("D9:3|6/6"))
-    assert (verdict.frobenius, verdict.justification, verdict.certificate) == (True, "GCD3_PATH", {"gcd": 3})
-    assert len(walked) == 1
+def test_gcd3_path_rule_equals_the_walk():
+    # Every shape the rule asks about with 5 <= n <= 200: the moves, the
+    # component walk and gcd(a+b, b+c) >= 3 give one answer.
+    shapes = [SeaweedSpec(AlgebraType.D, n, (n - b, b), (n - 3,)) for n in range(5, 201) for b in range(4, n)]
+    assert len(shapes) == 19306 and all(map(asks_gcd3_path, shapes))
+    disagree = []
+    for spec in shapes:
+        verdict = classify_frobenius(spec)
+        by_moves = verdict.justification == "GCD3_PATH"
+        if not by_moves == reference_gcd3_path(spec) == (verdict.certificate["gcd"] >= 3):
+            disagree.append(format_spec(spec))
+    assert disagree == []
 
 
 @pytest.mark.parametrize(

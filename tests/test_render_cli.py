@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from seaweeds import cli, formulas, oracle, render, sweep
+from seaweeds import cli, formulas, meander, oracle, render, sweep
 from seaweeds.cli import main
 from seaweeds.meander import build_meander, components
 from seaweeds.render import RenderSpec, render_meander
@@ -317,9 +317,9 @@ def test_cli_spectrum_kirillov_cost_follows_the_table(tmp_path, capsys):
 
 def test_cli_index_explain_builds_one_meander(monkeypatch, capsys):
     built, walked = [], []
-    build, walk = cli.build_meander, formulas.meander_of_valid
+    build, walk = cli.build_meander, meander.meander_of_valid
     monkeypatch.setattr(cli, "build_meander", lambda spec: built.append(spec) or build(spec))
-    monkeypatch.setattr(formulas, "meander_of_valid", lambda spec: walked.append(spec) or walk(spec))
+    monkeypatch.setattr(meander, "meander_of_valid", lambda spec: walked.append(spec) or walk(spec))
     for text in ("A5:4|1/2|1|2", "C14:7|7/11", "D5:1|4/2", "D9:4|3|2/2|3|1"):
         for explain in ([], ["--explain"]):
             built.clear()
@@ -328,8 +328,8 @@ def test_cli_index_explain_builds_one_meander(monkeypatch, capsys):
             payload = json.loads(capsys.readouterr().out)
             if explain:
                 assert payload["components"] == json.loads(golden_name(text, "json").read_text())["components"]
-            assert len(built) == len(explain), text  # the CLI's own build, for --explain only
-            assert len(walked) == (text == "D5:1|4/2"), text  # D5:1|4/2 is a GCD3_PATH shape
+            # the CLI's own build, for --explain only; D5:1|4/2 is a GCD3_PATH shape
+            assert len(built) == len(walked) == len(explain), text
 
 
 def test_cli_sweep_small(capsys):

@@ -1,11 +1,11 @@
-"""Property checks of the winding-down moves against the component walk, with n up to 10**4."""
+"""Property checks of the winding-down moves against the component walk, with n up to 10**4 (10**5 for GCD3_PATH)."""
 
 import pytest
 
-from seaweeds.formulas import index_combinatorial
+from seaweeds.formulas import classify_frobenius, index_combinatorial
 from seaweeds.specs import AlgebraType, SeaweedSpec, parse_spec
 
-from reference_sweeps import reference_index_combinatorial
+from reference_sweeps import reference_gcd3_path, reference_index_combinatorial
 from test_spec_properties import _composition, valid_specs
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -45,3 +45,19 @@ def test_winding_down_equals_the_walk(spec):
 @hypothesis.example(parse_spec("D4:1/"))  # II
 def test_winding_down_equals_the_walk_on_odd_type_d(spec):
     assert index_combinatorial(spec) == reference_index_combinatorial(spec)
+
+
+@st.composite
+def gcd3_path_shapes(draw):
+    """Type D, a|b over n - 3 with a + b = n and b > 3: the shapes the GCD3_PATH rule asks about."""
+    n = draw(st.integers(5, 10**5))
+    b = draw(st.integers(4, n - 1))
+    return SeaweedSpec(AlgebraType.D, n, (n - b, b), (n - 3,))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@hypothesis.given(gcd3_path_shapes())
+@hypothesis.example(parse_spec("D100000:1|99999/99997"))  # gcd 4: n - 2 and n share a path
+@hypothesis.example(parse_spec("D100000:99995|5/99997"))  # gcd 2: they do not
+def test_gcd3_path_rule_equals_the_walk(spec):
+    assert (classify_frobenius(spec).justification == "GCD3_PATH") == reference_gcd3_path(spec)
