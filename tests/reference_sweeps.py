@@ -337,7 +337,11 @@ def reference_delta(spec: SeaweedSpec) -> DeltaReport:
         raise NotSinglePathError("the delta construction needs a type-A seaweed")
     summary, comps = reference_components(meander)
     if summary.cycles or summary.paths != 1:
-        raise NotSinglePathError(f"meander is not a single path ({summary.total} components)")
+        cycles, paths = summary.cycles, summary.paths
+        raise NotSinglePathError(
+            f"meander is not a single path ({cycles} cycle{'s' * (cycles != 1)}, "
+            f"{paths} path{'s' * (paths != 1)})"
+        )
     n = meander.n_vertices
     top = [w or v for v, w in enumerate(meander.top)]
     bottom = [w or v for v, w in enumerate(meander.bottom)]
@@ -406,16 +410,17 @@ def delta_congruence_sweep(n_max: int = 20) -> list[dict]:
 
 
 def delta_cardinality_probe(n_max: int = 12) -> list[dict]:
-    """Empirical check of the cardinality pattern for a_1|...|a_m over n.
+    """The cardinality pattern of Frobenius a_1|...|a_m over n, for n <= n_max.
 
-    For Frobenius shapes with trivial bottom, the multiset of
-    cardinalities of the distinct difference values is compared with the
-    multiset of top parts.  This pattern is conjectural beyond the
-    worked example, so callers report failures instead of asserting.
-    Distinct difference values are not always distinct per part: when
-    two parts produce the same value their cardinalities merge, so the
-    probe also records whether the cardinalities coarsen the parts
-    (every cardinality a sum of a group of parts).
+    With the one bottom block [1, n], top block [l_k, h_k] is one piece
+    of t∘b with shift l_k + h_k - n - 1.  So the distinct differences
+    are exactly (l_k + h_k - n - 1) mod n, and each value's cardinality
+    is the sum of the parts a_k that share it: ``expected``, in the
+    order of ``distinct_values``, and ``exact`` when the tour agrees.
+    Two parts can share a value, and then their cardinalities merge:
+    the cardinalities always coarsen the top parts (``coarsens``, every
+    cardinality a sum of a group of parts) and equal them (``matches``)
+    only when the values are distinct.
     """
     results = []
     for n in range(1, n_max + 1):
@@ -424,12 +429,20 @@ def delta_cardinality_probe(n_max: int = 12) -> list[dict]:
             if index_combinatorial(spec).index != 0:
                 continue
             report = delta_of_spec(spec)
+            shared = Counter()
+            h = 0
+            for part in top:
+                l, h = h + 1, h + part
+                shared[(l + h - n - 1) % n] += part
+            expected = tuple(sorted(shared.items(), key=lambda item: (item[1], item[0])))
             cardinalities = sorted(count for _, count in report.distinct_values)
             results.append(
                 {
                     "spec": format_spec(spec),
                     "cardinalities": cardinalities,
                     "top_parts": sorted(top),
+                    "expected": expected,
+                    "exact": report.distinct_values == expected,
                     "matches": cardinalities == sorted(top),
                     "coarsens": _is_coarsening(sorted(top), cardinalities),
                 }

@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from seaweeds import delta, meander
-from seaweeds.delta import NotSinglePathError, TourError, delta_of_spec
-from seaweeds.meander import build_meander, components
+from seaweeds.delta import NotSinglePathError, TourError, delta_of_spec, translation_pieces
+from seaweeds.meander import block_partners, build_meander, components
 from seaweeds.specs import AlgebraType, SeaweedSpec, compositions, parse_spec
 
 from reference_sweeps import (
@@ -127,8 +127,11 @@ def test_cardinality_probe_reports():
     assert results, "probe found no Frobenius shapes"
     worked_example = next(r for r in results if r["spec"] == "A8:1|2|5/8")
     assert worked_example["matches"]
-    # The pattern is conjectural: exact matches are not universal, but on
-    # this range every cardinality multiset coarsens the top parts.
+    # Each distinct value is (l_k + h_k - n - 1) mod n for a top block
+    # [l_k, h_k], with the summed parts sharing it as its cardinality.
+    # Parts can share a value, so the cardinalities coarsen the top
+    # parts and do not always equal them.
+    assert [r["spec"] for r in results if not r["exact"]] == []
     assert any(not r["matches"] for r in results)
     assert all(r["coarsens"] for r in results)
 
@@ -136,19 +139,34 @@ def test_cardinality_probe_reports():
 @pytest.mark.parametrize(
     "n, top, bottom",
     [
-        # A3:1|2/3 fills top[1] = 1 and bottom[2] = 2; the forged top is no
-        # involution, and t∘b runs 1, 3, 3, ... without returning to 1.
-        (3, (0, 0, 3, 3), (0, 3, 2, 2)),
-        # A4:1|3/4 fills top[1] = 1 and top[3] = 3; t∘b closes after two steps, short of n.
-        (4, (0, 0, 4, 0, 2), (0, 3, 4, 1, 2)),
+        # Forged total maps on A3:1|2/3: the top is no involution (t(2) =
+        # t(3) = 3), and t∘b runs 1, 3, 3, ... without returning to 1.
+        (3, (0, 1, 3, 3), (0, 3, 2, 2)),
+        # On A4:1|3/4, t∘b closes after two steps (1, 3), short of n.
+        (4, (0, 1, 4, 3, 2), (0, 3, 4, 1, 2)),
     ],
 )
 def test_forged_tour_raises(monkeypatch, n, top, bottom):
     spec = parse_spec(f"A{n}:1|{n - 1}/{n}")  # a single path
-    forged = {spec.top: top, spec.bottom: bottom}
-    monkeypatch.setattr(delta, "block_partners", lambda parts, size: forged[parts])
+    # one one-vertex piece per vertex, translated onto the forged t(b(v))
+    forged = [(v, v + 1, top[bottom[v]] - v) for v in range(1, n + 1)]
+    monkeypatch.setattr(delta, "translation_pieces", lambda top_parts, bottom_parts: forged)
     with pytest.raises(TourError):
         delta_of_spec(spec)
+
+
+def test_pieces_are_the_block_reflections():
+    # On every pair of compositions, Frobenius or not, the pieces tile
+    # 1..n and translate each v onto t(b(v)), self-loops filled.
+    for n in range(1, 8):
+        for top in compositions(n):
+            t = [w or v for v, w in enumerate(block_partners(top, n))]
+            for bottom in compositions(n):
+                b = [w or v for v, w in enumerate(block_partners(bottom, n))]
+                pieces = translation_pieces(top, bottom)
+                assert len(pieces) <= len(top) + len(bottom) - 1
+                assert sorted(v for lo, stop, _ in pieces for v in range(lo, stop)) == list(range(1, n + 1))
+                assert all(v + shift == t[b[v]] for lo, stop, shift in pieces for v in range(lo, stop))
 
 
 def test_delta_builds_and_walks_no_meander(monkeypatch):

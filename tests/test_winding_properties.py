@@ -1,11 +1,14 @@
-"""Property checks of the winding-down moves against the component walk, with n up to 10**4 (10**5 for GCD3_PATH)."""
+"""Property checks of the winding-down moves and the delta tour against the component walk, with n up to 10**4 (10**5 for GCD3_PATH)."""
+
+from collections import Counter
 
 import pytest
 
+from seaweeds.delta import delta_of_spec
 from seaweeds.formulas import classify_frobenius, index_combinatorial
 from seaweeds.specs import AlgebraType, SeaweedSpec, parse_spec
 
-from reference_sweeps import reference_gcd3_path, reference_index_combinatorial
+from reference_sweeps import reference_delta, reference_gcd3_path, reference_index_combinatorial
 from test_spec_properties import _composition, valid_specs
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -61,3 +64,40 @@ def gcd3_path_shapes(draw):
 @hypothesis.example(parse_spec("D100000:99995|5/99997"))  # gcd 2: they do not
 def test_gcd3_path_rule_equals_the_walk(spec):
     assert (classify_frobenius(spec).justification == "GCD3_PATH") == reference_gcd3_path(spec)
+
+
+@st.composite
+def frobenius_type_a(draw):
+    """Frobenius type A with 2-6 top and 2-4 bottom parts and n < 10**4.
+
+    A single path on n >= 2 vertices has exactly two odd blocks, so the
+    drawn head parts are even, but for at most one a side.  The top parts are small beside the
+    bottom ones, so a bottom block often straddles three or more top
+    blocks.  n then grows from a drawn start until the moves count one
+    path (within 100 vertices for about 19 draws in 20).
+    """
+
+    def head(max_parts, half_max):
+        parts = [2 * half for half in draw(st.lists(st.integers(1, half_max), min_size=1, max_size=max_parts))]
+        if draw(st.booleans()):
+            parts[draw(st.integers(0, len(parts) - 1))] -= 1
+        return parts
+
+    top, bottom = head(5, 500), head(3, 1400)
+    start = max(sum(top), sum(bottom)) + draw(st.integers(1, 1000))
+    for n in range(start, start + 100):
+        spec = SeaweedSpec(AlgebraType.A, n, (*top, n - sum(top)), (*bottom, n - sum(bottom)))
+        if index_combinatorial(spec).index == 0:
+            return spec
+    hypothesis.reject()
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@hypothesis.given(frobenius_type_a())
+@hypothesis.example(parse_spec("A8:1|2|5/8"))  # three distinct values
+@hypothesis.example(parse_spec("A4619:520|219|40|90|3750/2288|2256|75"))  # [1, 2288] meets five top blocks
+def test_delta_tour_equals_the_iteration(spec):
+    report = delta_of_spec(spec)
+    assert report == reference_delta(spec)
+    counted = sorted(Counter(report.differences).items(), key=lambda item: (item[1], item[0]))
+    assert report.distinct_values == tuple(counted)
