@@ -8,17 +8,18 @@ paths (isolated vertices count as degenerate paths) and simple cycles.
 
 A meander is stored as its top and bottom partner tuples (``Meander``);
 only this module builds them, and every other module reads them as is.
+The index counts come off the winding-down moves (``formulas``), so
+``components`` only lists the components: for the renderers, for
+``seaweed index --explain`` and for the spectrum certificate.
 
 For B/C/D the compositions are partial: no edge reaches past the end of
 its composition, and the vertices strictly between the two composition
-ends form the *tail*.  Type D adjusts the tail by the parity rules of
-configurations I/II/III.
+ends form the *tail*, kept as a ``range``.  Type D adjusts the tail by
+the parity rules of configurations I/II/III.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import mul, not_
 from typing import NamedTuple
 
 from .specs import AlgebraType, SeaweedSpec, require_valid
@@ -41,13 +42,15 @@ class Meander(NamedTuple):
     """``top[v]`` (``bottom[v]``) is v's partner by a top (bottom) arc, or 0.
 
     Both tuples have length n_vertices + 1 and hold 0 at index 0.
-    ``top_edges`` and ``bottom_edges`` list the arcs (lo, hi) ascending.
+    ``tail`` is the range of tail vertices, empty for GL and A: O(1) in
+    space and in a membership test, whatever its length.  ``top_edges``
+    and ``bottom_edges`` list the arcs (lo, hi) ascending.
     """
 
     n_vertices: int
     top: tuple[int, ...]
     bottom: tuple[int, ...]
-    tail: tuple[int, ...]
+    tail: range
     tail_config: str
 
     @property
@@ -96,8 +99,8 @@ def block_partners(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(partners)
 
 
-def tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
-    """Tail vertex set and type-D configuration; the spec is validated first."""
+def tail(spec: SeaweedSpec) -> tuple[range, str]:
+    """Tail vertices, as a range, and type-D configuration; the spec is validated first."""
     require_valid(spec)
     return _tail(spec)
 
@@ -109,14 +112,14 @@ def d_tail_config(r: int, s: int, n: int) -> str:
     return TAIL_II if r < n else TAIL_III
 
 
-def _tail(spec: SeaweedSpec) -> tuple[tuple[int, ...], str]:
+def _tail(spec: SeaweedSpec) -> tuple[range, str]:
     if spec.algebra.full_compositions_required:
-        return (), TAIL_NONE
+        return range(0), TAIL_NONE
     r, s = sum(spec.top), sum(spec.bottom)
     config = d_tail_config(r, s, spec.n) if spec.algebra is _D else TAIL_NONE
     # The D tail has even length: s+1..r (I), with r + 1 (II) or without r (III).
     r += (config == TAIL_II) - (config == TAIL_III)
-    return tuple(range(s + 1, r + 1)), config
+    return range(s + 1, r + 1), config
 
 
 def build_meander(spec: SeaweedSpec) -> Meander:
@@ -127,8 +130,8 @@ def build_meander(spec: SeaweedSpec) -> Meander:
 
 def meander_of_valid(spec: SeaweedSpec) -> Meander:
     """The meander of a spec that has been validated already, as ``LieData.spec`` has."""
-    tail_set, config = _tail(spec)
-    return Meander(spec.n, block_partners(spec.top, spec.n), block_partners(spec.bottom, spec.n), tail_set, config)
+    tail_range, config = _tail(spec)
+    return Meander(spec.n, block_partners(spec.top, spec.n), block_partners(spec.bottom, spec.n), tail_range, config)
 
 
 def components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:
@@ -139,66 +142,42 @@ def components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:
     any walk.  Every tail vertex is then a path endpoint, so a path's
     ``tail_count`` is read off its two endpoints and is at most two.
 
-    Paths come from one ascending scan over the vertices that miss a
-    side: each path is first met at its lower endpoint and walked from
-    there two arcs per step, and its far endpoint is skipped when the
-    scan reaches it.  The scan stops once the paths cover every vertex.
-    Vertices left over lie on cycles; each cycle is first met at its
-    minimum and walked from it along its top arc.  Paths and cycles are
-    each met in order of first vertex, so the list is sorted only when
-    it holds cycles.
+    A first scan over 1..n starts a path at each unseen vertex that
+    misses a side, its lower endpoint, and walks it along its one arc
+    (none for an isolated vertex), then alternating sides.  Every vertex
+    still unseen lies on a cycle; a second scan starts each cycle at its
+    minimum and walks it along its top arc first.
     """
     n, top, bottom, tail = meander.n_vertices, meander.top, meander.bottom, meander.tail
     for v in tail:
         if top[v] and bottom[v]:
             raise TailDegreeError(f"tail vertex {v} carries a top and a bottom arc")
-    tail_set = frozenset(tail)
     comps: list[Component] = []
-    seen = bytearray(n + 1)  # far path endpoints, then every walked vertex
-    covered = tailed = 0
-    ends = compress(range(n + 1), map(not_, map(mul, top, bottom)))
-    next(ends)  # vertex 0 carries no arc
-    for start in ends:
-        if seen[start]:
+    seen = bytearray(n + 1)
+    cycles = tailed = 0
+    for start in range(1, n + 1):
+        if seen[start] or (top[start] and bottom[start]):
             continue
-        # An endpoint's one arc is forced; an isolated vertex has none.
-        first, second = (top, bottom) if top[start] else (bottom, top)
-        order = [start]
-        w = first[start]
-        while w:
-            order.append(w)
-            v = second[w]
-            if not v:
-                break
-            order.append(v)
-            w = first[v]
-        end = order[-1]
-        seen[end] = 1
-        tail_count = (start in tail_set) + (end != start and end in tail_set)
+        order = _walk(start, top, bottom, seen) if top[start] else _walk(start, bottom, top, seen)
+        tail_count = (start in tail) + (order[-1] != start and order[-1] in tail)
         if tail_count != 1:  # zero or two tail vertices
             tailed += 1
-        comps.append(Component(tuple(order), "path", tail_count))
-        covered += len(order)
-        if covered >= n:
-            break
+        comps.append(Component(order, "path", tail_count))
+    for start in range(1, n + 1):
+        if not seen[start]:
+            comps.append(Component(_walk(start, top, bottom, seen), "cycle", 0))
+            cycles += 1
+    comps.sort(key=lambda c: c.vertices[0])
+    return ComponentSummary(cycles, len(comps) - cycles, tailed), comps
 
-    paths = len(comps)
-    if covered < n:
-        seen[0] = 1
-        for comp in comps:
-            for v in comp.vertices:
-                seen[v] = 1
-        start = seen.find(0)
-        while start > 0:
-            order = []
-            v = start
-            while not seen[v]:
-                w = top[v]
-                seen[v] = seen[w] = 1
-                order.append(v)
-                order.append(w)
-                v = bottom[w]
-            comps.append(Component(tuple(order), "cycle", 0))
-            start = seen.find(0, start + 1)
-        comps.sort(key=lambda c: c.vertices[0])
-    return ComponentSummary(len(comps) - paths, paths, tailed), comps
+
+def _walk(start: int, first: tuple[int, ...], second: tuple[int, ...], seen: bytearray) -> tuple[int, ...]:
+    """Mark and list the vertices from ``start``: a ``first`` arc, then alternate, to a missing arc or a seen vertex."""
+    order = []
+    v = start
+    while v and not seen[v]:
+        seen[v] = 1
+        order.append(v)
+        v = first[v]
+        first, second = second, first
+    return tuple(order)

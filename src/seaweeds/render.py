@@ -75,14 +75,13 @@ def _render_json(meander: Meander, options: RenderSpec, label: str) -> str:
 
 
 def _render_dot(meander: Meander, options: RenderSpec, label: str) -> str:
-    tail_set = set(meander.tail)
     colors = _component_colors(meander) if options.color_components else {}
     lines = [f'graph "{label or "meander"}" {{']
     lines.append("  rankdir=LR;")
     lines.append('  node [shape=circle, fontsize=10, width=0.3, fixedsize=true];')
     for v in range(1, meander.n_vertices + 1):
         attrs = []
-        if v in tail_set:
+        if v in meander.tail:
             attrs.append('style=filled, fillcolor=yellow')
         if v in colors:
             attrs.append(f'color={colors[v]}')
@@ -99,11 +98,10 @@ def _render_dot(meander: Meander, options: RenderSpec, label: str) -> str:
 
 
 def _render_tikz(meander: Meander, options: RenderSpec, label: str) -> str:
-    tail_set = set(meander.tail)
     colors = _component_colors(meander) if options.color_components else {}
     lines = ["\\begin{tikzpicture}[scale=.6]"]
     for v in range(1, meander.n_vertices + 1):
-        fill = "[fill=yellow]" if v in tail_set else ""
+        fill = "[fill=yellow]" if v in meander.tail else ""
         lines.append(f"\\node[vertex]{fill} ({v}) at ({v},0) {{{v}}};")
     for a, b in meander.top_edges:
         color = f"[color={colors[a]}] " if a in colors else ""
@@ -116,7 +114,6 @@ def _render_tikz(meander: Meander, options: RenderSpec, label: str) -> str:
 
 
 def _render_svg(meander: Meander, options: RenderSpec, label: str) -> str:
-    tail_set = set(meander.tail)
     colors = _component_colors(meander) if options.color_components else {}
     step, radius, baseline = 40, 10, 120
     width = (meander.n_vertices + 1) * step
@@ -143,7 +140,7 @@ def _render_svg(meander: Meander, options: RenderSpec, label: str) -> str:
     for a, b in meander.bottom_edges:
         lines.append(arc(a, b, False, colors.get(a, "black")))
     for v in range(1, meander.n_vertices + 1):
-        fill = "yellow" if v in tail_set else "white"
+        fill = "yellow" if v in meander.tail else "white"
         lines.append(
             f'  <circle cx="{x(v)}" cy="{baseline}" r="{radius}" fill="{fill}" stroke="black"/>'
         )

@@ -78,6 +78,7 @@ _TAGS = ("GL", "A", "B", "C", "D")
 # fullwidth digits, which int() then rejects or reads as ASCII.
 _DIGITS = "0123456789"
 _VALID = ValidationReport()  # the one report of every valid spec
+_TOO_LONG = "{} has {} digits, more than Python converts to an int"
 
 
 def parse_spec(text: str) -> SeaweedSpec:
@@ -101,7 +102,10 @@ def parse_spec(text: str) -> SeaweedSpec:
         pos += 1
     if pos == start:
         raise SpecSyntaxError("expected decimal n after algebra tag", _offset(text, pos))
-    n = int(stripped[start:pos])
+    try:
+        n = int(stripped[start:pos])
+    except ValueError:  # past the interpreter's digit limit for int(str)
+        raise SpecSyntaxError(_TOO_LONG.format("n", pos - start), _offset(text, start)) from None
 
     if pos >= len(stripped) or stripped[pos] != ":":
         raise SpecSyntaxError("expected ':' after n", _offset(text, pos))
@@ -134,7 +138,11 @@ def _parse_parts(text: str, parts_text: str, start: int) -> Composition:
     parts = []
     skipped = 0
     for piece in parts_text.split("|"):
-        part = int(piece) if piece.isascii() and piece.isdigit() else 0
+        try:
+            part = int(piece) if piece.isascii() and piece.isdigit() else 0
+        except ValueError:  # past the interpreter's digit limit for int(str)
+            offset = _offset(text, start + skipped)
+            raise SpecSyntaxError(_TOO_LONG.format("composition part", len(piece)), offset) from None
         if part < 1:
             offset = _offset(text, start + skipped)
             raise SpecSyntaxError(f"composition part {piece!r} is not a positive integer", offset)

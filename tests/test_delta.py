@@ -62,7 +62,7 @@ def test_delta_needs_a_type_a_seaweed(text):
     # each meander has A3:2|1/3's arcs, one tailless path (sigma (2, 1, 3), delta 2)
     spec = parse_spec(text)
     meander, type_a = build_meander(spec), build_meander(parse_spec("A3:2|1/3"))
-    assert (meander.top, meander.bottom, meander.tail) == (type_a.top, type_a.bottom, ())
+    assert (meander.top, meander.bottom, tuple(meander.tail)) == (type_a.top, type_a.bottom, ())
     assert delta_of_spec(parse_spec("A3:2|1/3")).canonical_delta == 2
     with pytest.raises(NotSinglePathError, match="^the delta construction needs a type-A seaweed$"):
         delta_of_spec(spec)

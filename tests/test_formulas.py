@@ -138,6 +138,23 @@ def test_winding_down_reaches_n_of_ten_to_the_eighteen(text, expected):
     assert index_combinatorial(parse_spec(text)) == expected
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("C1000000000000000000:1000000000000000000/", (5 * 10**17, "TWO_PART")),
+        ("D1000000000000000000:1|999999999999999998/2", (499999999999999998, "CONFIG_II")),
+        ("B10000000:10000000/", (5000000, "TWO_PART")),
+    ],
+    ids=["C", "D", "B"],
+)
+def test_closed_form_reads_a_tail_of_any_length(text, expected):
+    # The tail is a range, so its length costs nothing: at n = 10^18 a
+    # tuple of it could not be built at all.
+    spec = parse_spec(text)
+    assert index_closed_form(spec) == expected
+    assert index_combinatorial(spec).index == expected[0]
+
+
 def test_euler_phi():
     assert euler_phi(10) == 4
     assert euler_phi(11) == 10

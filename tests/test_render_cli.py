@@ -104,6 +104,17 @@ def test_cli_rejects_bad_spec(capsys):
     assert run_cli("spectrum", "C5:3/1|4") == 2
 
 
+@pytest.mark.parametrize("text", ["A" + "1" * 5000 + ":1/1", "A3:" + "1" * 5000 + "/3"], ids=["n", "part"])
+def test_cli_rejects_a_number_too_long_to_read(text, capsys):
+    # Past the interpreter's digit limit for int(str) the parser raises
+    # SpecSyntaxError; with no limit, validation rejects the sums.  Either
+    # way: exit 2 and one error line, no traceback.
+    assert run_cli("index", text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_meander_formats(tmp_path, capsys):
     out_file = tmp_path / "m.dot"
     assert run_cli("meander", "D9:4|3/3|3", "--format", "dot", "--out", str(out_file)) == 0
