@@ -26,7 +26,7 @@ from .matrices import (
     seaweed_basis,
     sparse,
 )
-from .meander import Component, ComponentSummary, Meander, build_meander, components, tail
+from .meander import Component, Meander, build_meander, components, tail
 from .oracle import (
     NotFrobeniusError,
     NotFrobeniusFunctionalError,

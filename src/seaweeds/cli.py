@@ -4,7 +4,8 @@ Subcommands: index, meander, sweep, delta, spectrum.  A seaweed is named
 by its compact spec string ("C14:7|7/11").
 Exit codes: 0 success, 1 cross-validation mismatch, 2 parse/validation
 error, 3 I/O error (a closed stdout too), 4 precondition failure
-(non-Frobenius input where a Frobenius one is required).  Sweeps refuse
+(non-Frobenius input where a Frobenius one is required), 5 out of
+memory (a meander or tour too large to build).  Sweeps refuse
 n_max beyond the SEAWEED_MAX_N budget (default 8) so an exhaustive run
 cannot be started by accident.
 """
@@ -22,7 +23,7 @@ from .formulas import RuleDisagreement, classify_frobenius
 from .matrices import lie_from_structure_constants, parse_structure_constants, seaweed_basis
 from .meander import build_meander, components
 from .oracle import DEFAULT_TRIALS, NotFrobeniusError, ad_spectrum, index_oracle
-from .render import FORMATS, RenderSpec, component_payload, render_meander
+from .render import FORMATS, component_payload, render_meander
 from .specs import (
     AlgebraType,
     InvalidSpecError,
@@ -37,6 +38,7 @@ EXIT_MISMATCH = 1
 EXIT_SPEC = 2
 EXIT_IO = 3
 EXIT_PRECONDITION = 4
+EXIT_MEMORY = 5
 
 DEFAULT_SWEEP_BUDGET = 8
 
@@ -61,6 +63,10 @@ def main(argv: list[str] | None = None) -> int:
     except RuleDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except MemoryError:
+        routes = "'index --method meander' and 'index --method formula'"
+        print(f"error: out of memory; {routes} answer at any n", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 @functools.cache  # built once per process; each parse_args call returns a new namespace
@@ -167,7 +173,7 @@ def cmd_index(args) -> int:
         "justification": verdict.justification,
     }
     if args.explain:
-        payload["components"] = component_payload(components(build_meander(spec))[1])
+        payload["components"] = component_payload(components(build_meander(spec)))
     if args.as_json:
         print(json.dumps(payload, indent=2))
     else:
@@ -187,8 +193,8 @@ def cmd_index(args) -> int:
 
 def cmd_meander(args) -> int:
     spec = parse_spec(args.spec)
-    options = RenderSpec(format=args.format, color_components=args.color_components)
-    return _write_out(args.out, render_meander(build_meander(spec), options, label=format_spec(spec)))
+    text = render_meander(build_meander(spec), args.format, format_spec(spec), args.color_components)
+    return _write_out(args.out, text)
 
 
 def cmd_sweep(args) -> int:

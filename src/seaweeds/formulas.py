@@ -97,8 +97,9 @@ def index_combinatorial(spec: SeaweedSpec) -> IndexReport:
     paths.  Type D with r - s odd moves a vertex into or out of the
     tail: one tailed path fewer if r < n (configuration II), and at
     r = n (III) one fewer when the last block left has size above 1 and
-    one more when it has size 1.  The four counts equal those of the
-    component walk, ``components(build_meander(spec))``.  The spec is
+    one more when it has size 1.  The counts equal those read off the
+    component list, ``components(build_meander(spec))``: its cycles, its
+    paths, and the paths whose ``tail_count`` is not 1.  The spec is
     validated first.
     """
     require_valid(spec)

@@ -191,24 +191,6 @@ class LieData:
             self._cells = _cell_index(self.basis)
         return self._cells
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dimension, self.basis, self.spec, self.brackets) == (
-            other.dimension,
-            other.basis,
-            other.spec,
-            other.brackets,
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"LieData(dimension={self.dimension!r}, brackets={self.brackets!r}, "
-            f"basis={self.basis!r}, spec={self.spec!r})"
-        )
-
     def bracket_coeffs(self, i: int, j: int) -> dict[int, int | Fraction]:
         if i == j:
             return {}

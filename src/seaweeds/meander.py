@@ -1,4 +1,4 @@
-"""Meander graphs of seaweeds: construction, tails, component counts.
+"""Meander graphs of seaweeds: construction, tails, components.
 
 The meander of a seaweed places vertices 1..n on a line and, inside
 each block of the top (resp. bottom) composition, joins the outermost
@@ -9,8 +9,9 @@ paths (isolated vertices count as degenerate paths) and simple cycles.
 A meander is stored as its top and bottom partner tuples (``Meander``);
 only this module builds them, and every other module reads them as is.
 The index counts come off the winding-down moves (``formulas``), so
-``components`` only lists the components: for the renderers, for
-``seaweed index --explain`` and for the spectrum certificate.
+``components`` only lists the components: for the renderers (whose
+JSON summary counts them off that list), for ``seaweed index
+--explain`` and for the spectrum certificate.
 
 For B/C/D the compositions are partial: no edge reaches past the end of
 its composition, and the vertices strictly between the two composition
@@ -68,23 +69,6 @@ class Component(NamedTuple):
     tail_count: int
 
 
-class ComponentSummary(NamedTuple):
-    """Component counts feeding the index formulas.
-
-    ``tailed_paths`` counts the path components containing zero or two
-    tail vertices; with an empty tail it equals ``paths``, which is why
-    the B/C/D index formula restricts to the GL one.
-    """
-
-    cycles: int
-    paths: int
-    tailed_paths: int
-
-    @property
-    def total(self) -> int:
-        return self.cycles + self.paths
-
-
 def block_partners(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Partners on 1..n of the nested arcs: block [lo, hi] of size k pairs lo+i with hi-i, i < k//2."""
     partners = [0] * (n + 1)
@@ -134,7 +118,7 @@ def meander_of_valid(spec: SeaweedSpec) -> Meander:
     return Meander(spec.n, block_partners(spec.top, spec.n), block_partners(spec.bottom, spec.n), tail_range, config)
 
 
-def components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:
+def components(meander: Meander) -> list[Component]:
     """Decompose into paths and cycles, ordered by first vertex.
 
     Tail vertices sit past the shorter composition, so each carries at
@@ -154,21 +138,17 @@ def components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:
             raise TailDegreeError(f"tail vertex {v} carries a top and a bottom arc")
     comps: list[Component] = []
     seen = bytearray(n + 1)
-    cycles = tailed = 0
     for start in range(1, n + 1):
         if seen[start] or (top[start] and bottom[start]):
             continue
         order = _walk(start, top, bottom, seen) if top[start] else _walk(start, bottom, top, seen)
         tail_count = (start in tail) + (order[-1] != start and order[-1] in tail)
-        if tail_count != 1:  # zero or two tail vertices
-            tailed += 1
         comps.append(Component(order, "path", tail_count))
     for start in range(1, n + 1):
         if not seen[start]:
             comps.append(Component(_walk(start, top, bottom, seen), "cycle", 0))
-            cycles += 1
     comps.sort(key=lambda c: c.vertices[0])
-    return ComponentSummary(cycles, len(comps) - cycles, tailed), comps
+    return comps
 
 
 def _walk(start: int, first: tuple[int, ...], second: tuple[int, ...], seen: bytearray) -> tuple[int, ...]:

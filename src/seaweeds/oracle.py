@@ -733,7 +733,7 @@ def _doubled_diagonal(spec: SeaweedSpec, meander: Meander, anchor: dict[int, int
     """
     n, top = spec.n, meander.top
     twice = [0] * (n + 1)
-    for comp in components(meander)[1]:
+    for comp in components(meander):
         order = comp.vertices
         for v, w in zip(order, order[1:]):
             twice[w] = twice[v] + (2 if (top[v] == w) == (v < w) else -2)

@@ -4,13 +4,13 @@ All outputs are byte-deterministic for a given spec and options: edges
 are emitted in ascending order, component colors are assigned in component
 order, and numeric formatting is fixed.  Vertices sit on a horizontal
 line; top arcs are drawn concave down and bottom arcs concave up, with
-tail vertices highlighted.
+tail vertices highlighted.  The JSON summary is counted off the component
+list: cycles, paths, and the paths whose ``tail_count`` is not 1.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .meander import Component, Meander, components
 
@@ -20,24 +20,18 @@ FORMATS = ("dot", "tikz", "json", "svg")
 _PALETTE = ("blue", "red", "green", "orange", "purple", "brown", "teal", "magenta")
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    format: str = "json"
-    color_components: bool = False
-
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}; choose from {FORMATS}")
-
-
-def render_meander(meander: Meander, options: RenderSpec, label: str = "") -> str:
-    if options.format == "json":
-        return _render_json(meander, options, label)
-    if options.format == "dot":
-        return _render_dot(meander, options, label)
-    if options.format == "tikz":
-        return _render_tikz(meander, options, label)
-    return _render_svg(meander, options, label)
+def render_meander(meander: Meander, fmt: str = "json", label: str = "", color_components: bool = False) -> str:
+    """``meander`` in format ``fmt``; ``color_components`` colours dot, tikz and svg by component."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    if fmt == "json":
+        return _render_json(meander, label)
+    colors = _component_colors(meander) if color_components else {}
+    if fmt == "dot":
+        return _render_dot(meander, colors, label)
+    if fmt == "tikz":
+        return _render_tikz(meander, colors, label)
+    return _render_svg(meander, colors, label)
 
 
 def component_payload(comps: list[Component]) -> list[dict]:
@@ -46,16 +40,16 @@ def component_payload(comps: list[Component]) -> list[dict]:
 
 
 def _component_colors(meander: Meander) -> dict[int, str]:
-    _, comps = components(meander)
     colors: dict[int, str] = {}
-    for k, comp in enumerate(comps):
+    for k, comp in enumerate(components(meander)):
         for v in comp.vertices:
             colors[v] = _PALETTE[k % len(_PALETTE)]
     return colors
 
 
-def _render_json(meander: Meander, options: RenderSpec, label: str) -> str:
-    summary, comps = components(meander)
+def _render_json(meander: Meander, label: str) -> str:
+    comps = components(meander)
+    cycles = sum(c.kind == "cycle" for c in comps)
     payload = {
         "schema": "seaweeds/meander/v1",
         "spec": label,
@@ -66,16 +60,15 @@ def _render_json(meander: Meander, options: RenderSpec, label: str) -> str:
         "tail_config": meander.tail_config,
         "components": component_payload(comps),
         "summary": {
-            "cycles": summary.cycles,
-            "paths": summary.paths,
-            "tailed_paths": summary.tailed_paths,
+            "cycles": cycles,
+            "paths": len(comps) - cycles,
+            "tailed_paths": sum(c.kind == "path" and c.tail_count != 1 for c in comps),
         },
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _render_dot(meander: Meander, options: RenderSpec, label: str) -> str:
-    colors = _component_colors(meander) if options.color_components else {}
+def _render_dot(meander: Meander, colors: dict[int, str], label: str) -> str:
     lines = [f'graph "{label or "meander"}" {{']
     lines.append("  rankdir=LR;")
     lines.append('  node [shape=circle, fontsize=10, width=0.3, fixedsize=true];')
@@ -97,8 +90,7 @@ def _render_dot(meander: Meander, options: RenderSpec, label: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_tikz(meander: Meander, options: RenderSpec, label: str) -> str:
-    colors = _component_colors(meander) if options.color_components else {}
+def _render_tikz(meander: Meander, colors: dict[int, str], label: str) -> str:
     lines = ["\\begin{tikzpicture}[scale=.6]"]
     for v in range(1, meander.n_vertices + 1):
         fill = "[fill=yellow]" if v in meander.tail else ""
@@ -113,8 +105,7 @@ def _render_tikz(meander: Meander, options: RenderSpec, label: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_svg(meander: Meander, options: RenderSpec, label: str) -> str:
-    colors = _component_colors(meander) if options.color_components else {}
+def _render_svg(meander: Meander, colors: dict[int, str], label: str) -> str:
     step, radius, baseline = 40, 10, 120
     width = (meander.n_vertices + 1) * step
     lines = [

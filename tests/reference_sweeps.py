@@ -20,7 +20,6 @@ from seaweeds.formulas import IndexReport, classify_frobenius, index_closed_form
 from seaweeds.matrices import SparseIntMatrix, bracket, matrix_dim
 from seaweeds.meander import (
     Component,
-    ComponentSummary,
     Meander,
     TailDegreeError,
     build_meander,
@@ -266,7 +265,14 @@ def reference_meander_functional(lie, meander: Meander) -> list[int]:
     return [0 if support.isdisjoint(x.entries) else 1 for x in lie.basis]
 
 
-def reference_components(meander: Meander) -> tuple[ComponentSummary, list[Component]]:
+def component_counts(comps: list[Component]) -> tuple[int, int, int]:
+    """The cycles, the paths, and the paths with zero or two tail vertices of a component list."""
+    cycles = sum(1 for c in comps if c.kind == "cycle")
+    tailed = sum(1 for c in comps if c.kind == "path" and c.tail_count in (0, 2))
+    return cycles, len(comps) - cycles, tailed
+
+
+def reference_components(meander: Meander) -> list[Component]:
     """The component walk one vertex at a time, with a side flag and a seen mark.
 
     Vertices are scanned in increasing order, so every path is first met
@@ -300,14 +306,12 @@ def reference_components(meander: Meander) -> tuple[ComponentSummary, list[Compo
             comps.append(Component(tuple(order), kind, tail_count))
 
     comps.sort(key=lambda c: c.vertices[0])
-    cycles = sum(1 for c in comps if c.kind == "cycle")
-    tailed = sum(1 for c in comps if c.kind == "path" and c.tail_count in (0, 2))
-    return ComponentSummary(cycles, len(comps) - cycles, tailed), comps
+    return comps
 
 
 def reference_index_combinatorial(spec: SeaweedSpec) -> IndexReport:
     """``index_combinatorial`` as it was before the winding-down moves: the component walk of the built meander."""
-    (cycles, paths, tailed), _ = components(build_meander(spec))
+    cycles, paths, tailed = component_counts(components(build_meander(spec)))
     if spec.algebra is AlgebraType.GL:
         return IndexReport(2 * cycles + paths, cycles, paths, tailed)
     if spec.algebra is AlgebraType.A:
@@ -322,7 +326,7 @@ def reference_gcd3_path(spec: SeaweedSpec) -> bool:
     with a + b = n and b > 3) answers off the winding-down moves.
     """
     n = spec.n
-    _, comps = components(build_meander(spec))
+    comps = components(build_meander(spec))
     return any(n - 2 in comp.vertices and n in comp.vertices for comp in comps)
 
 
@@ -335,9 +339,9 @@ def reference_delta(spec: SeaweedSpec) -> DeltaReport:
     meander = build_meander(spec)
     if spec.algebra is not AlgebraType.A:
         raise NotSinglePathError("the delta construction needs a type-A seaweed")
-    summary, comps = reference_components(meander)
-    if summary.cycles or summary.paths != 1:
-        cycles, paths = summary.cycles, summary.paths
+    comps = reference_components(meander)
+    cycles, paths, _ = component_counts(comps)
+    if cycles or paths != 1:
         raise NotSinglePathError(
             f"meander is not a single path ({cycles} cycle{'s' * (cycles != 1)}, "
             f"{paths} path{'s' * (paths != 1)})"
@@ -376,11 +380,10 @@ def canonical_delta_formula(a: int, b: int, c: int, d: int) -> int:
     if c + d != n:
         raise ValueError("top and bottom sums differ")
     spec = SeaweedSpec(AlgebraType.A, n, (a, b), (c, d))
-    summary, _ = components(build_meander(spec))
-    if summary.cycles or summary.paths != 1:
-        raise NotSinglePathError(
-            f"{spec} is not Frobenius ({summary.total} components)"
-        )
+    comps = components(build_meander(spec))
+    cycles, paths, _ = component_counts(comps)
+    if cycles or paths != 1:
+        raise NotSinglePathError(f"{spec} is not Frobenius ({len(comps)} components)")
     return (a + d) % n
 
 
@@ -555,9 +558,9 @@ def forest_criterion_sweep(algebra: AlgebraType, n_max: int) -> list[dict]:
     failures = []
     for n in range(1, n_max + 1):
         for spec in enumerate_specs(algebra, n):
-            summary, comps = components(build_meander(spec))
-            rooted_forest = summary.cycles == 0 and all(
-                c.tail_count == 1 for c in comps if c.kind == "path"
+            comps = components(build_meander(spec))
+            rooted_forest = all(
+                c.kind == "path" and c.tail_count == 1 for c in comps
             )
             frobenius = index_combinatorial(spec).index == 0
             if rooted_forest != frobenius:

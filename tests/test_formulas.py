@@ -172,6 +172,13 @@ def test_xi_values():
     assert xi(11, 7) == Fraction(8, 11)
 
 
+def test_xi_rejects_n_below_2_and_delta_below_1():
+    with pytest.raises(ValueError, match="n >= 2"):
+        xi(1, 1)
+    with pytest.raises(ValueError, match="delta >= 1"):
+        xi(5, 0)
+
+
 def test_xi_range_and_inverse():
     import math
 
@@ -252,6 +259,18 @@ def test_classifier_fixtures(text, frobenius, tag):
     assert verdict.justification == tag
 
 
+@pytest.mark.parametrize(
+    "text, gcd, index",
+    [("D7:1|6/2", 1, 3), ("D8:2|6/3", 1, 3), ("D9:1|8/4", 3, 1)],
+)
+def test_tail4_without_gcd_2_and_odd_parts_is_not_frobenius(text, gcd, index):
+    # c = n - 5 with b > n - c: the size-four tail needs gcd 2 and a, b, c odd.
+    spec = parse_spec(text)
+    verdict = classify_frobenius(spec)
+    assert (verdict.justification, verdict.certificate, verdict.frobenius) == ("TAIL4_GCD_REQUIRED", {"gcd": gcd}, False)
+    assert verdict.report.index == reference_index_combinatorial(spec).index == index
+
+
 def test_classifier_certificates():
     verdict = classify_frobenius(parse_spec("D10:4|6/7"))
     assert verdict.certificate["delta"] == 7
@@ -276,12 +295,11 @@ def test_result_records_keep_their_reprs_and_refuse_assignment():
         assert repr(classify_frobenius(parse_spec(text))) == expected
     spec = parse_spec("D9:4|3|2/2|3|1")
     meander = build_meander(spec)
-    summary, comps = components(meander)
+    comps = components(meander)
     verdict = classify_frobenius(spec)
     fields = (
         (meander, "top"),
         (comps[0], "kind"),
-        (summary, "cycles"),
         (verdict.report, "index"),
         (verdict, "frobenius"),
     )

@@ -38,6 +38,11 @@ def test_bracket_self_is_zero():
     assert bracket(x, x) == sparse(3, {})
 
 
+def test_bracket_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        bracket(sparse(2, {(1, 2): 1}), sparse(3, {(2, 1): 1}))
+
+
 def test_bracket_jacobi_random():
     rng = random.Random(11)
     for _ in range(30):

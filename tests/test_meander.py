@@ -6,16 +6,16 @@ import pytest
 
 from seaweeds.meander import (
     Component,
-    ComponentSummary,
     Meander,
     TailDegreeError,
     build_meander,
     components,
     tail,
 )
+from seaweeds.formulas import index_combinatorial
 from seaweeds.specs import AlgebraType, SeaweedSpec, enumerate_specs, parse_spec
 
-from reference_sweeps import degree, reference_components
+from reference_sweeps import component_counts, degree, reference_components
 
 
 def edges(spec_text):
@@ -73,32 +73,32 @@ def test_type_d_tails_are_even():
 
 
 def test_components_single_path():
-    summary, comps = components(build_meander(parse_spec("A5:4|1/2|1|2")))
-    assert (summary.cycles, summary.paths) == (0, 1)
+    comps = components(build_meander(parse_spec("A5:4|1/2|1|2")))
+    assert component_counts(comps)[:2] == (0, 1)
     assert comps[0].vertices == (3, 2, 1, 4, 5)
 
 
 def test_components_gl26_figure():
-    summary, _ = components(build_meander(parse_spec("GL26:5|7|4|10/8|6|6|6")))
-    assert 2 * summary.cycles + summary.paths == 3
-    assert summary.cycles == 1
+    cycles, paths, _ = component_counts(components(build_meander(parse_spec("GL26:5|7|4|10/8|6|6|6"))))
+    assert 2 * cycles + paths == 3
+    assert cycles == 1
 
 
 def test_components_d5_tailed():
-    summary, _ = components(build_meander(parse_spec("D5:1|4/2")))
-    assert summary.cycles == 0
-    assert summary.tailed_paths == 2
+    cycles, _, tailed_paths = component_counts(components(build_meander(parse_spec("D5:1|4/2"))))
+    assert cycles == 0
+    assert tailed_paths == 2
 
 
 def test_isolated_vertices_are_degenerate_paths():
-    summary, comps = components(build_meander(parse_spec("C3:1/1")))
-    assert summary.paths == 3
+    comps = components(build_meander(parse_spec("C3:1/1")))
+    assert component_counts(comps)[1] == 3
     assert all(c.kind == "path" for c in comps)
 
 
 def test_double_edge_is_a_cycle():
-    summary, comps = components(build_meander(parse_spec("GL2:2/2")))
-    assert summary.cycles == 1
+    comps = components(build_meander(parse_spec("GL2:2/2")))
+    assert component_counts(comps)[0] == 1
     assert comps[0].vertices == (1, 2)
 
 
@@ -128,8 +128,8 @@ def test_structural_invariants_exhaustive():
         assert m.bottom_edges == sorted(m.bottom_edges)
         for v in m.tail:
             assert degree(m, v) <= 1
-        summary, comps = components(m)
-        assert summary.total == len(comps)
+        comps = components(m)
+        assert component_counts(comps) == index_combinatorial(spec)[1:]
         assert sum(len(c.vertices) for c in comps) == m.n_vertices
         for c in comps:
             assert c.tail_count <= 2
@@ -141,8 +141,8 @@ def test_structural_invariants_exhaustive():
 def test_component_traversal_is_deterministic():
     for text in ("C14:7|7/11", "D9:4|3|2/2|3|1", "GL26:5|7|4|10/8|6|6|6"):
         m = build_meander(parse_spec(text))
-        first = components(m)[1]
-        second = components(m)[1]
+        first = components(m)
+        second = components(m)
         assert first == second
         for c in first:
             if c.kind == "path" and len(c.vertices) > 1:
@@ -198,8 +198,8 @@ def test_components_match_reference_walk():
     wrong = []
     for spec in specs:
         m = build_meander(spec)
-        summary, comps = got = components(m)
-        records = isinstance(summary, ComponentSummary) and all(isinstance(c, Component) for c in comps)
-        if not records or got != reference_components(m):
+        comps = components(m)
+        records = isinstance(comps, list) and all(isinstance(c, Component) for c in comps)
+        if not records or comps != reference_components(m):
             wrong.append(spec)
     assert wrong == []

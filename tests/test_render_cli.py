@@ -11,9 +11,10 @@ import pytest
 
 from seaweeds import cli, formulas, meander, oracle, render, sweep
 from seaweeds.cli import main
+from seaweeds.formulas import index_combinatorial
 from seaweeds.meander import build_meander, components
-from seaweeds.render import RenderSpec, render_meander
-from seaweeds.specs import format_spec, parse_spec
+from seaweeds.render import render_meander
+from seaweeds.specs import AlgebraType, enumerate_specs, format_spec, parse_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -38,8 +39,8 @@ def golden_name(text: str, fmt: str) -> pathlib.Path:
 @pytest.mark.parametrize("fmt", ["dot", "json"])
 def test_render_goldens(text, fmt):
     spec = parse_spec(text)
-    rendered = render_meander(build_meander(spec), RenderSpec(format=fmt), label=format_spec(spec))
-    again = render_meander(build_meander(spec), RenderSpec(format=fmt), label=format_spec(spec))
+    rendered = render_meander(build_meander(spec), fmt, label=format_spec(spec))
+    again = render_meander(build_meander(spec), fmt, label=format_spec(spec))
     assert rendered == again, "render is not byte-deterministic"
     assert rendered == golden_name(text, fmt).read_text()
 
@@ -52,17 +53,31 @@ def test_render_json_fields():
     assert payload["tail"] == []
 
 
+def test_meander_json_summary_equals_the_moves(capsys):
+    # The winding-down moves are the only other source of these counts.
+    wrong = []
+    for algebra in AlgebraType:
+        for n in range(1, (6 if algebra.full_compositions_required else 5) + 1):
+            for spec in enumerate_specs(algebra, n):
+                assert run_cli("meander", format_spec(spec), "--format", "json") == 0
+                summary = json.loads(capsys.readouterr().out)["summary"]
+                report = index_combinatorial(spec)
+                if summary != {"cycles": report.cycles, "paths": report.paths, "tailed_paths": report.tailed_paths}:
+                    wrong.append(format_spec(spec))
+    assert wrong == []
+
+
 def test_render_svg_and_tikz_run():
     m = build_meander(parse_spec("D9:4|3/3|3"))
-    svg = render_meander(m, RenderSpec(format="svg"), label="D9:4|3/3|3")
+    svg = render_meander(m, "svg", label="D9:4|3/3|3")
     assert svg.startswith("<svg") and 'fill="yellow"' in svg
-    tikz = render_meander(m, RenderSpec(format="tikz", color_components=True), label="")
+    tikz = render_meander(m, "tikz", label="", color_components=True)
     assert "bend left=50" in tikz and "bend right=50" in tikz and "fill=yellow" in tikz
 
 
 def test_render_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        RenderSpec(format="png")
+    with pytest.raises(ValueError, match="unknown format 'png'"):
+        render_meander(build_meander(parse_spec("A5:4|1/2|1|2")), "png")
 
 
 def run_cli(*argv):
@@ -134,7 +149,7 @@ def test_cli_meander_dot_colors_each_component(text, capsys):
     assert run_cli("meander", text, "--format", "dot", "--color-components") == 0
     lines = capsys.readouterr().out.splitlines()
     meander = build_meander(parse_spec(text))
-    _, comps = components(meander)
+    comps = components(meander)
     palette = render._PALETTE
     color = {v: palette[k % len(palette)] for k, comp in enumerate(comps) for v in comp.vertices}
     for v in range(1, meander.n_vertices + 1):
@@ -479,6 +494,22 @@ def test_cli_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "index: 0" in proc.stdout
+
+
+def test_cli_out_of_memory_exits_5_with_one_line(capsys, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "delta_of_spec", exhausted)
+    monkeypatch.setattr(cli, "build_meander", exhausted)
+    text = "A1000000000000:1|999999999999/1000000000000"
+    for argv in (["delta", text], ["meander", text], ["index", text, "--method", "meander", "--explain"]):
+        assert run_cli(*argv) == cli.EXIT_MEMORY == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: out of memory; 'index --method meander' and 'index --method formula' answer at any n"
+        ]
 
 
 def test_cli_closed_stdout_exits_3_with_one_line():

@@ -118,6 +118,11 @@ def test_validate_flags_oversized_partial_sums():
     assert "bottom-sum-le-n" in report.violations
 
 
+@pytest.mark.parametrize("algebra", list(AlgebraType))
+def test_validate_flags_n_below_1(algebra):
+    assert validate(SeaweedSpec(algebra, 0, (), ())).violations == ("n-positive",)
+
+
 def test_spec_records_keep_their_reprs_classes_and_refuse_assignment():
     # the reprs are the parent's, when these records were frozen dataclasses
     spec = parse_spec("D9:4|3|2/2|3|1")
@@ -182,6 +187,12 @@ def test_enumerate_a3_count_matches_bruteforce():
 def test_enumerate_c1():
     specs = list(enumerate_specs(AlgebraType.C, 1))
     assert [(s.top, s.bottom) for s in specs] == [((), ()), ((1,), ()), ((1,), (1,))]
+
+
+@pytest.mark.parametrize("algebra", list(AlgebraType))
+def test_enumerate_rejects_n_below_1(algebra):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        next(enumerate_specs(algebra, 0))
 
 
 def test_algebra_type_members():

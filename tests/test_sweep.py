@@ -80,6 +80,25 @@ def test_check_spec_validates_at_most_twice(monkeypatch):
     assert len(validated) == 1
 
 
+def test_a_closed_form_off_by_one_is_reported_for_every_spec_it_covers(monkeypatch):
+    closed_form = formulas._closed_form
+
+    def one_high(spec, config):
+        closed = closed_form(spec, config)
+        return None if closed is None else (closed[0] + 1, closed[1])
+
+    specs = [s for n in (1, 2, 3) for s in enumerate_specs(AlgebraType.C, n)]
+    covered = sorted(format_spec(s) for s in specs if index_closed_form(s) is not None)
+    assert 0 < len(covered) < len(specs)
+    monkeypatch.setattr(formulas, "_closed_form", one_high)
+    report = run_sweep(AlgebraType.C, n_max=3)
+    assert not report.ok
+    assert [m["spec"] for m in report.mismatches] == covered
+    for mismatch in report.mismatches:
+        assert mismatch["disagreeing"] == ["closed_form"]
+        assert mismatch["closed_form"] == mismatch["combinatorial"] + 1
+
+
 def test_an_oracle_off_by_one_is_reported_for_every_spec(monkeypatch):
     oracle = sweep.index_oracle
     monkeypatch.setattr(sweep, "index_oracle", lambda lie, **kw: oracle(lie, **kw) + 1)
