@@ -63,6 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     except RuleDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except (NotSinglePathError, NotFrobeniusError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except MemoryError:
         routes = "'index --method meander' and 'index --method formula'"
         print(f"error: out of memory; {routes} answer at any n", file=sys.stderr)
@@ -229,11 +232,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_delta(args) -> int:
     spec = parse_spec(args.spec)
-    try:
-        report = delta_of_spec(spec)
-    except NotSinglePathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    report = delta_of_spec(spec)
     if args.as_json:
         payload = {
             "schema": "seaweeds/delta/v1",
@@ -279,11 +278,7 @@ def cmd_spectrum(args) -> int:
         lie = seaweed_basis(spec)
         label = format_spec(spec)
 
-    try:
-        report = ad_spectrum(lie, trials=args.trials, seed=args.seed)
-    except NotFrobeniusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    report = ad_spectrum(lie, trials=args.trials, seed=args.seed)
     if args.as_json:
         payload = {
             "schema": "seaweeds/spectrum/v1",

@@ -116,10 +116,7 @@ def delta_of_spec(spec: SeaweedSpec) -> DeltaReport:
     pieces = translation_pieces(spec.top, spec.bottom)
     step, counts = [0] * (n + 1), {}
     for lo, stop, shift in pieces:
-        if stop - lo == 1:  # most pieces at small n: one store, no slice
-            step[lo] = lo + shift
-        else:
-            step[lo:stop] = range(lo + shift, stop + shift)
+        step[lo:stop] = range(lo + shift, stop + shift)
         d = shift % n
         counts[d] = counts.get(d, 0) + stop - lo
 

@@ -157,9 +157,10 @@ class LieData:
     (structure-constant) input; ``seaweed_basis`` sets both, and its
     coefficients are integers.  A table of None is read off ``basis``
     on the first read of ``brackets`` (``_bracket_table``) and kept, as
-    is the cell index ``cells`` the Kirillov forms read, so a caller
-    that reads only the basis cells builds no table; the read raises
-    ClosureError if a bracket leaves the span.
+    is the cell index ``cells`` that the Kirillov forms and the table
+    both read, so a seaweed builds one index, and a caller that reads
+    only the basis cells builds no table; the read raises ClosureError
+    if a bracket leaves the span.
     """
 
     __slots__ = ("dimension", "_brackets", "basis", "spec", "_cells")
@@ -182,7 +183,7 @@ class LieData:
     @property
     def brackets(self) -> dict[tuple[int, int], dict[int, int | Fraction]]:
         if self._brackets is None:
-            self._brackets = _bracket_table(self.spec, self.basis)
+            self._brackets = _bracket_table(self.spec, self.basis, self.cells)
         return self._brackets
 
     @property
@@ -274,7 +275,7 @@ def _symmetric_basis(algebra: AlgebraType, spans: list[tuple[int, int]]) -> list
 
 
 def _cell_index(basis) -> tuple[dict[Cell, list[tuple[int, int]]], dict[int, list[int]]]:
-    """The cell index of ``basis``, read by ``_bracket_table`` and kept as ``LieData.cells``.
+    """The cell index of ``basis``, kept as ``LieData.cells``; the Kirillov forms and ``_bracket_table`` read it.
 
     ``at_cell`` maps a cell to its [(element, entry)], elements ascending;
     ``in_row`` maps a row to the columns that hold a cell.
@@ -289,18 +290,18 @@ def _cell_index(basis) -> tuple[dict[Cell, list[tuple[int, int]]], dict[int, lis
     return at_cell, in_row
 
 
-def _bracket_table(spec, basis) -> dict[tuple[int, int], dict[int, int]]:
+def _bracket_table(spec, basis, cells) -> dict[tuple[int, int], dict[int, int]]:
     """The bracket table of ``basis``, one element at a time; each element's lead cell must be its first entry.
 
     For x_i, a cell (a, b) against a cell (b, d) of x_j, j > i, adds x_i x_j
     at (a, d), and against a cell (c, a) of x_j subtracts x_j x_i at (c, b),
-    read off the cell index (``_cell_index``) and its column map; only x_i's
-    products are held.  The lead, the least cell, which ``_gl_basis`` and
+    read off the basis's kept cell index ``cells`` (``LieData.cells``) and
+    its column map; only x_i's products are held.  The lead, the least cell, which ``_gl_basis`` and
     ``_symmetric_basis`` insert first, lies in no other element, so each
     product is divided at lead cells by the lead entry; ClosureError if
     anything is left, since the bracket then leaves the span.
     """
-    at_cell, in_row = _cell_index(basis)
+    at_cell, in_row = cells
     in_col: dict[int, list[int]] = {}
     for c, a in at_cell:
         in_col.setdefault(a, []).append(c)

@@ -404,23 +404,6 @@ def random_functional(rng: random.Random, dimension: int) -> list[int]:
     return [rng.randrange(P) for _ in range(dimension)]
 
 
-def _trial_functionals(lie: LieData, trials: int, seed: int):
-    """At most ``trials`` seeded random functionals, drawn lazily.
-
-    Raises on ``trials < 1`` at the call; the generator is seeded at its
-    first draw, so a caller answered before any trial builds no rng.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def draws():
-        rng = random.Random(seed)
-        for _ in range(trials):
-            yield random_functional(rng, lie.dimension)
-
-    return draws()
-
-
 def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> int:
     """Min kernel dimension of the Kirillov form over trial functionals, stopped early by a floor.
 
@@ -448,7 +431,8 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     with trials >= 2 that has probability at most ((m/2)/p)**2.
     Deterministic for a given (trials, seed).
     """
-    functionals = _trial_functionals(lie, trials, seed)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     m = lie.dimension
     if m == 0:
         return 0
@@ -457,9 +441,10 @@ def index_oracle(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> i
     meander = _meander_functional(lie)  # f alone: the trial runs no walk
     if meander is not None and (kernel := _kirillov_kernel(lie, meander[0])) == floor:
         return kernel
+    rng = random.Random(seed)  # seeded here: a call the meander trial answers builds no rng
     best = m + 1  # above every kernel, so the first trial agrees with nothing
-    for f in functionals:
-        kernel = _kirillov_kernel(lie, f)
+    for _ in range(trials):
+        kernel = _kirillov_kernel(lie, random_functional(rng, m))
         if kernel == best or kernel == floor:
             return kernel
         best = min(best, kernel)
@@ -616,7 +601,8 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
     non-semisimple ad(F).  Multiplicities summing past m cannot be exact
     and raise SpectrumOvercountError.
     """
-    functionals = _trial_functionals(lie, trials, seed)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     m = lie.dimension
     if m == 0:
         return SpectrumReport({}, True, True, True, 0)
@@ -624,9 +610,10 @@ def ad_spectrum(lie: LieData, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Sp
         raise NotFrobeniusError(f"no nondegenerate functional: dimension {m} is odd")
     eigenvalues = _meander_spectrum(lie)
     if eigenvalues is None:
-        for f in functionals:
+        rng = random.Random(seed)  # seeded here: a certified spectrum builds no rng
+        for _ in range(trials):
             try:
-                principal = principal_element(lie, f)
+                principal = principal_element(lie, random_functional(rng, m))
             except NotFrobeniusFunctionalError:
                 continue
             break
@@ -760,8 +747,7 @@ def _scanned_spectrum(lie: LieData, principal: Sequence[int]) -> dict[int, int]:
     of ranking every shift.  An unbroken integral spectrum, as every
     Frobenius seaweed has, reaches m before a miss and computes no chi; a
     non-integral one pays one O(m**3) reduction instead of up to 2m + 2
-    kernels (``A16:7|9/16``'s table with the z = 1 table, m = 196: 39 s
-    to 1.7 s in process, ``BENCH_scan_roots.json``).
+    kernels.
     """
     m = lie.dimension
     scale = _table_scale(lie)

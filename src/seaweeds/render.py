@@ -80,12 +80,10 @@ def _render_dot(meander: Meander, colors: dict[int, str], label: str) -> str:
             attrs.append(f'color={colors[v]}')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  v{v}{suffix};")
-    for a, b in meander.top_edges:
-        color = f", color={colors[a]}" if a in colors else ""
-        lines.append(f'  v{a} -- v{b} [class="top"{color}];')
-    for a, b in meander.bottom_edges:
-        color = f", color={colors[a]}" if a in colors else ""
-        lines.append(f'  v{a} -- v{b} [class="bottom", style=dashed{color}];')
+    for edges, style in ((meander.top_edges, 'class="top"'), (meander.bottom_edges, 'class="bottom", style=dashed')):
+        for a, b in edges:
+            color = f", color={colors[a]}" if a in colors else ""
+            lines.append(f"  v{a} -- v{b} [{style}{color}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -95,12 +93,10 @@ def _render_tikz(meander: Meander, colors: dict[int, str], label: str) -> str:
     for v in range(1, meander.n_vertices + 1):
         fill = "[fill=yellow]" if v in meander.tail else ""
         lines.append(f"\\node[vertex]{fill} ({v}) at ({v},0) {{{v}}};")
-    for a, b in meander.top_edges:
-        color = f"[color={colors[a]}] " if a in colors else ""
-        lines.append(f"\\draw {color}({a}) to [bend left=50] ({b});")
-    for a, b in meander.bottom_edges:
-        color = f"[color={colors[a]}] " if a in colors else ""
-        lines.append(f"\\draw {color}({a}) to [bend right=50] ({b});")
+    for edges, bend in ((meander.top_edges, "left"), (meander.bottom_edges, "right")):
+        for a, b in edges:
+            color = f"[color={colors[a]}] " if a in colors else ""
+            lines.append(f"\\draw {color}({a}) to [bend {bend}=50] ({b});")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 
@@ -126,10 +122,9 @@ def _render_svg(meander: Meander, colors: dict[int, str], label: str) -> str:
             f'fill="none" stroke="{color}"/>'
         )
 
-    for a, b in meander.top_edges:
-        lines.append(arc(a, b, True, colors.get(a, "black")))
-    for a, b in meander.bottom_edges:
-        lines.append(arc(a, b, False, colors.get(a, "black")))
+    for edges, up in ((meander.top_edges, True), (meander.bottom_edges, False)):
+        for a, b in edges:
+            lines.append(arc(a, b, up, colors.get(a, "black")))
     for v in range(1, meander.n_vertices + 1):
         fill = "yellow" if v in meander.tail else "white"
         lines.append(

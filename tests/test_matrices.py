@@ -313,7 +313,7 @@ def test_bracket_outside_the_span_raises(text, dropped):
     basis = seaweed_basis(spec).basis
     del basis[dropped]
     with pytest.raises(ClosureError):
-        matrices._bracket_table(spec, basis)
+        matrices._bracket_table(spec, basis, matrices._cell_index(basis))
 
 
 def test_non_integral_coefficient_raises():
@@ -323,7 +323,7 @@ def test_non_integral_coefficient_raises():
     assert basis[0] == sparse(2, {(1, 1): 1})
     basis[0] = sparse(2, {(1, 1): 2})
     with pytest.raises(ClosureError):
-        matrices._bracket_table(spec, basis)
+        matrices._bracket_table(spec, basis, matrices._cell_index(basis))
 
 
 def test_parse_structure_constants_rejects_indices_below_one():

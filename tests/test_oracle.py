@@ -894,7 +894,7 @@ def test_the_meander_functional_reads_one_lead_per_support_cell_at_scale(text):
 
 
 def test_the_oracle_builds_one_cell_index_per_seaweed(monkeypatch):
-    # the meander trial and both seeded trials read the one kept index
+    # the meander trial, both seeded trials and the table read the one kept index
     built = []
     index = matrices._cell_index
     monkeypatch.setattr(matrices, "_cell_index", lambda basis: built.append(basis) or index(basis))
@@ -904,6 +904,8 @@ def test_the_oracle_builds_one_cell_index_per_seaweed(monkeypatch):
     assert counted == [7, 3, 3]
     assert len(built) == 1 and built[0] is lie.basis
     assert lie.cells is lie.cells and len(built) == 1
+    lie.brackets  # the table reads the kept index too
+    assert len(built) == 1
 
 
 def test_spectra_of_the_frobenius_seaweeds_up_to_n_5_are_pinned():
@@ -1022,9 +1024,10 @@ def test_spectrum_scans_only_tables(monkeypatch):
 
 def _principal(lie):
     # the principal element ad_spectrum scans: the first seeded trial that solves
-    for f in oracle._trial_functionals(lie, oracle.DEFAULT_TRIALS, 0):
+    rng = random.Random(0)
+    for _ in range(oracle.DEFAULT_TRIALS):
         try:
-            return principal_element(lie, f)
+            return principal_element(lie, random_functional(rng, lie.dimension))
         except NotFrobeniusFunctionalError:
             continue
     raise AssertionError("no trial solves")
@@ -1189,7 +1192,9 @@ def test_support_rows_equal_the_table_rows(algebra, n_max):
 def _count_tables(monkeypatch):
     built = []
     table = matrices._bracket_table
-    monkeypatch.setattr(matrices, "_bracket_table", lambda spec, basis: built.append(spec) or table(spec, basis))
+    monkeypatch.setattr(
+        matrices, "_bracket_table", lambda spec, basis, cells: built.append(spec) or table(spec, basis, cells)
+    )
     return built
 
 
@@ -1235,7 +1240,8 @@ def test_the_table_is_built_once_on_first_read(monkeypatch, text):
     assert built == []
     first, second = lie.brackets, lie.brackets
     assert len(built) == 1 and first is second
-    eager = matrices._bracket_table(spec, seaweed_basis(spec).basis)
+    fresh = seaweed_basis(spec).basis
+    eager = matrices._bracket_table(spec, fresh, matrices._cell_index(fresh))
     assert _ordered(first) == _ordered(eager)
 
 

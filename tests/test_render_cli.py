@@ -11,10 +11,19 @@ import pytest
 
 from seaweeds import cli, formulas, meander, oracle, render, sweep
 from seaweeds.cli import main
+from seaweeds.delta import NotSinglePathError
 from seaweeds.formulas import index_combinatorial
 from seaweeds.meander import build_meander, components
 from seaweeds.render import render_meander
-from seaweeds.specs import AlgebraType, enumerate_specs, format_spec, parse_spec
+from seaweeds.specs import (
+    AlgebraType,
+    InvalidSpecError,
+    SpecSyntaxError,
+    ValidationReport,
+    enumerate_specs,
+    format_spec,
+    parse_spec,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -496,20 +505,46 @@ def test_cli_entrypoint_runs():
     assert "index: 0" in proc.stdout
 
 
-def test_cli_out_of_memory_exits_5_with_one_line(capsys, monkeypatch):
-    def exhausted(spec):
-        raise MemoryError
+_OUT_OF_MEMORY = "error: out of memory; 'index --method meander' and 'index --method formula' answer at any n"
+_INVALID = parse_spec("A3:2/3")
 
-    monkeypatch.setattr(cli, "delta_of_spec", exhausted)
-    monkeypatch.setattr(cli, "build_meander", exhausted)
+
+@pytest.mark.parametrize(
+    "error, name, code, line",
+    [
+        (lambda: SpecSyntaxError("empty spec", 0), "EXIT_SPEC", 2, "error: empty spec (at offset 0)"),
+        (
+            lambda: InvalidSpecError(_INVALID, ValidationReport(("top sums to 2",))),
+            "EXIT_SPEC",
+            2,
+            f"error: invalid spec {_INVALID}: top sums to 2",
+        ),
+        (lambda: formulas.RuleDisagreement("a rule says 1"), "EXIT_MISMATCH", 1, "error: a rule says 1"),
+        (lambda: NotSinglePathError("not one path"), "EXIT_PRECONDITION", 4, "error: not one path"),
+        (lambda: oracle.NotFrobeniusError("no functional"), "EXIT_PRECONDITION", 4, "error: no functional"),
+        (MemoryError, "EXIT_MEMORY", 5, _OUT_OF_MEMORY),
+    ],
+    ids=["syntax", "invalid", "rule", "single-path", "frobenius", "memory"],
+)
+def test_main_maps_each_library_error_to_its_exit_code_with_one_line(capsys, monkeypatch, error, name, code, line):
+    # main alone maps library errors; the commands let them through
+    def raising(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli, "delta_of_spec", raising)
+    monkeypatch.setattr(cli, "build_meander", raising)
+    monkeypatch.setattr(cli, "ad_spectrum", raising)
     text = "A1000000000000:1|999999999999/1000000000000"
-    for argv in (["delta", text], ["meander", text], ["index", text, "--method", "meander", "--explain"]):
-        assert run_cli(*argv) == cli.EXIT_MEMORY == 5
+    for argv in (
+        ["delta", text],
+        ["meander", text],
+        ["index", text, "--method", "meander", "--explain"],
+        ["spectrum", "A2:2/1|1"],
+    ):
+        assert run_cli(*argv) == getattr(cli, name) == code, argv
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == [
-            "error: out of memory; 'index --method meander' and 'index --method formula' answer at any n"
-        ]
+        assert err.splitlines() == [line] and "Traceback" not in err, argv
 
 
 def test_cli_closed_stdout_exits_3_with_one_line():
